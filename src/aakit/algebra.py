@@ -8,9 +8,11 @@ no-empty-rows/columns property true by construction.
 
 from __future__ import annotations
 
+import math
+from itertools import groupby
 from typing import Iterable
 
-from .core import AssociativeArray, Axis, DomainError, Semiring, Value
+from .core import AssociativeArray, Axis, BadValueError, DomainError, Semiring, Value
 from .patterns import identity_from_keys
 
 
@@ -60,27 +62,33 @@ def arrayprod(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associa
     k runs over the shared middle keys, i.e. a's column keys intersected
     with b's row keys, in ascending key order.  Cells whose fold lands on
     the semiring's zero (or a canonical empty) are not stored.
+
+    The product is built one row of a at a time (Gustavson's row-wise
+    scheme): a's entries come grouped by row in ascending (row, col)
+    order, so each row accumulates into a dict keyed by column alone,
+    and only that row's columns need sorting before it is emitted.
     """
     _require_numeric(a, sr, "left operand")
     _require_numeric(b, sr, "right operand")
     b_rows: dict[str, list[tuple[str, Value]]] = {}
     for (k, j), v in b.items():
         b_rows.setdefault(k, []).append((j, v))
-    acc: dict[tuple[str, str], Value] = {}
-    for (i, k), av in a.items():
-        row = b_rows.get(k)
-        if row is None:
-            continue
-        for j, bv in row:
-            term = sr.times(av, bv)
-            cell = (i, j)
-            if cell in acc:
-                acc[cell] = sr.plus(acc[cell], term)
-            else:
-                acc[cell] = term
-    return AssociativeArray._from_clean(
-        {cell: v for cell, v in acc.items() if not sr.drops(v)}
-    )
+    plus, times, drops = sr.plus, sr.times, sr.drops
+    out: dict[tuple[str, str], Value] = {}
+    for i, row in groupby(a.items(), key=lambda entry: entry[0][0]):
+        acc: dict[str, Value] = {}
+        for (_, k), av in row:
+            for j, bv in b_rows.get(k, ()):
+                term = times(av, bv)
+                acc[j] = plus(acc[j], term) if j in acc else term
+        for j in sorted(acc):
+            v = acc[j]
+            if drops(v):
+                continue
+            if isinstance(v, float) and not math.isfinite(v):
+                raise BadValueError(f"operation produced a non-finite number at {(i, j)!r}")
+            out[(i, j)] = v
+    return AssociativeArray._from_sorted(out)
 
 
 def mask_select(t: AssociativeArray, mask: AssociativeArray) -> AssociativeArray:

@@ -236,7 +236,6 @@ class AssociativeArray:
         # Internal fast path: keys are already-validated (they came out of
         # existing arrays), but results of semiring arithmetic still need the
         # finiteness and emptiness screens.
-        arr = cls.__new__(cls)
         kept: dict[tuple[str, str], Value] = {}
         for cell, v in sorted(entries.items()):
             if isinstance(v, float):
@@ -247,7 +246,20 @@ class AssociativeArray:
             elif v == "":
                 continue
             kept[cell] = v
-        arr._entries = kept
+        return cls._from_sorted(kept)
+
+    @classmethod
+    def _from_sorted(cls, entries: dict[tuple[str, str], Value]) -> "AssociativeArray":
+        """Wrap ``entries`` as an array without checking or copying them.
+
+        The caller guarantees the array invariants: every key passed
+        ``check_key``, every value is non-empty and storable (a finite
+        float or line-break-free text), and the dict iterates in ascending
+        (row, col) order with no repeated cell.  Nothing is sorted or
+        screened here, and the dict becomes the array's own storage.
+        """
+        arr = cls.__new__(cls)
+        arr._entries = entries
         arr._rows = None
         arr._cols = None
         return arr
@@ -299,7 +311,7 @@ class AssociativeArray:
             for cell, v in self._entries.items()
             if rows.matches(cell[0]) and cols.matches(cell[1])
         }
-        return AssociativeArray._from_clean(out)
+        return AssociativeArray._from_sorted(out)
 
     def transpose(self) -> "AssociativeArray":
         return AssociativeArray._from_clean(
@@ -308,7 +320,7 @@ class AssociativeArray:
 
     def logical(self) -> "AssociativeArray":
         """Same support, every value replaced by 1.0."""
-        return AssociativeArray._from_clean({cell: 1.0 for cell in self._entries})
+        return AssociativeArray._from_sorted(dict.fromkeys(self._entries, 1.0))
 
     # -- dunder support ---------------------------------------------------
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
+from itertools import islice
 from typing import BinaryIO
 
 from .core import (
@@ -26,7 +28,6 @@ from .core import (
     Value,
     check_key,
     check_value,
-    from_triples,
 )
 
 TRIPLES_MAGIC = "%aa-triples 1"
@@ -122,38 +123,50 @@ def parse_record_lines(
     tombstone (tag "x", only when ``allow_tombstones``).  With
     ``lenient_tail`` a final line lacking its LF is skipped and flagged
     instead of raising; everything before it must still parse cleanly.
+    Every returned key passed ``check_key`` and every value ``check_value``.
     """
-    parts = data.split(b"\n")
-    tail = parts.pop()
-    truncated = tail != b""
+    end = data.rfind(b"\n")
+    truncated = end != len(data) - 1
     if truncated and not lenient_tail:
         raise FormatError("file does not end with a newline")
-    if not parts:
+    if end < 0:
         if truncated:
             return [], True  # even the magic line is incomplete
         raise FormatError("missing magic line")
-    try:
-        first = parts[0].decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError("magic line is not valid UTF-8") from None
-    if first != magic:
-        raise FormatError(f"bad magic line {first!r}, expected {magic!r}")
 
+    # Decode everything before the final LF at once.  On a decoding error,
+    # parse the lines before the bad one (an earlier error wins) and then
+    # report it; LF never occurs inside a UTF-8 sequence, so the first bad
+    # byte lies on the first line that does not decode by itself.
+    body = memoryview(data)[:end]
+    bad_line = None
+    try:
+        text = str(body, "utf-8")
+    except UnicodeDecodeError as exc:
+        cut = data.rfind(b"\n", 0, exc.start) + 1
+        bad_line = data.count(b"\n", 0, cut) + 1
+        if bad_line == 1:
+            raise FormatError("magic line is not valid UTF-8") from None
+        text = str(body[:cut - 1], "utf-8")
+    lines = text.split("\n")
+    del text
+    if lines[0] != magic:
+        raise FormatError(f"bad magic line {lines[0]!r}, expected {magic!r}")
+
+    # A field that came from strict UTF-8 split on LF and TAB can break the
+    # key and text rules only by being empty (keys) or by holding a CR.
     records: list[tuple[str, str, Value | None]] = []
-    for lineno, raw in enumerate(parts[1:], start=2):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"line {lineno}: not valid UTF-8") from None
+    for lineno, line in enumerate(islice(lines, 1, None), start=2):
         fields = line.split("\t", 3)
         if len(fields) != 4:
             raise FormatError(f"line {lineno}: expected 4 tab-separated fields")
         row, col, tag, valtext = fields
-        try:
-            check_key(row)
-            check_key(col)
-        except BadKeyError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
+        if not row or not col or "\r" in row or "\r" in col:
+            try:
+                check_key(row)
+                check_key(col)
+            except BadKeyError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
         value: Value | None
         if tag == "n":
             if not _NUMBER_RE.match(valtext):
@@ -162,10 +175,12 @@ def parse_record_lines(
             if not math.isfinite(value):
                 raise FormatError(f"line {lineno}: number {valtext!r} is not finite")
         elif tag == "t":
-            try:
-                value = check_value(valtext)
-            except BadValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
+            if "\r" in valtext:
+                try:
+                    check_value(valtext)
+                except BadValueError as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from None
+            value = valtext
         elif tag == "x" and allow_tombstones:
             if valtext != "":
                 raise FormatError(f"line {lineno}: tombstone carries a payload")
@@ -173,13 +188,28 @@ def parse_record_lines(
         else:
             raise FormatError(f"line {lineno}: unknown type tag {tag!r}")
         records.append((row, col, value))
+    if bad_line is not None:
+        raise FormatError(f"line {bad_line}: not valid UTF-8")
     return records, truncated
 
 
 def read_triples(source: BinaryIO) -> AssociativeArray:
-    """Read a triple file; duplicate cells merge with the lattice max."""
+    """Read a triple file; duplicate cells merge with the lattice max.
+
+    Records may come in any order and may repeat a cell.  Repeats fold
+    first; a cell whose fold is empty is then dropped.
+    """
     records, _ = parse_record_lines(source.read(), TRIPLES_MAGIC)
-    return from_triples([(r, c, v) for r, c, v in records], LATTICE)
+    plus = LATTICE.plus
+    acc: dict[tuple[str, str], Value] = {}
+    for r, c, v in records:
+        cell = (r, c)
+        acc[cell] = plus(acc[cell], v) if cell in acc else v
+    del records
+    if not all(map(operator.lt, acc, islice(acc, 1, None))):
+        acc = {cell: acc[cell] for cell in sorted(acc)}
+    # Parsed values are finite floats or text, so falsy means empty.
+    return AssociativeArray._from_sorted({cell: v for cell, v in acc.items() if v})
 
 
 def _record_line(row: str, col: str, value: Value | None) -> str:
@@ -210,12 +240,15 @@ def export_dot(arr: AssociativeArray, sink: BinaryIO) -> int:
     edge labeled with its value.  Output order is sorted, so equal arrays
     render identically.
     """
+    nodes = {k: _dot_quote(k) for k in sorted(set(arr.row_keys) | set(arr.col_keys))}
+    labels: dict[Value, str] = {}
     lines = ["digraph aa {"]
-    for k in sorted(set(arr.row_keys) | set(arr.col_keys)):
-        lines.append(f"  {_dot_quote(k)};")
+    lines.extend(f"  {q};" for q in nodes.values())
     for r, c, v in arr:
-        label = v if isinstance(v, str) else format_number(v)
-        lines.append(f"  {_dot_quote(r)} -> {_dot_quote(c)} [label={_dot_quote(label)}];")
+        label = labels.get(v)
+        if label is None:
+            label = labels[v] = _dot_quote(v if isinstance(v, str) else format_number(v))
+        lines.append(f"  {nodes[r]} -> {nodes[c]} [label={label}];")
     lines.append("}")
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     sink.write(payload)

@@ -73,14 +73,18 @@ class TableStore:
 
     @classmethod
     def open(cls, path: str | Path, read_only: bool = False) -> "TableStore":
-        """Open (creating if absent) the table directory at ``path``.
+        """Open the table directory at ``path``, creating it for a writer.
 
-        Pass ``read_only=True`` to skip taking the writer lock.  When the
-        lock is already held elsewhere, the handle silently degrades to
-        read-only; check the ``read_only`` attribute.
+        Pass ``read_only=True`` to skip taking the writer lock; such an
+        open creates nothing and raises StoreError when the directory is
+        missing.  When the lock is already held elsewhere, the handle
+        silently degrades to read-only; check the ``read_only`` attribute.
         """
         path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
+        if not read_only:
+            path.mkdir(parents=True, exist_ok=True)
+        elif not path.is_dir():
+            raise StoreError(f"no table directory at {str(path)!r}")
 
         holds_lock = False
         if not read_only:

@@ -12,23 +12,29 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from aakit import AssociativeArray
+from aakit import ARITH, AssociativeArray, Semiring
 
 
-def product_oracle(a: AssociativeArray, b: AssociativeArray) -> dict:
-    """Arith array product by three nested loops over the full key grids."""
+def product_oracle(a: AssociativeArray, b: AssociativeArray, sr: Semiring = ARITH) -> dict:
+    """Array product by three nested loops over the full key grids.
+
+    Each cell folds its terms with sr.plus in ascending middle-key order
+    and is left out when the fold is 0.0, "" or the semiring's zero.
+    """
     out = {}
     shared = sorted(set(a.col_keys) & set(b.row_keys))
     for i in a.row_keys:
         for j in b.col_keys:
-            total = 0.0
+            total = None
             for k in shared:
                 av = a.get(i, k)
                 bv = b.get(k, j)
                 if av is not None and bv is not None:
-                    total += av * bv
-            if total != 0.0:
-                out[(i, j)] = total
+                    term = sr.times(av, bv)
+                    total = term if total is None else sr.plus(total, term)
+            if total is None or total in (0.0, "") or total == sr.zero:
+                continue
+            out[(i, j)] = total
     return out
 
 

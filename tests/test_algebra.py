@@ -11,6 +11,7 @@ from aakit import (
     MINPLUS,
     AssociativeArray,
     Axis,
+    BadValueError,
     DomainError,
     KeySet,
     arrayprod,
@@ -169,6 +170,50 @@ def test_arrayprod_matches_nested_loop_oracle():
         got = arrayprod(a, b, ARITH)
         assert dict(got.items()) == product_oracle(a, b)
         check_invariants(got)
+
+
+@pytest.mark.parametrize("sr", [ARITH, MAXPLUS, MINPLUS, MAXMIN, LATTICE], ids=lambda sr: sr.name)
+def test_arrayprod_matches_oracle_under_every_semiring(sr):
+    rng = random.Random(515)
+    for _ in range(100):
+        if sr is LATTICE:
+            a, b = random_mixed_array(rng), random_mixed_array(rng)
+        else:
+            a = random_numeric_array(rng, NONZERO, 6, 6, density=rng.random())
+            b = random_numeric_array(rng, NONZERO, 6, 6, density=rng.random(),
+                                     row_pool=list(a.col_keys) + ["k00", "k01"])
+        got = arrayprod(a, b, sr)
+        assert dict(got.items()) == product_oracle(a, b, sr)
+        check_invariants(got)
+
+
+@pytest.mark.parametrize("sr,a,b,want", [
+    # ascending k: (1e16 + 1.0) rounds back to 1e16, then cancels to 0 and drops
+    (ARITH, {("i", "k1"): 1e16, ("i", "k2"): 1.0, ("i", "k3"): -1e16},
+     {("k1", "j"): 1.0, ("k2", "j"): 1.0, ("k3", "j"): 1.0}, {}),
+    # the same terms in another k order sum to 1.0
+    (ARITH, {("i", "k1"): 1e16, ("i", "k2"): -1e16, ("i", "k3"): 1.0},
+     {("k1", "j"): 1.0, ("k2", "j"): 1.0, ("k3", "j"): 1.0}, {("i", "j"): 1.0}),
+    # arith cancellation beside a surviving cell
+    (ARITH, {("i", "k1"): 2.0, ("i", "k2"): -2.0},
+     {("k1", "j"): 3.0, ("k2", "j"): 3.0, ("k2", "m"): 1.5}, {("i", "m"): -3.0}),
+    # lattice: times is min (numbers before text), plus is max
+    (LATTICE, {("i", "k1"): "pear", ("i", "k2"): 4.0, ("h", "k2"): "fig"},
+     {("k1", "j"): "plum", ("k2", "j"): "apple", ("k1", "m"): 7.0},
+     {("h", "j"): "apple", ("i", "j"): "pear", ("i", "m"): 7.0}),
+])
+def test_arrayprod_fixed_cases(sr, a, b, want):
+    a, b = aa(a), aa(b)
+    got = arrayprod(a, b, sr)
+    assert dict(got.items()) == want == product_oracle(a, b, sr)
+    check_invariants(got)
+
+
+def test_arrayprod_overflow_names_its_cell():
+    a = aa({("i", "k"): 1e308, ("h", "k"): 1.0})
+    b = aa({("k", "j"): 10.0})
+    with pytest.raises(BadValueError, match=r"non-finite number at \('i', 'j'\)"):
+        arrayprod(a, b, ARITH)
 
 
 def test_arrayprod_identity_roundtrip():

@@ -1,7 +1,12 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aakit
 from aakit import ALL, AssociativeArray, KeyPrefix, KeyRange, KeySet
 from aakit.cli import parse_keyspec, run
 from aakit.io import read_triples, write_triples
@@ -260,6 +265,15 @@ def test_store_lifecycle(tmp_path, capsys):
     assert capsys.readouterr().out == "segments 2 -> 1\n"
 
 
+def test_store_select_missing_table_is_exit_1(tmp_path, capsys):
+    missing = tmp_path / "typo"
+    assert run(["store", "select", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(missing) in captured.err
+    assert not missing.exists()
+
+
 def test_store_insert_needs_file(tmp_path, capsys):
     assert run(["store", "insert", str(tmp_path / "t")]) == 2
     assert run(["store", "delete", str(tmp_path / "t")]) == 2
@@ -279,3 +293,14 @@ def test_usage_errors_are_exit_2(capsys):
 def test_help_is_exit_0(capsys):
     assert run(["--help"]) == 0
     assert "COMMAND" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["aakit", "aakit.cli"])
+def test_python_dash_m_prints_usage(module):
+    src = str(Path(aakit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", module, "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: aakit")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from aakit import AssociativeArray
+from aakit import LATTICE, AssociativeArray, from_triples
 from aakit.io import (
     FormatError,
     export_dot,
@@ -204,6 +204,52 @@ def test_parse_record_lines_tombstone_payload_rejected():
     data = b"%aa-seg 1\na\tb\tx\tstuff\n"
     with pytest.raises(FormatError):
         parse_record_lines(data, "%aa-seg 1", allow_tombstones=True)
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"%aa-triples 1\na\tb\tn\t1\nc\t\xff\tn\t2\n", "line 3: not valid UTF-8"),
+    (b"%aa-triples 1\na\tb\tn\t1\nc\td\tt\tcaf\xc3\n", "line 3: not valid UTF-8"),
+    (b"%aa-triples \xff\na\tb\tn\t1\n", "magic line is not valid UTF-8"),
+    # an earlier error is reported before a later undecodable line
+    (b"%aa-triples 1\na\tb\tq\t1\nc\t\xff\tn\t2\n", "line 2: unknown type tag 'q'"),
+    (b"%aa-triples 1\na\tb\tn\t1\n\tb\tn\t2\n", "line 3: key must be non-empty"),
+    (b"%aa-triples 1\na\t\tn\t2\n", "line 2: key must be non-empty"),
+    (b"%aa-triples 1\na\rz\tb\tn\t2\n",
+     "line 2: key 'a\\rz' contains a forbidden control character"),
+    (b"%aa-triples 1\na\tb\rz\tn\t2\n",
+     "line 2: key 'b\\rz' contains a forbidden control character"),
+    (b"%aa-triples 1\na\tb\tt\tone\rtwo\n",
+     "line 2: text value 'one\\rtwo' contains a line break"),
+])
+def test_parse_record_lines_errors_name_the_line(data, message):
+    with pytest.raises(FormatError) as exc:
+        parse_record_lines(data, "%aa-triples 1")
+    assert str(exc.value) == message
+
+
+def test_parse_record_lines_lenient_tail_may_be_undecodable():
+    data = b"%aa-seg 1\na\tb\tn\t1\nc\td\tt\tcaf\xc3"
+    records, truncated = parse_record_lines(data, "%aa-seg 1", lenient_tail=True)
+    assert truncated
+    assert records == [("a", "b", 1.0)]
+
+
+def test_read_triples_shuffled_duplicates_fold_like_from_triples():
+    rng = random.Random(24)
+    for _ in range(60):
+        records = [(rng.choice("abcd"), rng.choice("wxyz"),
+                    rng.choice([-1.0, 0.0, 2.5, 7.0, "", "lo", "hi"]))
+                   for _ in range(rng.randint(0, 30))]
+        # a duplicate whose lattice max is empty: -1 then 0 folds to 0, then drops
+        records += [("e", "e", -1.0), ("e", "e", 0.0)]
+        rng.shuffle(records)
+        lines = ["%aa-triples 1"] + [
+            f"{r}\t{c}\t{'t' if isinstance(v, str) else 'n'}\t{v}" for r, c, v in records]
+        got = read_triples(buf("\n".join(lines) + "\n"))
+        assert got == from_triples(records, LATTICE)
+        assert ("e", "e") not in got
+        assert list(got.support()) == sorted(got.support())
+        check_invariants(got)
 
 
 # -- DOT export ---------------------------------------------------------------

@@ -97,6 +97,16 @@ def test_read_only_flag_skips_lock(tmp_path):
     ro.close()
 
 
+def test_read_only_open_of_missing_table_is_an_error(tmp_path):
+    missing = tmp_path / "typo"
+    with pytest.raises(StoreError, match="typo"):
+        open_store(missing, read_only=True)
+    assert not missing.exists()
+    # a writer open still creates the table
+    open_store(missing).close()
+    assert (missing / MANIFEST_NAME).exists()
+
+
 def test_compact_merges_and_drops_tombstones(tmp_path):
     with open_store(tmp_path / "t") as st:
         st.insert(aa({("a", "x"): 1.0, ("b", "y"): 2.0}))
