@@ -26,34 +26,67 @@ def _require_numeric(arr: AssociativeArray, sr: Semiring, side: str) -> None:
             )
 
 
+# Pass-through semirings (GraphBLAS's FIRST and SECOND): ``times`` returns the
+# data operand, text included, and ``plus`` keeps the first term, so the
+# smallest k wins.  Not in SEMIRINGS: they select, they do not compute.
+_FIRST = Semiring("first", lambda x, y: x, lambda x, y: x, None, None, False)
+_SECOND = Semiring("second", lambda x, y: x, lambda x, y: y, None, None, False)
+
+
+def _kept(drops, cell: tuple[str, str], v: Value) -> bool:
+    """Screen one computed value: False if it is dropped, BadValueError if non-finite."""
+    if drops(v):
+        return False
+    if isinstance(v, float) and not math.isfinite(v):
+        raise BadValueError(f"operation produced a non-finite number at {cell!r}")
+    return True
+
+
 def eladd(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> AssociativeArray:
-    """Entry-wise addition: union of supports, collisions folded with sr.plus."""
+    """Entry-wise addition: union of supports, collisions folded with sr.plus.
+
+    A linear merge of the two sorted entry streams: cells on one side only
+    are copied as they are, and only folded collisions are screened.
+    """
     _require_numeric(a, sr, "left operand")
     _require_numeric(b, sr, "right operand")
-    merged: dict[tuple[str, str], Value] = dict(a.items())
-    for cell, v in b.items():
-        if cell in merged:
-            merged[cell] = sr.plus(merged[cell], v)
+    plus, drops = sr.plus, sr.drops
+    out: dict[tuple[str, str], Value] = {}
+    rest_a, rest_b = iter(a.items()), iter(b.items())
+    ea, eb = next(rest_a, None), next(rest_b, None)
+    while ea is not None and eb is not None:
+        if ea[0] < eb[0]:
+            out[ea[0]] = ea[1]
+            ea = next(rest_a, None)
+        elif eb[0] < ea[0]:
+            out[eb[0]] = eb[1]
+            eb = next(rest_b, None)
         else:
-            merged[cell] = v
-    return AssociativeArray._from_clean(
-        {cell: v for cell, v in merged.items() if not sr.drops(v)}
-    )
+            v = plus(ea[1], eb[1])
+            if _kept(drops, ea[0], v):
+                out[ea[0]] = v
+            ea, eb = next(rest_a, None), next(rest_b, None)
+    for entry, rest in ((ea, rest_a), (eb, rest_b)):
+        if entry is not None:
+            out[entry[0]] = entry[1]
+            out.update(rest)
+    return AssociativeArray._from_sorted(out)
 
 
 def elmult(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> AssociativeArray:
     """Entry-wise multiplication: intersection of supports, values via sr.times."""
     _require_numeric(a, sr, "left operand")
     _require_numeric(b, sr, "right operand")
+    times, drops = sr.times, sr.drops
     out: dict[tuple[str, str], Value] = {}
     for cell, va in a.items():
         vb = b.get(*cell)
         if vb is None:
             continue
-        v = sr.times(va, vb)
-        if not sr.drops(v):
+        v = times(va, vb)
+        if _kept(drops, cell, v):
             out[cell] = v
-    return AssociativeArray._from_clean(out)
+    return AssociativeArray._from_sorted(out)
 
 
 def arrayprod(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> AssociativeArray:
@@ -66,13 +99,13 @@ def arrayprod(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associa
     The product is built one row of a at a time (Gustavson's row-wise
     scheme): a's entries come grouped by row in ascending (row, col)
     order, so each row accumulates into a dict keyed by column alone,
-    and only that row's columns need sorting before it is emitted.
+    and only that row's columns need sorting before it is emitted.  The
+    rows of b come from b's cached row index, so repeated products with
+    the same b build it once.
     """
     _require_numeric(a, sr, "left operand")
     _require_numeric(b, sr, "right operand")
-    b_rows: dict[str, list[tuple[str, Value]]] = {}
-    for (k, j), v in b.items():
-        b_rows.setdefault(k, []).append((j, v))
+    b_rows = b._by_row()
     plus, times, drops = sr.plus, sr.times, sr.drops
     out: dict[tuple[str, str], Value] = {}
     for i, row in groupby(a.items(), key=lambda entry: entry[0][0]):
@@ -109,42 +142,18 @@ def _dedup(keys: Iterable[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(keys))
 
 
-def _pass_left(selector: AssociativeArray, t: AssociativeArray) -> AssociativeArray:
-    # selector acts as a 0/1 matrix: each stored selector(i, k) passes t(k, j)
-    # through unchanged, so text survives.  Should several k contribute to one
-    # output cell, the first in ascending key order wins (with a permutation
-    # selector there is never more than one).
-    t_rows: dict[str, list[tuple[str, Value]]] = {}
-    for (k, j), v in t.items():
-        t_rows.setdefault(k, []).append((j, v))
-    out: dict[tuple[str, str], Value] = {}
-    for (i, k), _ in selector.items():
-        for j, v in t_rows.get(k, ()):
-            out.setdefault((i, j), v)
-    return AssociativeArray._from_clean(out)
-
-
-def _pass_right(t: AssociativeArray, selector: AssociativeArray) -> AssociativeArray:
-    t_cols: dict[str, list[tuple[str, Value]]] = {}
-    for (i, k), v in t.items():
-        t_cols.setdefault(k, []).append((i, v))
-    out: dict[tuple[str, str], Value] = {}
-    for (k, j), _ in selector.items():
-        for i, v in t_cols.get(k, ()):
-            out.setdefault((i, j), v)
-    return AssociativeArray._from_clean(out)
-
-
 def perm_select(t: AssociativeArray, keys: Iterable[str], axis: Axis) -> AssociativeArray:
-    """Select whole rows (or columns) of t by key list, via a pass-through product.
+    """Select whole rows (or columns) of t by key list, as an array product.
 
     Builds the identity permutation array on ``keys`` and multiplies it
-    against t with pass-through semantics, which is exactly row/column
-    selection: the result equals ``t.subarray(KeySet(keys), ALL)`` (or the
-    column-side analogue) including text values.  Duplicate keys are
-    deduplicated; unknown keys simply select nothing.
+    with ``arrayprod`` under a pass-through semiring: ``selector @ t``
+    keeping t's values for rows, ``t @ selector`` keeping t's values for
+    columns.  That is exactly row/column selection: the result equals
+    ``t.subarray(KeySet(keys), ALL)`` (or the column-side analogue)
+    including text values.  Duplicate keys are deduplicated; unknown keys
+    simply select nothing.
     """
     selector = identity_from_keys(_dedup(keys))
     if axis is Axis.ROW:
-        return _pass_left(selector, t)
-    return _pass_right(t, selector)
+        return arrayprod(selector, t, _SECOND)
+    return arrayprod(t, selector, _FIRST)

@@ -11,6 +11,8 @@ Arrays are immutable; every operation returns a new array.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping
@@ -153,6 +155,14 @@ class KeySpec:
     def matches(self, key: str) -> bool:
         raise NotImplementedError
 
+    def select(self, keys: tuple[str, ...]) -> list[str]:
+        """The matching keys of ``keys``, a sorted tuple of distinct keys, in order.
+
+        Subclasses that only define ``matches`` get this per-key filter;
+        the built-in specs bisect the sorted keys instead.
+        """
+        return [k for k in keys if self.matches(k)]
+
 
 @dataclass(frozen=True)
 class AllKeys(KeySpec):
@@ -174,9 +184,14 @@ class KeySet(KeySpec):
         if len(set(ks)) != len(ks):
             raise ValueError("key set contains duplicates")
         object.__setattr__(self, "keys", tuple(sorted(ks)))
+        # Not a dataclass field, so equality and repr still see only ``keys``.
+        object.__setattr__(self, "_members", frozenset(ks))
 
     def matches(self, key: str) -> bool:
-        return key in self.keys
+        return key in self._members
+
+    def select(self, keys: tuple[str, ...]) -> list[str]:
+        return [k for k in self.keys if (i := bisect_left(keys, k)) < len(keys) and keys[i] == k]
 
 
 @dataclass(frozen=True)
@@ -195,6 +210,9 @@ class KeyRange(KeySpec):
     def matches(self, key: str) -> bool:
         return self.lo <= key <= self.hi
 
+    def select(self, keys: tuple[str, ...]) -> list[str]:
+        return list(keys[bisect_left(keys, self.lo) : bisect_right(keys, self.hi)])
+
 
 @dataclass(frozen=True)
 class KeyPrefix(KeySpec):
@@ -208,6 +226,14 @@ class KeyPrefix(KeySpec):
     def matches(self, key: str) -> bool:
         return key.startswith(self.prefix)
 
+    def select(self, keys: tuple[str, ...]) -> list[str]:
+        # Keys with the prefix form one run starting where the prefix itself
+        # would sort (str order is UTF-8 byte order for valid keys).
+        start = end = bisect_left(keys, self.prefix)
+        while end < len(keys) and keys[end].startswith(self.prefix):
+            end += 1
+        return list(keys[start:end])
+
 
 class AssociativeArray:
     """Immutable sparse map from (row key, column key) to non-empty values.
@@ -217,7 +243,7 @@ class AssociativeArray:
     validated.  Entries iterate in ascending (row, col) order.
     """
 
-    __slots__ = ("_entries", "_rows", "_cols")
+    __slots__ = ("_entries", "_rows", "_cols", "_row_index")
 
     def __init__(self, entries: Mapping[tuple[str, str], Value] = {}):
         cleaned: dict[tuple[str, str], Value] = {}
@@ -230,6 +256,7 @@ class AssociativeArray:
         self._entries = dict(sorted(cleaned.items()))
         self._rows: tuple[str, ...] | None = None
         self._cols: tuple[str, ...] | None = None
+        self._row_index: dict[str, list[tuple[str, Value]]] | None = None
 
     @classmethod
     def _from_clean(cls, entries: dict[tuple[str, str], Value]) -> "AssociativeArray":
@@ -262,6 +289,7 @@ class AssociativeArray:
         arr._entries = entries
         arr._rows = None
         arr._cols = None
+        arr._row_index = None
         return arr
 
     # -- plain queries ----------------------------------------------------
@@ -281,6 +309,19 @@ class AssociativeArray:
         if self._cols is None:
             self._cols = tuple(sorted({c for _, c in self._entries}))
         return self._cols
+
+    def _by_row(self) -> dict[str, list[tuple[str, Value]]]:
+        """Row key -> that row's ``(column key, value)`` pairs, in entry order.
+
+        Built on first use and kept, like ``row_keys``; the array is
+        immutable, so it never goes stale.  Callers must not mutate it.
+        Pairs, not whole entries, keep the product's inner loop lean.
+        """
+        if self._row_index is None:
+            self._row_index = index = {}
+            for (r, c), v in self._entries.items():
+                index.setdefault(r, []).append((c, v))
+        return self._row_index
 
     def keys(self, axis: Axis) -> tuple[str, ...]:
         """Sorted keys with at least one entry on the given axis."""
@@ -304,19 +345,28 @@ class AssociativeArray:
     def subarray(self, rows: KeySpec = ALL, cols: KeySpec = ALL) -> "AssociativeArray":
         """Entries whose row key matches ``rows`` and column key matches ``cols``.
 
-        Surviving entries keep their original keys.
+        Surviving entries keep their original keys.  Specs are resolved
+        against the sorted keys; selected rows come from the row index.
         """
-        out = {
-            cell: v
-            for cell, v in self._entries.items()
-            if rows.matches(cell[0]) and cols.matches(cell[1])
-        }
-        return AssociativeArray._from_sorted(out)
+        wanted = None if isinstance(cols, AllKeys) else set(cols.select(self.col_keys))
+        picked = self._entries.items()
+        if not isinstance(rows, AllKeys):
+            index = self._by_row()
+            picked = (((r, c), v) for r in rows.select(self.row_keys) for c, v in index[r])
+        return AssociativeArray._from_sorted(
+            dict(picked) if wanted is None else {cell: v for cell, v in picked if cell[1] in wanted}
+        )
 
     def transpose(self) -> "AssociativeArray":
-        return AssociativeArray._from_clean(
-            {(c, r): v for (r, c), v in self._entries.items()}
-        )
+        # Bucket by column: rows arrive ascending within each bucket, so only
+        # the distinct column keys need sorting.
+        buckets: defaultdict[str, list] = defaultdict(list)
+        for (r, c), v in self._entries.items():
+            buckets[c].append(((c, r), v))
+        out: dict[tuple[str, str], Value] = {}
+        for c in sorted(buckets):
+            out.update(buckets[c])
+        return AssociativeArray._from_sorted(out)
 
     def logical(self) -> "AssociativeArray":
         """Same support, every value replaced by 1.0."""

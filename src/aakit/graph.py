@@ -1,8 +1,8 @@
 """Graph-flavored helpers over associative arrays.
 
 An array doubles as a directed graph: row key -> column key per entry.
-These helpers stay within the algebra; nothing here peeks below the
-public operations except for the shared pass-through product.
+These helpers stay within the algebra: a BFS step is an array product
+under the pass-through semiring that ``perm_select`` also uses.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from .algebra import _pass_left, arrayprod, eladd
+from .algebra import _SECOND, arrayprod, eladd
 from .core import ARITH, MAXMIN, AssociativeArray, Axis, DomainError
 
 
@@ -48,8 +48,9 @@ def bfs(arr: AssociativeArray, sources: Iterable[str], steps: int) -> Associativ
 
     Returns a single-row frontier under the row key "front" with value 1.0
     per reachable column key.  Step zero is the sources themselves,
-    restricted to keys present in the array on either axis.  Each step is a
-    pass-through product with the array followed by logical().
+    restricted to keys present in the array on either axis.  Each step is
+    ``arrayprod`` of the frontier with the array under a pass-through
+    semiring (text values pass unchanged), followed by logical().
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps!r}")
@@ -58,5 +59,5 @@ def bfs(arr: AssociativeArray, sources: Iterable[str], steps: int) -> Associativ
         {("front", s): 1.0 for s in dict.fromkeys(sources) if s in present}
     )
     for _ in range(steps):
-        frontier = _pass_left(frontier, arr).logical()
+        frontier = arrayprod(frontier, arr, _SECOND).logical()
     return frontier

@@ -79,6 +79,8 @@ class TableStore:
         open creates nothing and raises StoreError when the directory is
         missing.  When the lock is already held elsewhere, the handle
         silently degrades to read-only; check the ``read_only`` attribute.
+        Only the lock holder writes a missing MANIFEST; any other open of
+        a directory without one raises StoreError.
         """
         path = Path(path)
         if not read_only:
@@ -104,8 +106,9 @@ class TableStore:
         try:
             manifest = path / MANIFEST_NAME
             if not manifest.exists():
-                if holds_lock:
-                    _write_file_atomic(manifest, f"{MANIFEST_MAGIC}\n".encode("ascii"))
+                if not holds_lock:
+                    raise StoreError(f"no table at {str(path)!r}: {MANIFEST_NAME} is missing")
+                _write_file_atomic(manifest, f"{MANIFEST_MAGIC}\n".encode("ascii"))
                 self._segments: list[str] = []
             else:
                 self._segments = _read_manifest(manifest)

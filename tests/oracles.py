@@ -38,6 +38,35 @@ def product_oracle(a: AssociativeArray, b: AssociativeArray, sr: Semiring = ARIT
     return out
 
 
+def _kept(value, sr: Semiring) -> bool:
+    return value not in (0.0, "") and value != sr.zero
+
+
+def eladd_oracle(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> dict:
+    """Entry-wise sum by set union of the two supports and per-cell lookups."""
+    out = {}
+    for cell in set(a.support()) | set(b.support()):
+        av, bv = a.get(*cell), b.get(*cell)
+        v = bv if av is None else av if bv is None else sr.plus(av, bv)
+        if _kept(v, sr):
+            out[cell] = v
+    return out
+
+
+def elmult_oracle(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> dict:
+    """Entry-wise product by set intersection of the two supports."""
+    out = {}
+    for cell in set(a.support()) & set(b.support()):
+        v = sr.times(a.get(*cell), b.get(*cell))
+        if _kept(v, sr):
+            out[cell] = v
+    return out
+
+
+def transpose_oracle(a: AssociativeArray) -> dict:
+    return {(c, r): v for r, c, v in a}
+
+
 def correlate_oracle(a: AssociativeArray) -> dict:
     return product_oracle(a, a.transpose())
 

@@ -22,9 +22,12 @@ from aakit import (
     mask_select,
     perm_select,
 )
+from aakit.algebra import _FIRST, _SECOND
 
 from helpers import NONZERO, POSITIVE, check_invariants, random_mixed_array, random_numeric_array
-from oracles import product_oracle
+from oracles import elmult_oracle, eladd_oracle, product_oracle, transpose_oracle
+
+EVERY_SEMIRING = [ARITH, MAXPLUS, MINPLUS, MAXMIN, LATTICE]
 
 
 def aa(d):
@@ -101,6 +104,50 @@ def test_elmult_commutative_fuzz():
         b = random_numeric_array(rng, NONZERO, 5, 5)
         for sr in (ARITH, MAXPLUS, MINPLUS, MAXMIN):
             assert elmult(a, b, sr) == elmult(b, a, sr)
+
+
+# -- element-wise kernels against dict oracles ------------------------------
+
+
+@pytest.mark.parametrize("sr", EVERY_SEMIRING, ids=lambda sr: sr.name)
+def test_elementwise_kernels_match_dict_oracles(sr):
+    rng = random.Random(909)
+    for _ in range(150):
+        if sr is LATTICE:
+            a, b = random_mixed_array(rng), random_mixed_array(rng)
+        else:
+            a = random_numeric_array(rng, NONZERO, 6, 6, density=rng.random())
+            b = random_numeric_array(rng, NONZERO, 6, 6, density=rng.random())
+        for got, want in ((eladd(a, b, sr), eladd_oracle(a, b, sr)),
+                          (elmult(a, b, sr), elmult_oracle(a, b, sr)),
+                          (a.transpose(), transpose_oracle(a))):
+            assert dict(got.items()) == want
+            check_invariants(got)
+
+
+@pytest.mark.parametrize("op,sr", [(eladd, ARITH), (elmult, MAXPLUS)],
+                         ids=["eladd-arith", "elmult-maxplus"])
+def test_elementwise_overflow_names_its_cell(op, sr):
+    a = aa({("r", "b"): 1.0, ("r", "c"): 1e308})
+    b = aa({("r", "c"): 1e308, ("s", "a"): 2.0})
+    with pytest.raises(BadValueError, match=r"non-finite number at \('r', 'c'\)"):
+        op(a, b, sr)
+
+
+def test_eladd_cancellation_keeps_neighbours_in_order():
+    a = aa({("r", "a"): 4.0, ("r", "c"): 1.5, ("t", "a"): 1.0})
+    b = aa({("r", "c"): -1.5, ("s", "b"): 2.0, ("t", "a"): 1.0})
+    out = eladd(a, b, ARITH)
+    assert out.triples() == [("r", "a", 4.0), ("s", "b", 2.0), ("t", "a", 2.0)]
+    check_invariants(out)
+
+
+def test_lattice_text_collision():
+    a = aa({("r", "c"): "pear", ("r", "d"): 3.0})
+    b = aa({("r", "c"): "plum", ("r", "d"): "fig", ("s", "c"): "kiwi"})
+    assert eladd(a, b, LATTICE).triples() == \
+        [("r", "c", "plum"), ("r", "d", "fig"), ("s", "c", "kiwi")]
+    assert elmult(a, b, LATTICE).triples() == [("r", "c", "pear"), ("r", "d", 3.0)]
 
 
 # -- mask_select / delete_entries ------------------------------------------
@@ -276,3 +323,16 @@ def test_perm_select_duality_fuzz():
         pool = list(t.col_keys) + ["zz"]
         ks = rng.sample(pool, rng.randint(0, len(pool)))
         assert perm_select(t, ks, Axis.COLUMN) == t.subarray(ALL, KeySet(ks))
+
+
+def test_pass_through_product_keeps_the_smallest_k():
+    # not a permutation: k1 and k2 both reach ("i", "j"); the smaller k wins
+    selector = aa({("i", "k2"): 1.0, ("i", "k1"): 1.0, ("h", "k2"): 1.0})
+    t = aa({("k1", "j"): "first", ("k2", "j"): "second", ("k2", "m"): 5.0})
+    want = [("h", "j", "second"), ("h", "m", 5.0), ("i", "j", "first"), ("i", "m", 5.0)]
+    rows = arrayprod(selector, t, _SECOND)
+    assert rows.triples() == want
+    cols = arrayprod(t.transpose(), selector.transpose(), _FIRST)
+    assert cols == rows.transpose()
+    check_invariants(rows)
+    check_invariants(cols)

@@ -274,6 +274,20 @@ def test_store_select_missing_table_is_exit_1(tmp_path, capsys):
     assert not missing.exists()
 
 
+def test_store_select_directory_without_manifest_is_exit_1(tmp_path, capsys):
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    assert run(["store", "select", str(bare)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(bare) in captured.err
+    assert "MANIFEST is missing" in captured.err
+    assert list(bare.iterdir()) == []
+    assert run(["store", "init", str(bare)]) == 0
+    assert run(["store", "select", str(bare)]) == 0
+    assert capsys.readouterr().out == "%aa-triples 1\n"
+
+
 def test_store_insert_needs_file(tmp_path, capsys):
     assert run(["store", "insert", str(tmp_path / "t")]) == 2
     assert run(["store", "delete", str(tmp_path / "t")]) == 2

@@ -20,9 +20,15 @@ from aakit import (
     KeyPrefix,
     KeyRange,
     KeySet,
+    KeySpec,
+    arrayprod,
+    bfs,
+    eladd,
+    elmult,
     from_triples,
     get_semiring,
     is_empty_value,
+    perm_select,
     value_sort_key,
 )
 from aakit.core import check_key, check_value
@@ -171,6 +177,77 @@ def test_prefix_equals_saturated_range(keys, prefix):
     assert by_prefix == {k for k in keys if k.startswith(prefix)}
 
 
+def _filtered(spec, keys):
+    return [k for k in keys if spec.matches(k)]
+
+
+@settings(max_examples=200)
+@given(keys=st.sets(keys_strategy, max_size=25), data=st.data())
+def test_select_agrees_with_matches(keys, data):
+    keys = tuple(sorted(keys))
+    pool = st.sampled_from(keys) | keys_strategy if keys else keys_strategy
+    picked = data.draw(st.lists(pool, max_size=8, unique=True))
+    lo, hi = sorted(data.draw(st.tuples(pool, pool)))
+    prefix = data.draw(pool)
+    shorter = prefix[: data.draw(st.integers(1, len(prefix)))]
+    for spec in (ALL, KeySet(picked), KeyRange(lo, hi), KeyPrefix(prefix), KeyPrefix(shorter)):
+        assert spec.select(keys) == _filtered(spec, keys)
+
+
+ASTRAL = "\U0001F600"
+WIDE_KEYS = tuple(sorted(["a", "é", "éa", "中", "中文", ASTRAL, ASTRAL + "x", "\uffff"]))
+
+
+@pytest.mark.parametrize("spec,keys,want", [
+    # non-ASCII and astral-plane keys: code point order is UTF-8 byte order
+    (KeyPrefix(ASTRAL), WIDE_KEYS, [ASTRAL, ASTRAL + "x"]),
+    (KeyPrefix("中"), WIDE_KEYS, ["中", "中文"]),
+    (KeyRange("é", "中文"), WIDE_KEYS, ["é", "éa", "中", "中文"]),
+    (KeyRange("\uffff", ASTRAL), WIDE_KEYS, ["\uffff", ASTRAL]),
+    (KeySet([ASTRAL + "x", "éa", "missing"]), WIDE_KEYS, ["éa", ASTRAL + "x"]),
+    # a prefix that is itself a key, and a prefix run that ends the tuple
+    (KeyPrefix("ab"), ("a", "ab", "abc", "abd", "b"), ["ab", "abc", "abd"]),
+    (KeyPrefix("b"), ("a", "ba", "bb"), ["ba", "bb"]),
+    (KeyPrefix("c"), ("a", "ba", "bb"), []),
+    # the empty tuple
+    (KeySet(["a"]), (), []),
+    (KeyRange("a", "z"), (), []),
+    (KeyPrefix("a"), (), []),
+    # KeySet keys absent from the tuple, on both ends and between
+    (KeySet(["0", "aa", "zz"]), ("a", "b"), []),
+    (KeySet(["0", "b", "zz"]), ("a", "b", "c"), ["b"]),
+    # lo == hi
+    (KeyRange("b", "b"), ("a", "b", "c"), ["b"]),
+    (KeyRange("b", "b"), ("a", "c"), []),
+])
+def test_select_fixed_cases(spec, keys, want):
+    assert spec.select(keys) == want == _filtered(spec, keys)
+
+
+class _EvenCodeSum(KeySpec):
+    """A user spec that defines only ``matches``."""
+
+    def matches(self, key):
+        return sum(map(ord, key)) % 2 == 0
+
+
+def test_user_spec_with_only_matches_selects_through_subarray(songs):
+    spec = _EvenCodeSum()
+    for rows, cols in ((spec, ALL), (ALL, spec), (spec, spec)):
+        got = songs.subarray(rows, cols)
+        want = {cell: v for cell, v in songs.items()
+                if rows.matches(cell[0]) and cols.matches(cell[1])}
+        assert 0 < got.nnz < songs.nnz
+        assert dict(got.items()) == want
+        check_invariants(got)
+
+
+def test_keyset_equality_and_repr_see_only_keys():
+    assert KeySet(["b", "a"]) == KeySet(("a", "b"))
+    assert hash(KeySet(["b", "a"])) == hash(KeySet(["a", "b"]))
+    assert repr(KeySet(["b", "a"])) == "KeySet(keys=('a', 'b'))"
+
+
 # -- construction ------------------------------------------------------------
 
 
@@ -317,8 +394,20 @@ def test_subarray_never_grows(arr, seed):
 
 def test_operations_leave_operands_untouched(songs):
     before = songs.triples()
+    rows = tuple(sorted({r for r, _, _ in before}))
     songs.subarray(KeyPrefix("0530"), ALL)
+    songs.subarray(KeySet(["063012ktnA1"]), KeyRange("Artist", "Date"))
     songs.transpose()
     songs.logical()
+    perm_select(songs, ["082812ktnA1", "053013ktnA2"], Axis.ROW)
+    perm_select(songs, ["Genre"], Axis.COLUMN)
+    bfs(songs, ["053013ktnA1"], 2)
+    arrayprod(songs, songs.transpose(), LATTICE)
+    arrayprod(songs.transpose(), songs, LATTICE)
+    eladd(songs, songs, LATTICE)
+    elmult(songs, songs, LATTICE)
     assert songs.triples() == before
+    assert songs.row_keys == rows
+    # the cached row index the kernels share is still the pristine one
+    assert songs._by_row() == AssociativeArray(dict(songs.items()))._by_row()
     assert not hasattr(songs, "__dict__")  # __slots__: no stray attribute growth

@@ -107,6 +107,29 @@ def test_read_only_open_of_missing_table_is_an_error(tmp_path):
     assert (missing / MANIFEST_NAME).exists()
 
 
+def test_read_only_open_of_directory_without_manifest_is_an_error(tmp_path):
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    with pytest.raises(StoreError, match=r"bare.*MANIFEST is missing"):
+        open_store(bare, read_only=True)
+    assert list(bare.iterdir()) == []
+    # the state a `store init` leaves when it dies between mkdir and the
+    # MANIFEST write: a writer open repairs it
+    open_store(bare).close()
+    assert (bare / MANIFEST_NAME).exists()
+    with open_store(bare, read_only=True) as ro:
+        assert ro.select() == AssociativeArray()
+
+
+def test_degraded_writer_open_without_manifest_is_an_error(tmp_path):
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "LOCK").write_text("12345\n")  # held by a writer that never wrote MANIFEST
+    with pytest.raises(StoreError, match="MANIFEST is missing"):
+        open_store(bare)
+    assert sorted(p.name for p in bare.iterdir()) == ["LOCK"]
+
+
 def test_compact_merges_and_drops_tombstones(tmp_path):
     with open_store(tmp_path / "t") as st:
         st.insert(aa({("a", "x"): 1.0, ("b", "y"): 2.0}))
