@@ -110,12 +110,39 @@ def read_table(source: BinaryIO) -> AssociativeArray:
     return AssociativeArray._from_clean(entries)
 
 
+def record_span(data: bytes, magic: str, *, lenient_tail: bool = False) -> tuple[int, int, bool]:
+    """Check the framing of a record file; return (start, end, tail_truncated).
+
+    ``data[start:end]`` holds the complete record lines after the magic
+    first line.  With ``lenient_tail`` a final line lacking its LF lies
+    past ``end`` and is flagged instead of raising.  Only the magic line is
+    decoded; the record lines are left for ``parse_record_lines``.
+    """
+    end = data.rfind(b"\n") + 1
+    truncated = end != len(data)
+    if truncated and not lenient_tail:
+        raise FormatError("file does not end with a newline")
+    if end == 0:
+        if truncated:
+            return 0, 0, True  # even the magic line is incomplete
+        raise FormatError("missing magic line")
+    start = data.index(b"\n") + 1
+    try:
+        first = str(memoryview(data)[: start - 1], "utf-8")
+    except UnicodeDecodeError:
+        raise FormatError("magic line is not valid UTF-8") from None
+    if first != magic:
+        raise FormatError(f"bad magic line {first!r}, expected {magic!r}")
+    return start, end, truncated
+
+
 def parse_record_lines(
     data: bytes,
     magic: str,
     *,
     allow_tombstones: bool = False,
     lenient_tail: bool = False,
+    span: tuple[int, int] | None = None,
 ) -> tuple[list[tuple[str, str, Value | None]], bool]:
     """Parse LF-framed tab-separated records after a magic first line.
 
@@ -124,73 +151,71 @@ def parse_record_lines(
     ``lenient_tail`` a final line lacking its LF is skipped and flagged
     instead of raising; everything before it must still parse cleanly.
     Every returned key passed ``check_key`` and every value ``check_value``.
-    """
-    end = data.rfind(b"\n")
-    truncated = end != len(data) - 1
-    if truncated and not lenient_tail:
-        raise FormatError("file does not end with a newline")
-    if end < 0:
-        if truncated:
-            return [], True  # even the magic line is incomplete
-        raise FormatError("missing magic line")
 
-    # Decode everything before the final LF at once.  On a decoding error,
-    # parse the lines before the bad one (an earlier error wins) and then
-    # report it; LF never occurs inside a UTF-8 sequence, so the first bad
-    # byte lies on the first line that does not decode by itself.
-    body = memoryview(data)[:end]
-    bad_line = None
+    ``span=(start, end)`` parses only the record lines in ``data[start:end]``;
+    both are line starts within the bounds ``record_span`` returned for
+    ``data``.  Framing and magic are not checked again, and error messages
+    still number lines from the start of ``data``.
+    """
+    if span is None:
+        start, end, truncated = record_span(data, magic, lenient_tail=lenient_tail)
+    else:
+        (start, end), truncated = span, False
+
+    # Decode the span at once.  On a decoding error, parse the lines before
+    # the bad one (an earlier error wins) and then report it; LF never
+    # occurs inside a UTF-8 sequence, so the first bad byte lies on the
+    # first line that does not decode by itself.
+    bad_at = None
     try:
-        text = str(body, "utf-8")
+        text = str(memoryview(data)[start:end], "utf-8")
     except UnicodeDecodeError as exc:
-        cut = data.rfind(b"\n", 0, exc.start) + 1
-        bad_line = data.count(b"\n", 0, cut) + 1
-        if bad_line == 1:
-            raise FormatError("magic line is not valid UTF-8") from None
-        text = str(body[:cut - 1], "utf-8")
+        bad_at = data.rfind(b"\n", 0, start + exc.start) + 1
+        text = str(memoryview(data)[start:bad_at], "utf-8")
     lines = text.split("\n")
     del text
-    if lines[0] != magic:
-        raise FormatError(f"bad magic line {lines[0]!r}, expected {magic!r}")
+    lines.pop()  # the piece after the final LF
 
     # A field that came from strict UTF-8 split on LF and TAB can break the
     # key and text rules only by being empty (keys) or by holding a CR.
     records: list[tuple[str, str, Value | None]] = []
-    for lineno, line in enumerate(islice(lines, 1, None), start=2):
-        fields = line.split("\t", 3)
-        if len(fields) != 4:
-            raise FormatError(f"line {lineno}: expected 4 tab-separated fields")
-        row, col, tag, valtext = fields
-        if not row or not col or "\r" in row or "\r" in col:
-            try:
+    try:
+        for i, line in enumerate(lines):
+            fields = line.split("\t", 3)
+            if len(fields) != 4:
+                raise FormatError("expected 4 tab-separated fields")
+            row, col, tag, valtext = fields
+            if not row or not col or "\r" in row or "\r" in col:
                 check_key(row)
                 check_key(col)
-            except BadKeyError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
-        value: Value | None
-        if tag == "n":
-            if not _NUMBER_RE.match(valtext):
-                raise FormatError(f"line {lineno}: unparseable number {valtext!r}")
-            value = float(valtext)
-            if not math.isfinite(value):
-                raise FormatError(f"line {lineno}: number {valtext!r} is not finite")
-        elif tag == "t":
-            if "\r" in valtext:
-                try:
+            value: Value | None
+            if tag == "n":
+                if not _NUMBER_RE.match(valtext):
+                    raise FormatError(f"unparseable number {valtext!r}")
+                value = float(valtext)
+                if not math.isfinite(value):
+                    raise FormatError(f"number {valtext!r} is not finite")
+            elif tag == "t":
+                if "\r" in valtext:
                     check_value(valtext)
-                except BadValueError as exc:
-                    raise FormatError(f"line {lineno}: {exc}") from None
-            value = valtext
-        elif tag == "x" and allow_tombstones:
-            if valtext != "":
-                raise FormatError(f"line {lineno}: tombstone carries a payload")
-            value = None
-        else:
-            raise FormatError(f"line {lineno}: unknown type tag {tag!r}")
-        records.append((row, col, value))
-    if bad_line is not None:
-        raise FormatError(f"line {bad_line}: not valid UTF-8")
+                value = valtext
+            elif tag == "x" and allow_tombstones:
+                if valtext != "":
+                    raise FormatError("tombstone carries a payload")
+                value = None
+            else:
+                raise FormatError(f"unknown type tag {tag!r}")
+            records.append((row, col, value))
+    except (FormatError, BadKeyError, BadValueError) as exc:
+        raise FormatError(f"line {line_number(data, start) + i}: {exc}") from None
+    if bad_at is not None:
+        raise FormatError(f"line {line_number(data, bad_at)}: not valid UTF-8")
     return records, truncated
+
+
+def line_number(data: bytes, offset: int) -> int:
+    """The 1-based number of the line of ``data`` that holds byte ``offset``."""
+    return data.count(b"\n", 0, offset) + 1
 
 
 def read_triples(source: BinaryIO) -> AssociativeArray:

@@ -10,20 +10,29 @@ Content is the oldest-to-newest fold of the listed segments: the latest
 record for a cell (value or tombstone) supersedes earlier ones.  Each
 insert or delete batch becomes one new immutable segment; the MANIFEST
 is replaced atomically (write-temp, fsync, rename), so a reader sees
-either the old or the new segment list, never a mix.  Handles load
-segment contents at open, which is what gives readers snapshot isolation
-at manifest granularity even across a concurrent compaction.
+either the old or the new segment list, never a mix.
+
+A handle reads the bytes of every listed segment at open and keeps them
+as its snapshot, which gives readers snapshot isolation at manifest
+granularity even across a concurrent compaction.  Open checks only each
+segment's framing; records are parsed by the command that uses them.  A
+select by a built-in row spec bisects each segment on the row field of
+its lines (segments are sorted, and UTF-8 byte order is key order) and
+parses only the matching lines; other selects and ``compact`` parse
+whole segments.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 import warnings
+from itertools import islice
 from pathlib import Path
 
-from .core import ALL, AssociativeArray, KeySpec, Value
-from .io import FormatError, parse_record_lines, _record_line
+from .core import ALL, AllKeys, AssociativeArray, KeyPrefix, KeyRange, KeySet, KeySpec, Value
+from .io import FormatError, line_number, parse_record_lines, record_span, _record_line
 
 MANIFEST_MAGIC = "%aa-manifest 1"
 SEGMENT_MAGIC = "%aa-seg 1"
@@ -32,6 +41,10 @@ LOCK_NAME = "LOCK"
 
 _SEGMENT_RE = re.compile(r"seg-(\d{8})\.aat\Z")
 
+# How often an open starts over when a compaction replaced the segments it
+# was reading; each retry means the MANIFEST changed in between.
+_OPEN_ATTEMPTS = 5
+
 
 class StoreError(RuntimeError):
     """Table directory is unusable: bad manifest, missing segment, etc."""
@@ -39,6 +52,15 @@ class StoreError(RuntimeError):
 
 class ReadOnlyError(StoreError):
     """Write attempted through a read-only handle."""
+
+
+class _Segment:
+    """One listed segment as read at open: ``data[start:end]`` are its record lines."""
+
+    __slots__ = ("name", "data", "start", "end")
+
+    def __init__(self, name: str, data: bytes, start: int, end: int):
+        self.name, self.data, self.start, self.end = name, data, start, end
 
 
 def _fsync_dir(path: Path) -> None:
@@ -109,54 +131,109 @@ class TableStore:
                 if not holds_lock:
                     raise StoreError(f"no table at {str(path)!r}: {MANIFEST_NAME} is missing")
                 _write_file_atomic(manifest, f"{MANIFEST_MAGIC}\n".encode("ascii"))
-                self._segments: list[str] = []
+                self._snapshot: list[_Segment] = []
             else:
-                self._segments = _read_manifest(manifest)
-            self._fold: dict[tuple[str, str], Value | None] = {}
-            for idx, name in enumerate(self._segments):
-                seg = path / name
-                if not seg.exists():
-                    raise StoreError(f"manifest names missing segment {name!r}")
-                self._load_segment(seg, newest=idx == len(self._segments) - 1)
+                self._snapshot = self._read_snapshot()
         except BaseException:
             self.close()
             raise
         return self
 
-    def _load_segment(self, seg: Path, newest: bool) -> None:
+    def _read_snapshot(self) -> list[_Segment]:
+        """Read the listed segments' bytes and check their framing.
+
+        A segment can vanish between the MANIFEST read and its own read
+        when a compaction swaps the MANIFEST in between; the open then
+        starts over from the new MANIFEST.
+        """
+        manifest = self.path / MANIFEST_NAME
+        names = _read_manifest(manifest)
+        for _ in range(_OPEN_ATTEMPTS):
+            blobs: list[bytes] = []
+            for name in names:
+                try:
+                    blobs.append((self.path / name).read_bytes())
+                except FileNotFoundError:
+                    break
+            else:
+                last = len(names) - 1
+                return [
+                    self._frame(name, data, i == last)
+                    for i, (name, data) in enumerate(zip(names, blobs))
+                ]
+            current = _read_manifest(manifest)
+            if current == names:
+                raise StoreError(f"manifest names missing segment {names[len(blobs)]!r}")
+            names = current
+        raise StoreError(f"MANIFEST changed {_OPEN_ATTEMPTS} times during open; try again")
+
+    def _frame(self, name: str, data: bytes, newest: bool) -> _Segment:
+        """Check one segment's framing; only the newest may end in a torn line.
+
+        A writer cuts a torn final line from the file (atomically) so the
+        segment ends in LF again before anything is appended after it; a
+        reader only skips the torn line.
+        """
         try:
-            records, truncated = parse_record_lines(
-                seg.read_bytes(),
-                SEGMENT_MAGIC,
-                allow_tombstones=True,
-                lenient_tail=newest,
-            )
+            start, end, truncated = record_span(data, SEGMENT_MAGIC, lenient_tail=newest)
+        except FormatError as exc:
+            raise StoreError(f"segment {name}: {exc}") from None
+        if truncated:
+            if self._holds_lock:
+                data = data[:end] or f"{SEGMENT_MAGIC}\n".encode("ascii")
+                _write_file_atomic(self.path / name, data)
+                start, end, _ = record_span(data, SEGMENT_MAGIC)
+                action = "cut truncated final line from the file"
+            else:
+                action = "ignoring truncated final line"
+            warnings.warn(f"segment {name}: {action}", RuntimeWarning, stacklevel=4)
+        return _Segment(name, data, start, end)
+
+    def _records(self, seg: _Segment, span: tuple[int, int]) -> dict[tuple[str, str], Value | None]:
+        """Parse ``seg.data[span[0]:span[1]]``; its cells must strictly ascend."""
+        try:
+            records, _ = parse_record_lines(seg.data, SEGMENT_MAGIC, allow_tombstones=True, span=span)
         except FormatError as exc:
             raise StoreError(f"segment {seg.name}: {exc}") from None
-        if truncated:
-            warnings.warn(
-                f"segment {seg.name}: ignoring truncated final line",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        for r, c, v in records:
-            self._fold[(r, c)] = v
+        part = {(r, c): v for r, c, v in records}
+        if len(part) != len(records) or not all(map(operator.lt, part, islice(part, 1, None))):
+            i = next(i for i in range(1, len(records)) if records[i - 1][:2] >= records[i][:2])
+            lineno = line_number(seg.data, span[0]) + i
+            raise StoreError(f"segment {seg.name}: line {lineno}: record out of (row, col) order")
+        return part
 
     # -- queries -----------------------------------------------------------
 
     def select(self, rows: KeySpec = ALL, cols: KeySpec = ALL) -> AssociativeArray:
-        """Materialize live content filtered by the key specs."""
+        """Materialize live content filtered by the key specs.
+
+        A built-in row spec reads only the lines of its rows from each
+        segment; any other row spec reads every line and filters with
+        ``matches``.
+        """
         self._require_open()
+        bounds = _row_bounds(rows)
+        fold: dict[tuple[str, str], Value | None] = {}
+        for seg in self._snapshot:
+            spans = [(seg.start, seg.end)] if bounds is None else _row_spans(seg, bounds)
+            for span in spans:
+                fold.update(self._records(seg, span))
+        keep_row = None if bounds is not None or isinstance(rows, AllKeys) else rows.matches
+        keep_col = None if isinstance(cols, AllKeys) else cols.matches
+        # Parsed values are finite floats, text or None, so falsy means
+        # empty or deleted.
         live = {
             cell: v
-            for cell, v in self._fold.items()
-            if v is not None and rows.matches(cell[0]) and cols.matches(cell[1])
+            for cell, v in fold.items()
+            if v
+            and (keep_row is None or keep_row(cell[0]))
+            and (keep_col is None or keep_col(cell[1]))
         }
-        return AssociativeArray._from_clean(live)
+        return AssociativeArray._from_sorted({cell: live[cell] for cell in sorted(live)})
 
     @property
     def segments(self) -> tuple[str, ...]:
-        return tuple(self._segments)
+        return tuple(seg.name for seg in self._snapshot)
 
     # -- writes ------------------------------------------------------------
 
@@ -169,9 +246,7 @@ class TableStore:
         self._require_writer()
         if batch.nnz == 0:
             return 0
-        self._append_segment([(r, c, v) for r, c, v in batch])
-        for r, c, v in batch:
-            self._fold[(r, c)] = v
+        self._append_segment(batch.triples())
         return batch.nnz
 
     def delete(self, mask: AssociativeArray) -> int:
@@ -179,39 +254,39 @@ class TableStore:
         self._require_writer()
         if mask.nnz == 0:
             return 0
-        cells = list(mask.support())
-        self._append_segment([(r, c, None) for r, c in cells])
-        for cell in cells:
-            self._fold[cell] = None
+        self._append_segment([(r, c, None) for r, c in mask.support()])
         return mask.nnz
 
     def compact(self) -> tuple[int, int]:
         """Merge everything into at most one live-record segment.
 
-        Tombstones and superseded records disappear.  Returns the segment
-        counts (before, after); an empty table compacts to zero segments.
+        Tombstones and superseded records disappear, and so does every
+        segment or temp file the new MANIFEST does not list: old segments,
+        and orphans a crash left between a file write and its MANIFEST
+        swap.  Returns the segment counts (before, after); an empty table
+        compacts to zero segments.
         """
         self._require_writer()
-        before = len(self._segments)
-        live = {cell: v for cell, v in self._fold.items() if v is not None}
-        old = list(self._segments)
-        new_names: list[str] = []
+        before = len(self._snapshot)
+        fold: dict[tuple[str, str], Value | None] = {}
+        for seg in self._snapshot:
+            fold.update(self._records(seg, (seg.start, seg.end)))
+        live = [(r, c, v) for (r, c), v in sorted(fold.items()) if v]
+        snapshot: list[_Segment] = []
         if live:
             name = self._next_segment_name()
-            payload = _segment_payload(
-                [(r, c, v) for (r, c), v in sorted(live.items())]
-            )
+            payload = _segment_payload(live)
             _write_file_atomic(self.path / name, payload)
-            new_names = [name]
+            snapshot.append(self._frame(name, payload, False))
         _write_file_atomic(
-            self.path / MANIFEST_NAME, _manifest_payload(new_names)
+            self.path / MANIFEST_NAME, _manifest_payload([seg.name for seg in snapshot])
         )
-        for name in old:
-            if name not in new_names:
-                (self.path / name).unlink(missing_ok=True)
-        self._segments = new_names
-        self._fold = dict(live)
-        return before, len(new_names)
+        keep = {seg.name for seg in snapshot}
+        for entry in self.path.iterdir():
+            if entry.name not in keep and (_SEGMENT_RE.match(entry.name) or entry.name.endswith(".tmp")):
+                entry.unlink(missing_ok=True)
+        self._snapshot = snapshot
+        return before, len(snapshot)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -231,7 +306,7 @@ class TableStore:
 
     def __repr__(self):
         state = "read-only" if self.read_only else "writer"
-        return f"TableStore({str(self.path)!r}, {state}, {len(self._segments)} segments)"
+        return f"TableStore({str(self.path)!r}, {state}, {len(self._snapshot)} segments)"
 
     # -- internals -----------------------------------------------------------
 
@@ -253,12 +328,66 @@ class TableStore:
         return f"seg-{highest + 1:08d}.aat"
 
     def _append_segment(self, records: list[tuple[str, str, Value | None]]) -> None:
+        """Write ``records``, already in ascending (row, col) order, as the newest segment."""
         name = self._next_segment_name()
-        _write_file_atomic(self.path / name, _segment_payload(sorted(records)))
+        payload = _segment_payload(records)
+        _write_file_atomic(self.path / name, payload)
         _write_file_atomic(
-            self.path / MANIFEST_NAME, _manifest_payload(self._segments + [name])
+            self.path / MANIFEST_NAME, _manifest_payload([*self.segments, name])
         )
-        self._segments.append(name)
+        self._snapshot.append(self._frame(name, payload, True))
+
+
+def _row_bounds(rows: KeySpec) -> list[tuple[bytes, bytes, bool]] | None:
+    """A built-in row spec as ascending UTF-8 intervals ``(lo, hi, hi_included)``.
+
+    Returns None for any other spec, which is then filtered with ``matches``.
+    """
+    if isinstance(rows, KeyRange):
+        return [(rows.lo.encode("utf-8"), rows.hi.encode("utf-8"), True)]
+    if isinstance(rows, KeyPrefix):
+        # 0xFF never occurs in UTF-8: keys with the prefix sort below
+        # prefix + 0xFF, and every other key at or above the prefix above it.
+        prefix = rows.prefix.encode("utf-8")
+        return [(prefix, prefix + b"\xff", False)]
+    if isinstance(rows, KeySet):
+        return [(k, k, True) for k in (key.encode("utf-8") for key in rows.keys)]
+    return None
+
+
+def _row_spans(seg: _Segment, bounds: list[tuple[bytes, bytes, bool]]) -> list[tuple[int, int]]:
+    """Byte spans of ``seg``'s lines whose rows lie in ``bounds``; touching spans merge."""
+    spans: list[tuple[int, int]] = []
+    pos = seg.start
+    for lo, hi, hi_included in bounds:
+        first = _bisect_rows(seg.data, pos, seg.end, lo, False)
+        pos = _bisect_rows(seg.data, first, seg.end, hi, hi_included)
+        if first < pos:
+            if spans and spans[-1][1] == first:
+                first = spans.pop()[0]
+            spans.append((first, pos))
+    return spans
+
+
+def _bisect_rows(data: bytes, lo: int, hi: int, key: bytes, past_equal: bool) -> int:
+    """The first line start in ``data[lo:hi]`` whose row is >= ``key`` (> with ``past_equal``).
+
+    ``lo`` and ``hi`` are line starts, and the lines between them ascend by
+    row.  A line's row is its bytes before the first TAB; whole lines are
+    not compared, because a row like "a\x01" sorts after "a" though its
+    line sorts before "a<TAB>...".
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        start = data.rfind(b"\n", lo, mid) + 1 or lo
+        stop = data.index(b"\n", start)
+        tab = data.find(b"\t", start, stop)
+        row = data[start : stop if tab < 0 else tab]
+        if row < key or (past_equal and row == key):
+            lo = stop + 1
+        else:
+            hi = start
+    return lo
 
 
 def _segment_payload(records: list[tuple[str, str, Value | None]]) -> bytes:

@@ -1,8 +1,14 @@
 import random
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aakit import AssociativeArray, KeyPrefix, KeySet
+import aakit.store
+from aakit import ALL, AssociativeArray, KeyPrefix, KeyRange, KeySet, KeySpec
 from aakit.store import (
     MANIFEST_NAME,
     ReadOnlyError,
@@ -11,7 +17,7 @@ from aakit.store import (
     open_store,
 )
 
-from helpers import KEY_POOL
+from helpers import KEY_POOL, check_invariants
 from oracles import store_fold_oracle
 
 
@@ -263,3 +269,280 @@ def test_random_batches_match_fold_oracle(tmp_path):
             assert dict(st.select().items()) == want
         with open_store(root) as st:
             assert dict(st.select().items()) == want
+
+
+def test_write_after_torn_tail_recovery_keeps_table_readable(tmp_path):
+    root = tmp_path / "t"
+    with open_store(root) as st:
+        st.insert(aa({("a", "x"): 1.0}))
+        st.insert(aa({("b", "y"): 2.0, ("c", "z"): 3.0}))
+        newest = root / st.segments[-1]
+    newest.write_bytes(newest.read_bytes()[:-5])
+    with pytest.warns(RuntimeWarning, match="truncated"):
+        with open_store(root) as st:
+            st.insert(aa({("d", "w"): 4.0}))
+    # the writer cut the torn line from the file, so no later open warns
+    assert newest.read_bytes().endswith(b"\n")
+    want = aa({("a", "x"): 1.0, ("b", "y"): 2.0, ("d", "w"): 4.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with open_store(root, read_only=True) as st:
+            assert st.select() == want
+        with open_store(root) as st:
+            assert st.select() == want
+
+
+def test_read_only_open_leaves_torn_tail_on_disk(tmp_path):
+    root = tmp_path / "t"
+    with open_store(root) as st:
+        st.insert(aa({("a", "x"): 1.0, ("b", "y"): 2.0}))
+        newest = root / st.segments[-1]
+    torn = newest.read_bytes()[:-5]
+    newest.write_bytes(torn)
+    with pytest.warns(RuntimeWarning, match="truncated"):
+        with open_store(root, read_only=True) as st:
+            assert st.select() == aa({("a", "x"): 1.0})
+    assert newest.read_bytes() == torn
+
+
+def test_writer_repairs_segment_torn_inside_its_magic_line(tmp_path):
+    root = tmp_path / "t"
+    with open_store(root) as st:
+        st.insert(aa({("a", "x"): 1.0}))
+        st.insert(aa({("b", "y"): 2.0}))
+        newest = root / st.segments[-1]
+    newest.write_bytes(b"%aa-s")
+    with pytest.warns(RuntimeWarning, match="truncated"):
+        open_store(root).close()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with open_store(root, read_only=True) as st:
+            assert st.select() == aa({("a", "x"): 1.0})
+
+
+# -- open racing a compaction, orphan files ------------------------------------
+
+
+def test_open_racing_a_compaction_reads_the_new_manifest(tmp_path, monkeypatch):
+    root = tmp_path / "t"
+    writer = open_store(root)
+    writer.insert(aa({("a", "x"): 1.0}))
+    writer.insert(aa({("b", "y"): 2.0}))
+    read_manifest = aakit.store._read_manifest
+    calls = []
+
+    def compact_after_first_read(path):
+        names = read_manifest(path)
+        calls.append(names)
+        if len(calls) == 1:
+            writer.compact()  # unlinks the segments just listed
+        return names
+
+    monkeypatch.setattr(aakit.store, "_read_manifest", compact_after_first_read)
+    with open_store(root, read_only=True) as reader:
+        assert reader.select() == aa({("a", "x"): 1.0, ("b", "y"): 2.0})
+        assert reader.segments == writer.segments
+    assert len(calls) == 2 and calls[0] != calls[1]
+    writer.close()
+
+
+def test_open_gives_up_when_the_manifest_keeps_changing(tmp_path, monkeypatch):
+    root = tmp_path / "t"
+    with open_store(root) as st:
+        st.insert(aa({("a", "x"): 1.0}))
+    counter = iter(range(1, 1000))
+    monkeypatch.setattr(
+        aakit.store, "_read_manifest", lambda path: [f"seg-{next(counter) + 10:08d}.aat"]
+    )
+    with pytest.raises(StoreError, match="MANIFEST changed"):
+        open_store(root, read_only=True)
+    assert next(counter) <= 10  # a small fixed number of attempts
+
+
+def test_compact_deletes_orphan_segments_and_temp_files(tmp_path):
+    root = tmp_path / "t"
+    with open_store(root) as st:
+        st.insert(aa({("a", "x"): 1.0, ("b", "y"): 2.0}))
+        st.delete(aa({("b", "y"): 1.0}))
+    # what crashes between a file write and its MANIFEST swap leave behind
+    (root / "seg-00000007.aat").write_bytes(b"%aa-seg 1\nz\tz\tn\t9\n")
+    (root / "seg-00000008.aat.tmp").write_bytes(b"%aa-seg 1\nz\tz")
+    (root / "MANIFEST.tmp").write_bytes(b"%aa-manifest 1\nseg-0")
+    with open_store(root) as st:
+        assert st.compact() == (2, 1)
+        listed = st.segments
+        assert st.select() == aa({("a", "x"): 1.0})
+    assert sorted(p.name for p in root.iterdir()) == sorted([MANIFEST_NAME, *listed])
+    with open_store(root, read_only=True) as st:
+        assert st.select() == aa({("a", "x"): 1.0})
+
+
+# -- corruption found by the command that reads it ----------------------------
+
+
+def _table_with_corrupt_older_segment(root):
+    with open_store(root) as st:
+        st.insert(aa({("a", "x"): 1.0, ("b", "x"): 2.0, ("c", "x"): 3.0, ("d", "x"): 4.0}))
+        older = root / st.segments[0]
+        st.insert(aa({("e", "x"): 5.0}))
+    return older
+
+
+def test_corrupt_interior_line_is_reported_by_the_command_that_reads_it(tmp_path):
+    root = tmp_path / "t"
+    older = _table_with_corrupt_older_segment(root)
+    older.write_bytes(older.read_bytes().replace(b"c\tx\tn\t3", b"c\tx\tq\t3"))
+    message = rf"segment {older.name}: line 4: unknown type tag 'q'"
+    with open_store(root) as st:  # open checks framing only
+        assert st.select(rows=KeySet(["a", "e"])) == aa({("a", "x"): 1.0, ("e", "x"): 5.0})
+        assert st.select(rows=KeyPrefix("d")) == aa({("d", "x"): 4.0})
+        for rows in (KeySet(["c"]), KeyRange("b", "d"), KeyPrefix("c"), ALL):
+            with pytest.raises(StoreError, match=message):
+                st.select(rows=rows)
+        with pytest.raises(StoreError, match=message):
+            st.compact()
+        assert len(st.segments) == 2  # the failed compaction changed nothing
+
+
+def test_corrupt_undecodable_line_names_its_absolute_line(tmp_path):
+    root = tmp_path / "t"
+    older = _table_with_corrupt_older_segment(root)
+    older.write_bytes(older.read_bytes().replace(b"d\tx\tn\t4", b"d\tx\tt\t\xff"))
+    with open_store(root) as st:
+        with pytest.raises(StoreError, match=rf"segment {older.name}: line 5: not valid UTF-8"):
+            st.select(rows=KeyRange("c", "d"))
+
+
+@pytest.mark.parametrize("body,lineno", [
+    (b"a\tx\tn\t1\nc\tx\tn\t3\nb\tx\tn\t2\n", 4),  # rows out of order
+    (b"a\tx\tn\t1\na\tx\tn\t2\nb\tx\tn\t2\n", 3),  # a cell twice
+    (b"a\ty\tn\t1\na\tx\tn\t2\nb\tx\tn\t2\n", 3),  # columns out of order
+])
+def test_out_of_order_records_in_a_read_slice_are_an_error(tmp_path, body, lineno):
+    root = tmp_path / "t"
+    open_store(root).close()
+    (root / "seg-00000001.aat").write_bytes(b"%aa-seg 1\n" + body)
+    (root / MANIFEST_NAME).write_bytes(b"%aa-manifest 1\nseg-00000001.aat\n")
+    message = rf"segment seg-00000001.aat: line {lineno}: record out of \(row, col\) order"
+    with open_store(root) as st:
+        for rows in (KeyRange("a", "c"), ALL):
+            with pytest.raises(StoreError, match=message):
+                st.select(rows=rows)
+        with pytest.raises(StoreError, match=message):
+            st.compact()
+
+
+def test_stored_empty_values_stay_hidden(tmp_path):
+    root = tmp_path / "t"
+    open_store(root).close()
+    (root / "seg-00000001.aat").write_bytes(b"%aa-seg 1\na\tx\tn\t0\nb\tx\tt\t\nc\tx\tn\t1\n")
+    (root / MANIFEST_NAME).write_bytes(b"%aa-manifest 1\nseg-00000001.aat\n")
+    with open_store(root) as st:
+        for rows in (ALL, KeyRange("a", "c")):
+            assert st.select(rows=rows) == aa({("c", "x"): 1.0})
+        st.compact()
+        assert st.select() == aa({("c", "x"): 1.0})
+
+
+# -- bisecting selects against a fold oracle -----------------------------------
+
+
+# "a\x01" sorts after "a" but its line sorts before "a<TAB>..."; "a" is a
+# prefix of several keys; "a b" holds a space; the rest are non-ASCII and astral.
+SELECT_KEYS = ["a", "a\x01", "a b", "ab", "abc", "aé", "b", "é", "éa", "中", "中key", "\U0001d49c", "\U0001d49cz"]
+# Bounds and prefixes that are no key of the table.
+PROBE_KEYS = SELECT_KEYS + ["0", "a\x00", "aa", "ac", "c", "ê", "\U0001f600", "\x7f"]
+
+
+def test_every_edge_key_spec_matches_fold_oracle(tmp_path):
+    root = tmp_path / "t"
+    rng = random.Random(5)
+    fold = {}
+    with open_store(root) as st:
+        for _ in range(3):
+            batch = {(r, c): float(rng.randint(1, 9)) for r in SELECT_KEYS for c in ("x", "y")
+                     if rng.random() < 0.7}
+            st.insert(aa(batch))
+            fold.update(batch)
+        gone = rng.sample(sorted(fold), 6)
+        st.delete(aa(dict.fromkeys(gone, 1.0)))
+        for cell in gone:
+            del fold[cell]
+        prefixes = {k[:n] for k in SELECT_KEYS for n in (1, 2)} | set(PROBE_KEYS)
+        specs = [KeySet([k]) for k in PROBE_KEYS] + [KeyPrefix(p) for p in sorted(prefixes)]
+        specs += [KeyRange(lo, hi) for lo in PROBE_KEYS for hi in PROBE_KEYS if lo <= hi]
+        specs += [KeySet(SELECT_KEYS), KeySet(PROBE_KEYS)]
+        specs += [KeySet(SELECT_KEYS[i:i + 2]) for i in range(0, len(SELECT_KEYS), 2)]
+        for _ in range(2):  # several segments, then one compacted segment
+            for rows in specs:
+                got = st.select(rows=rows)
+                check_invariants(got)
+                assert dict(got.items()) == _fold_select(fold, rows, ALL), rows
+            st.compact()
+
+
+class Vowel(KeySpec):
+    """A user spec that defines only ``matches``."""
+
+    def matches(self, key):
+        return key[0] in "aeiouéê"
+
+
+def _specs(keys):
+    probes = st.sampled_from(PROBE_KEYS)
+    return st.one_of(
+        st.just(ALL),
+        st.just(Vowel()),
+        st.sets(probes, max_size=6).map(KeySet),
+        st.tuples(probes, probes).map(lambda b: KeyRange(*sorted(b))),
+        probes.map(lambda k: KeyRange(k, k)),
+        st.one_of(probes, st.sampled_from([k[:2] for k in keys])).map(KeyPrefix),
+    )
+
+
+_cells = st.tuples(st.sampled_from(SELECT_KEYS), st.sampled_from(["x", "y", "a\x01", "é"]))
+_values = st.one_of(st.integers(1, 9).map(float), st.sampled_from(["t", "x y", "中"]))
+_ops = st.lists(
+    st.one_of(
+        st.dictionaries(_cells, _values, min_size=1, max_size=12).map(lambda d: ("insert", d)),
+        st.sets(_cells, min_size=1, max_size=6).map(lambda c: ("delete", c)),
+        st.just(("compact",)),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+def _fold_select(fold, rows, cols):
+    return {
+        (r, c): v for (r, c), v in fold.items() if rows.matches(r) and cols.matches(c)
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_ops, data=st.data())
+def test_bisecting_select_matches_fold_oracle(ops, data):
+    specs = _specs(SELECT_KEYS)
+    queries = data.draw(st.lists(st.tuples(specs, specs), min_size=1, max_size=6))
+    fold = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "t"
+        with open_store(root) as live:
+            for op in ops:
+                if op[0] == "insert":
+                    live.insert(aa(op[1]))
+                    fold.update(op[1])
+                elif op[0] == "delete":
+                    live.delete(aa(dict.fromkeys(op[1], 1.0)))
+                    for cell in op[1]:
+                        fold.pop(cell, None)
+                else:
+                    live.compact()
+            fold = {cell: float(v) if isinstance(v, int) else v for cell, v in fold.items()}
+            with open_store(root, read_only=True) as reopened:
+                for rows, cols in queries:
+                    want = _fold_select(fold, rows, cols)
+                    for handle in (live, reopened):
+                        got = handle.select(rows, cols)
+                        check_invariants(got)
+                        assert dict(got.items()) == want, (rows, cols)
