@@ -8,12 +8,10 @@ no-empty-rows/columns property true by construction.
 
 from __future__ import annotations
 
-import math
 from itertools import groupby
 from typing import Iterable
 
-from .core import AssociativeArray, Axis, BadValueError, DomainError, Semiring, Value
-from .patterns import identity_from_keys
+from .core import ALL, AssociativeArray, Axis, DomainError, KeySet, Semiring, Value, _kept
 
 
 def _require_numeric(arr: AssociativeArray, sr: Semiring, side: str) -> None:
@@ -26,20 +24,10 @@ def _require_numeric(arr: AssociativeArray, sr: Semiring, side: str) -> None:
             )
 
 
-# Pass-through semirings (GraphBLAS's FIRST and SECOND): ``times`` returns the
-# data operand, text included, and ``plus`` keeps the first term, so the
-# smallest k wins.  Not in SEMIRINGS: they select, they do not compute.
-_FIRST = Semiring("first", lambda x, y: x, lambda x, y: x, None, None, False)
+# Pass-through semiring (GraphBLAS's SECOND): ``times`` returns the right
+# (data) operand, text included, and ``plus`` keeps the first term, so the
+# smallest k wins.  Not in SEMIRINGS: it selects, it does not compute.
 _SECOND = Semiring("second", lambda x, y: x, lambda x, y: y, None, None, False)
-
-
-def _kept(drops, cell: tuple[str, str], v: Value) -> bool:
-    """Screen one computed value: False if it is dropped, BadValueError if non-finite."""
-    if drops(v):
-        return False
-    if isinstance(v, float) and not math.isfinite(v):
-        raise BadValueError(f"operation produced a non-finite number at {cell!r}")
-    return True
 
 
 def eladd(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> AssociativeArray:
@@ -50,7 +38,7 @@ def eladd(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associative
     """
     _require_numeric(a, sr, "left operand")
     _require_numeric(b, sr, "right operand")
-    plus, drops = sr.plus, sr.drops
+    plus, zero = sr.plus, sr.zero
     out: dict[tuple[str, str], Value] = {}
     rest_a, rest_b = iter(a.items()), iter(b.items())
     ea, eb = next(rest_a, None), next(rest_b, None)
@@ -63,7 +51,7 @@ def eladd(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associative
             eb = next(rest_b, None)
         else:
             v = plus(ea[1], eb[1])
-            if _kept(drops, ea[0], v):
+            if _kept(ea[0], v, zero):
                 out[ea[0]] = v
             ea, eb = next(rest_a, None), next(rest_b, None)
     for entry, rest in ((ea, rest_a), (eb, rest_b)):
@@ -77,14 +65,14 @@ def elmult(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associativ
     """Entry-wise multiplication: intersection of supports, values via sr.times."""
     _require_numeric(a, sr, "left operand")
     _require_numeric(b, sr, "right operand")
-    times, drops = sr.times, sr.drops
+    times, zero = sr.times, sr.zero
     out: dict[tuple[str, str], Value] = {}
     for cell, va in a.items():
         vb = b.get(*cell)
         if vb is None:
             continue
         v = times(va, vb)
-        if _kept(drops, cell, v):
+        if _kept(cell, v, zero):
             out[cell] = v
     return AssociativeArray._from_sorted(out)
 
@@ -106,7 +94,7 @@ def arrayprod(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associa
     _require_numeric(a, sr, "left operand")
     _require_numeric(b, sr, "right operand")
     b_rows = b._by_row()
-    plus, times, drops = sr.plus, sr.times, sr.drops
+    plus, times, zero = sr.plus, sr.times, sr.zero
     out: dict[tuple[str, str], Value] = {}
     for i, row in groupby(a.items(), key=lambda entry: entry[0][0]):
         acc: dict[str, Value] = {}
@@ -115,45 +103,30 @@ def arrayprod(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associa
                 term = times(av, bv)
                 acc[j] = plus(acc[j], term) if j in acc else term
         for j in sorted(acc):
-            v = acc[j]
-            if drops(v):
-                continue
-            if isinstance(v, float) and not math.isfinite(v):
-                raise BadValueError(f"operation produced a non-finite number at {(i, j)!r}")
-            out[(i, j)] = v
+            cell, v = (i, j), acc[j]
+            if _kept(cell, v, zero):
+                out[cell] = v
     return AssociativeArray._from_sorted(out)
 
 
 def mask_select(t: AssociativeArray, mask: AssociativeArray) -> AssociativeArray:
     """Entries of t whose cell is present in mask; values come from t."""
-    return AssociativeArray._from_clean(
-        {cell: v for cell, v in t.items() if cell in mask}
-    )
+    return AssociativeArray._from_sorted({cell: v for cell, v in t.items() if cell in mask})
 
 
 def delete_entries(t: AssociativeArray, mask: AssociativeArray) -> AssociativeArray:
     """Entries of t whose cell is absent from mask; complement of mask_select."""
-    return AssociativeArray._from_clean(
-        {cell: v for cell, v in t.items() if cell not in mask}
-    )
-
-
-def _dedup(keys: Iterable[str]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(keys))
+    return AssociativeArray._from_sorted({cell: v for cell, v in t.items() if cell not in mask})
 
 
 def perm_select(t: AssociativeArray, keys: Iterable[str], axis: Axis) -> AssociativeArray:
-    """Select whole rows (or columns) of t by key list, as an array product.
+    """Select whole rows (or columns) of t by key list.
 
-    Builds the identity permutation array on ``keys`` and multiplies it
-    with ``arrayprod`` under a pass-through semiring: ``selector @ t``
-    keeping t's values for rows, ``t @ selector`` keeping t's values for
-    columns.  That is exactly row/column selection: the result equals
-    ``t.subarray(KeySet(keys), ALL)`` (or the column-side analogue)
-    including text values.  Duplicate keys are deduplicated; unknown keys
-    simply select nothing.
+    This is the paper's product with an identity permutation array on
+    ``keys`` (``selector @ t`` for rows, ``t @ selector`` for columns),
+    computed as the equal subarray: ``t.subarray(KeySet(keys), ALL)`` or
+    the column-side analogue, text values included.  Duplicate keys are
+    deduplicated; unknown keys simply select nothing.
     """
-    selector = identity_from_keys(_dedup(keys))
-    if axis is Axis.ROW:
-        return arrayprod(selector, t, _SECOND)
-    return arrayprod(t, selector, _FIRST)
+    spec = KeySet(dict.fromkeys(keys))
+    return t.subarray(spec, ALL) if axis is Axis.ROW else t.subarray(ALL, spec)

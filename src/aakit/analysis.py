@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AssociativeArray, DomainError, Value
+from .core import LATTICE, AssociativeArray, DomainError, Value, from_triples
 
 DEFAULT_TOL = 1e-10
 
@@ -29,12 +29,17 @@ class DenseProjection:
     cells: tuple[tuple[float, ...], ...]
 
     def to_array(self) -> AssociativeArray:
-        """Round back to the sparse form; exact zeros disappear again."""
-        entries: dict[tuple[str, str], Value] = {}
-        for i, r in enumerate(self.row_order):
-            for j, c in enumerate(self.col_order):
-                entries[(r, c)] = self.cells[i][j]
-        return AssociativeArray._from_clean(entries)
+        """Round back to the sparse form; exact zeros disappear again.
+
+        Keys and cells are validated as ``from_triples`` validates them;
+        a repeated key's cells fold with the lattice max.
+        """
+        triples = (
+            (r, c, self.cells[i][j])
+            for i, r in enumerate(self.row_order)
+            for j, c in enumerate(self.col_order)
+        )
+        return from_triples(triples, LATTICE)
 
 
 def to_dense(arr: AssociativeArray) -> DenseProjection:

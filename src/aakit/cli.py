@@ -10,6 +10,7 @@ on stderr), 2 for unknown subcommands or bad usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import algebra, analysis, graph, patterns
@@ -186,7 +187,9 @@ def _add_output(p: argparse.ArgumentParser) -> None:
                    help="write result here instead of standard output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later ``run``."""
     parser = argparse.ArgumentParser(
         prog="aakit",
         description="Associative array algebra over triple files.",

@@ -90,6 +90,20 @@ def value_sort_key(value: Value) -> tuple[int, float | str]:
     return (0, value)
 
 
+def _kept(cell: tuple[str, str], v: Value, zero: float | None = None) -> bool:
+    """Screen one computed value before it is stored at ``cell``.
+
+    False for a canonical empty or the semiring's ``zero`` (the value is
+    dropped), BadValueError naming the cell for a non-finite number, else
+    True.  Every operation result passes through here exactly once.
+    """
+    if not v or v == zero:
+        return False
+    if isinstance(v, float) and not math.isfinite(v):
+        raise BadValueError(f"operation produced a non-finite number at {cell!r}")
+    return True
+
+
 def _lattice_plus(a: Value, b: Value) -> Value:
     return b if value_sort_key(a) < value_sort_key(b) else a
 
@@ -104,7 +118,8 @@ class Semiring:
 
     ``zero`` and ``one`` record the identities where they are representable
     as stored values; ``None`` means the identity exists only as absence of
-    an entry.  ``numeric_only`` semirings refuse text operands.
+    an entry.  A computed result equal to ``zero`` is not stored.
+    ``numeric_only`` semirings refuse text operands.
     """
 
     name: str
@@ -113,12 +128,6 @@ class Semiring:
     zero: float | None
     one: float | None
     numeric_only: bool
-
-    def drops(self, value: Value) -> bool:
-        """True if an operation result is discarded rather than stored."""
-        if is_empty_value(value):
-            return True
-        return self.zero is not None and value == self.zero
 
     def __repr__(self):
         return f"Semiring({self.name!r})"
@@ -238,42 +247,33 @@ class KeyPrefix(KeySpec):
 class AssociativeArray:
     """Immutable sparse map from (row key, column key) to non-empty values.
 
-    Construct from a mapping of ``(row, col) -> value``; values equal to a
-    canonical empty (0.0 or "") are silently dropped, everything else is
-    validated.  Entries iterate in ascending (row, col) order.
+    Construct from a mapping of ``(row, col) -> value``, which is
+    validated like ``from_triples`` (a mapping repeats no cell); values
+    equal to a canonical empty (0.0 or "") are silently dropped.  Entries
+    iterate in ascending (row, col) order.
     """
 
     __slots__ = ("_entries", "_rows", "_cols", "_row_index")
 
     def __init__(self, entries: Mapping[tuple[str, str], Value] = {}):
-        cleaned: dict[tuple[str, str], Value] = {}
-        for (r, c), v in entries.items():
-            r = check_key(r)
-            c = check_key(c)
-            v = check_value(v)
-            if not is_empty_value(v):
-                cleaned[(r, c)] = v
-        self._entries = dict(sorted(cleaned.items()))
+        self._entries = from_triples(((r, c, v) for (r, c), v in entries.items()), LATTICE)._entries
         self._rows: tuple[str, ...] | None = None
         self._cols: tuple[str, ...] | None = None
         self._row_index: dict[str, list[tuple[str, Value]]] | None = None
 
     @classmethod
-    def _from_clean(cls, entries: dict[tuple[str, str], Value]) -> "AssociativeArray":
-        # Internal fast path: keys are already-validated (they came out of
-        # existing arrays), but results of semiring arithmetic still need the
-        # finiteness and emptiness screens.
-        kept: dict[tuple[str, str], Value] = {}
-        for cell, v in sorted(entries.items()):
-            if isinstance(v, float):
-                if v == 0.0:
-                    continue
-                if not math.isfinite(v):
-                    raise BadValueError(f"operation produced a non-finite number at {cell!r}")
-            elif v == "":
-                continue
-            kept[cell] = v
-        return cls._from_sorted(kept)
+    def _from_clean(
+        cls, entries: dict[tuple[str, str], Value], zero: float | None = None
+    ) -> "AssociativeArray":
+        """Sort ``entries``, screen each value with ``_kept``, and wrap the result.
+
+        For internal callers whose keys are already valid (they came out of
+        existing arrays or passed ``check_key``) but whose values are
+        computed and may be empty, ``zero`` or non-finite.
+        """
+        return cls._from_sorted(
+            {cell: entries[cell] for cell in sorted(entries) if _kept(cell, entries[cell], zero)}
+        )
 
     @classmethod
     def _from_sorted(cls, entries: dict[tuple[str, str], Value]) -> "AssociativeArray":
@@ -425,6 +425,4 @@ def from_triples(
             acc[cell] = combiner.plus(a, v)
         else:
             acc[cell] = v
-    return AssociativeArray._from_clean(
-        {cell: v for cell, v in acc.items() if not combiner.drops(v)}
-    )
+    return AssociativeArray._from_clean(acc, combiner.zero)

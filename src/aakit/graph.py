@@ -2,7 +2,7 @@
 
 An array doubles as a directed graph: row key -> column key per entry.
 These helpers stay within the algebra: a BFS step is an array product
-under the pass-through semiring that ``perm_select`` also uses.
+under a pass-through semiring.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from collections import Counter
 from typing import Iterable
 
 from .algebra import _SECOND, arrayprod, eladd
-from .core import ARITH, MAXMIN, AssociativeArray, Axis, DomainError
+from .core import ARITH, MAXMIN, AssociativeArray, Axis
 
 
 def degree(arr: AssociativeArray, axis: Axis) -> AssociativeArray:
@@ -28,12 +28,10 @@ def degree(arr: AssociativeArray, axis: Axis) -> AssociativeArray:
 def correlate(arr: AssociativeArray) -> AssociativeArray:
     """arr times its transpose under arith: co-occurrence counts on shared columns.
 
-    Values must be numeric; call logical() first to correlate a text table's
+    Values must be numeric (``arrayprod`` raises DomainError naming the
+    first text cell); call logical() first to correlate a text table's
     support pattern.
     """
-    for r, c, v in arr:
-        if isinstance(v, str):
-            raise DomainError(f"correlate needs numbers, found text at ({r!r}, {c!r})")
     return arrayprod(arr, arr.transpose(), ARITH)
 
 

@@ -137,31 +137,17 @@ def record_span(data: bytes, magic: str, *, lenient_tail: bool = False) -> tuple
 
 
 def parse_record_lines(
-    data: bytes,
-    magic: str,
-    *,
-    allow_tombstones: bool = False,
-    lenient_tail: bool = False,
-    span: tuple[int, int] | None = None,
-) -> tuple[list[tuple[str, str, Value | None]], bool]:
-    """Parse LF-framed tab-separated records after a magic first line.
+    data: bytes, start: int, end: int, *, allow_tombstones: bool = False
+) -> list[tuple[str, str, Value | None]]:
+    """Parse the LF-framed tab-separated record lines in ``data[start:end]``.
 
-    Returns (records, tail_truncated).  A record value of None is a
-    tombstone (tag "x", only when ``allow_tombstones``).  With
-    ``lenient_tail`` a final line lacking its LF is skipped and flagged
-    instead of raising; everything before it must still parse cleanly.
-    Every returned key passed ``check_key`` and every value ``check_value``.
-
-    ``span=(start, end)`` parses only the record lines in ``data[start:end]``;
-    both are line starts within the bounds ``record_span`` returned for
-    ``data``.  Framing and magic are not checked again, and error messages
-    still number lines from the start of ``data``.
+    ``start`` and ``end`` are line starts within the bounds ``record_span``
+    returned for ``data``, which has already checked framing and magic.  A
+    record value of None is a tombstone (tag "x", only when
+    ``allow_tombstones``).  Every returned key passed ``check_key`` and
+    every value ``check_value``; error messages number lines from the
+    start of ``data``.
     """
-    if span is None:
-        start, end, truncated = record_span(data, magic, lenient_tail=lenient_tail)
-    else:
-        (start, end), truncated = span, False
-
     # Decode the span at once.  On a decoding error, parse the lines before
     # the bad one (an earlier error wins) and then report it; LF never
     # occurs inside a UTF-8 sequence, so the first bad byte lies on the
@@ -210,7 +196,7 @@ def parse_record_lines(
         raise FormatError(f"line {line_number(data, start) + i}: {exc}") from None
     if bad_at is not None:
         raise FormatError(f"line {line_number(data, bad_at)}: not valid UTF-8")
-    return records, truncated
+    return records
 
 
 def line_number(data: bytes, offset: int) -> int:
@@ -224,7 +210,10 @@ def read_triples(source: BinaryIO) -> AssociativeArray:
     Records may come in any order and may repeat a cell.  Repeats fold
     first; a cell whose fold is empty is then dropped.
     """
-    records, _ = parse_record_lines(source.read(), TRIPLES_MAGIC)
+    data = source.read()
+    start, end, _ = record_span(data, TRIPLES_MAGIC)
+    records = parse_record_lines(data, start, end)
+    del data
     plus = LATTICE.plus
     acc: dict[tuple[str, str], Value] = {}
     for r, c, v in records:

@@ -192,7 +192,7 @@ class TableStore:
     def _records(self, seg: _Segment, span: tuple[int, int]) -> dict[tuple[str, str], Value | None]:
         """Parse ``seg.data[span[0]:span[1]]``; its cells must strictly ascend."""
         try:
-            records, _ = parse_record_lines(seg.data, SEGMENT_MAGIC, allow_tombstones=True, span=span)
+            records = parse_record_lines(seg.data, *span, allow_tombstones=True)
         except FormatError as exc:
             raise StoreError(f"segment {seg.name}: {exc}") from None
         part = {(r, c): v for r, c, v in records}
@@ -268,14 +268,11 @@ class TableStore:
         """
         self._require_writer()
         before = len(self._snapshot)
-        fold: dict[tuple[str, str], Value | None] = {}
-        for seg in self._snapshot:
-            fold.update(self._records(seg, (seg.start, seg.end)))
-        live = [(r, c, v) for (r, c), v in sorted(fold.items()) if v]
+        live = self.select()
         snapshot: list[_Segment] = []
-        if live:
+        if live.nnz:
             name = self._next_segment_name()
-            payload = _segment_payload(live)
+            payload = _segment_payload(live.triples())
             _write_file_atomic(self.path / name, payload)
             snapshot.append(self._frame(name, payload, False))
         _write_file_atomic(

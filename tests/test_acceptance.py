@@ -43,7 +43,7 @@ from aakit import (
     rank,
     to_dense,
 )
-from aakit.io import parse_record_lines, read_table
+from aakit.io import parse_record_lines, read_table, record_span
 from aakit.store import SEGMENT_MAGIC, open_store
 
 from conftest import DATA_DIR, GOLDEN_DIR, SONG_TRIPLES
@@ -276,8 +276,9 @@ def test_store_equivalence_and_crash(tmp_path):
             names = st.segments
         folded = {}
         for name in names:
-            records, _ = parse_record_lines(
-                (root / name).read_bytes(), SEGMENT_MAGIC, allow_tombstones=True)
+            data = (root / name).read_bytes()
+            records = parse_record_lines(
+                data, *record_span(data, SEGMENT_MAGIC)[:2], allow_tombstones=True)
             if name == names[-1]:
                 records = records[:-1]  # the record the crash destroys
             for r, c, v in records:

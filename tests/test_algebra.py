@@ -11,18 +11,21 @@ from aakit import (
     MINPLUS,
     AssociativeArray,
     Axis,
+    BadKeyError,
     BadValueError,
     DomainError,
     KeySet,
+    Semiring,
     arrayprod,
     delete_entries,
     eladd,
     elmult,
+    from_triples,
     identity_from_keys,
     mask_select,
     perm_select,
 )
-from aakit.algebra import _FIRST, _SECOND
+from aakit.algebra import _SECOND
 
 from helpers import NONZERO, POSITIVE, check_invariants, random_mixed_array, random_numeric_array
 from oracles import elmult_oracle, eladd_oracle, product_oracle, transpose_oracle
@@ -148,6 +151,19 @@ def test_lattice_text_collision():
     assert eladd(a, b, LATTICE).triples() == \
         [("r", "c", "plum"), ("r", "d", "fig"), ("s", "c", "kiwi")]
     assert elmult(a, b, LATTICE).triples() == [("r", "c", "pear"), ("r", "d", 3.0)]
+
+
+def test_a_representable_semiring_zero_is_never_stored():
+    # zero = 5.0 is not a canonical empty: every computed 5.0 is dropped
+    minmax = Semiring("minmax", min, max, 5.0, None, True)
+    a = aa({("r", "c"): 5.0, ("r", "d"): 2.0})
+    b = aa({("r", "c"): 7.0, ("r", "d"): 5.0})
+    assert eladd(a, b, minmax).triples() == [("r", "d", 2.0)]
+    assert elmult(a, b, minmax).triples() == [("r", "c", 7.0)]
+    b2 = aa({("c", "x"): 7.0, ("d", "x"): 5.0, ("d", "y"): 3.0})
+    assert arrayprod(a, b2, minmax).triples() == [("r", "y", 3.0)]
+    folded = from_triples([("r", "c", 6.0), ("r", "c", 5.0), ("r", "d", 4.0), ("r", "e", 5.0)], minmax)
+    assert folded.triples() == [("r", "d", 4.0)]
 
 
 # -- mask_select / delete_entries ------------------------------------------
@@ -313,6 +329,13 @@ def test_perm_select_dedupes_quietly(songs):
         songs.subarray(ALL, KeySet(["Genre"]))
 
 
+@pytest.mark.parametrize("axis", [Axis.ROW, Axis.COLUMN])
+@pytest.mark.parametrize("bad", ["", "a\tb", "a\nb", 7])
+def test_perm_select_rejects_bad_keys(songs, axis, bad):
+    with pytest.raises(BadKeyError):
+        perm_select(songs, ["Genre", bad], axis)
+
+
 def test_perm_select_duality_fuzz():
     rng = random.Random(808)
     for _ in range(150):
@@ -332,7 +355,4 @@ def test_pass_through_product_keeps_the_smallest_k():
     want = [("h", "j", "second"), ("h", "m", 5.0), ("i", "j", "first"), ("i", "m", 5.0)]
     rows = arrayprod(selector, t, _SECOND)
     assert rows.triples() == want
-    cols = arrayprod(t.transpose(), selector.transpose(), _FIRST)
-    assert cols == rows.transpose()
     check_invariants(rows)
-    check_invariants(cols)

@@ -5,12 +5,17 @@ import pytest
 
 from aakit import (
     ARITH,
+    LATTICE,
     AssociativeArray,
+    BadKeyError,
+    BadValueError,
+    DenseProjection,
     DomainError,
     NotConvergedError,
     ZeroIterateError,
     arrayprod,
     dominant_eigenpair,
+    from_triples,
     identity_from_keys,
     null_space,
     products_unique,
@@ -56,6 +61,22 @@ def test_to_dense_round_trip():
 def test_to_dense_rejects_text(songs):
     with pytest.raises(DomainError):
         to_dense(songs)
+
+
+@pytest.mark.parametrize("rows,cols,cells,error", [
+    (("a\tb",), ("c",), ((1.0,),), BadKeyError),
+    (("a",), ("",), ((1.0,),), BadKeyError),
+    (("a",), ("c",), (("x\ny",),), BadValueError),
+    (("a",), ("c",), ((math.inf,),), BadValueError),
+    (("a",), ("c",), ((math.nan,),), BadValueError),
+])
+def test_to_array_rejects_what_from_triples_rejects(rows, cols, cells, error):
+    projection = DenseProjection(rows, cols, cells)
+    with pytest.raises(error) as want:
+        from_triples([(rows[0], cols[0], cells[0][0])], LATTICE)
+    with pytest.raises(error) as got:
+        projection.to_array()
+    assert str(got.value) == str(want.value)
 
 
 def test_to_dense_empty():

@@ -309,12 +309,32 @@ def test_help_is_exit_0(capsys):
     assert "COMMAND" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("module", ["aakit", "aakit.cli"])
-def test_python_dash_m_prints_usage(module):
+def run_fresh(module, *argv, **kwargs):
+    """Run the CLI as ``python -m module`` in a new interpreter."""
     src = str(Path(aakit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", module, "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, env=env, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("module", ["aakit", "aakit.cli"])
+def test_python_dash_m_prints_usage(module):
+    proc = run_fresh(module, "--help", text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: aakit")
+
+
+def test_shared_parser_survives_error_exits(tmp_path, capsysbinary):
+    # The parser is built once per process; exits 2 and 1 must leave it as new.
+    table = str(tmp_path / "table")
+    batch = write_aat(tmp_path / "b.aat", aa({("a", "x"): 1.0, ("b", "y"): "two"}))
+    assert run(["store", "insert", table, batch]) == 0
+    fresh = run_fresh("aakit", "store", "select", table)
+    capsysbinary.readouterr()
+    assert run(["store", "insert", table]) == 2
+    assert run(["store", "select", table, "--rows", "set:a", "--cols", "bogus"]) == 1
+    capsysbinary.readouterr()
+    assert run(["store", "select", table]) == fresh.returncode == 0
+    assert capsysbinary.readouterr() == (fresh.stdout, fresh.stderr)
+    assert fresh.stdout == b"%aa-triples 1\na\tx\tn\t1\nb\ty\tt\ttwo\n"

@@ -281,6 +281,36 @@ def test_from_triples_numeric_only_collision_is_an_error():
     assert arr.get("r", "c") == "Rock"
 
 
+def test_from_triples_overflow_names_the_cell():
+    with pytest.raises(BadValueError, match=r"non-finite number at \('r', 'c'\)"):
+        from_triples([("r", "c", 1e308), ("r", "x", 1.0), ("r", "c", 1e308)], ARITH)
+
+
+raw_keys = st.one_of(keys_strategy, st.sampled_from(["", "a\tb", "a\rb", "bad\ud800", 7, None]))
+raw_values = st.one_of(
+    st.floats(),
+    st.integers(-2, 2),
+    st.text(max_size=3),
+    st.sampled_from(["x\ny", "cr\r", "bad\ud800", True, None, b"x"]),
+)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.tuples(raw_keys, raw_keys), raw_values, max_size=6))
+def test_constructor_is_from_triples(mapping):
+    # Same array, or the same exception type and message, for any mapping.
+    got = _outcome(lambda: AssociativeArray(mapping))
+    want = _outcome(lambda: from_triples([(r, c, v) for (r, c), v in mapping.items()], LATTICE))
+    assert got == want
+
+
 def test_from_triples_insertion_is_table_build(songs):
     assert songs.nnz == 16
     assert songs.get("053013ktnA1", "Artist") == "Bandayde"

@@ -12,6 +12,7 @@ from aakit.io import (
     parse_record_lines,
     read_table,
     read_triples,
+    record_span,
     write_triples,
 )
 
@@ -184,26 +185,25 @@ def test_read_triples_rejects(data):
         read_triples(buf(data))
 
 
-def test_parse_record_lines_lenient_tail():
+def test_record_span_lenient_tail():
     data = b"%aa-triples 1\na\tb\tn\t1\nc\td\tn\t2"
-    records, truncated = parse_record_lines(data, "%aa-triples 1",
-                                            lenient_tail=True)
+    start, end, truncated = record_span(data, "%aa-triples 1", lenient_tail=True)
     assert truncated
-    assert records == [("a", "b", 1.0)]
+    assert parse_record_lines(data, start, end) == [("a", "b", 1.0)]
 
 
 def test_parse_record_lines_tombstones():
     data = b"%aa-seg 1\na\tb\tx\t\n"
-    records, truncated = parse_record_lines(data, "%aa-seg 1",
-                                            allow_tombstones=True)
-    assert records == [("a", "b", None)]
+    start, end, truncated = record_span(data, "%aa-seg 1")
+    assert parse_record_lines(data, start, end, allow_tombstones=True) == [("a", "b", None)]
     assert not truncated
 
 
 def test_parse_record_lines_tombstone_payload_rejected():
     data = b"%aa-seg 1\na\tb\tx\tstuff\n"
+    start, end, _ = record_span(data, "%aa-seg 1")
     with pytest.raises(FormatError):
-        parse_record_lines(data, "%aa-seg 1", allow_tombstones=True)
+        parse_record_lines(data, start, end, allow_tombstones=True)
 
 
 @pytest.mark.parametrize("data,message", [
@@ -223,15 +223,15 @@ def test_parse_record_lines_tombstone_payload_rejected():
 ])
 def test_parse_record_lines_errors_name_the_line(data, message):
     with pytest.raises(FormatError) as exc:
-        parse_record_lines(data, "%aa-triples 1")
+        read_triples(io.BytesIO(data))
     assert str(exc.value) == message
 
 
-def test_parse_record_lines_lenient_tail_may_be_undecodable():
+def test_record_span_lenient_tail_may_be_undecodable():
     data = b"%aa-seg 1\na\tb\tn\t1\nc\td\tt\tcaf\xc3"
-    records, truncated = parse_record_lines(data, "%aa-seg 1", lenient_tail=True)
+    start, end, truncated = record_span(data, "%aa-seg 1", lenient_tail=True)
     assert truncated
-    assert records == [("a", "b", 1.0)]
+    assert parse_record_lines(data, start, end) == [("a", "b", 1.0)]
 
 
 def test_read_triples_shuffled_duplicates_fold_like_from_triples():
