@@ -33,8 +33,8 @@ _SECOND = Semiring("second", lambda x, y: x, lambda x, y: y, None, None, False)
 def eladd(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> AssociativeArray:
     """Entry-wise addition: union of supports, collisions folded with sr.plus.
 
-    A linear merge of the two sorted entry streams: cells on one side only
-    are copied as they are, and only folded collisions are screened.
+    A linear merge of the two sorted entry streams: only folded collisions
+    are screened, and a one-sided cell only against a non-empty ``zero``.
     """
     _require_numeric(a, sr, "left operand")
     _require_numeric(b, sr, "right operand")
@@ -58,6 +58,8 @@ def eladd(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associative
         if entry is not None:
             out[entry[0]] = entry[1]
             out.update(rest)
+    if zero:
+        out = {cell: v for cell, v in out.items() if v != zero}
     return AssociativeArray._from_sorted(out)
 
 

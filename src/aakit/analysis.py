@@ -96,12 +96,7 @@ def _rref(grid: list[list[float]], thresh: float) -> tuple[list[list[float]], li
 
 
 def _max_abs_cell(dense: DenseProjection) -> float:
-    best = 0.0
-    for row in dense.cells:
-        for x in row:
-            if abs(x) > best:
-                best = abs(x)
-    return best
+    return max((abs(x) for row in dense.cells for x in row), default=0.0)
 
 
 def rank(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> int:

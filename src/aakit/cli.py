@@ -49,23 +49,21 @@ def parse_keyspec(text: str) -> KeySpec:
     raise ValueError(f"unknown key spec kind {kind!r}")
 
 
-def _load(path: str) -> AssociativeArray:
+# ``read`` and ``render`` default to the triple reader and writer, looked up
+# per call so that wrappers set on aio apply.
+def _load(path: str, read=None) -> AssociativeArray:
     with open(path, "rb") as f:
-        return aio.read_triples(f)
+        return (read or aio.read_triples)(f)
 
 
-def _load_table(path: str) -> AssociativeArray:
-    with open(path, "rb") as f:
-        return aio.read_table(f)
-
-
-def _emit(arr: AssociativeArray, out: str | None) -> None:
+def _emit(arr: AssociativeArray, out: str | None, render=None) -> None:
+    render = render or aio.write_triples
     if out is None:
-        aio.write_triples(arr, sys.stdout.buffer)
+        render(arr, sys.stdout.buffer)
         sys.stdout.buffer.flush()
     else:
         with open(out, "wb") as f:
-            aio.write_triples(arr, f)
+            render(arr, f)
 
 
 AXES = {"row": Axis.ROW, "col": Axis.COLUMN}
@@ -75,7 +73,7 @@ AXES = {"row": Axis.ROW, "col": Axis.COLUMN}
 
 
 def _cmd_ingest(args) -> int:
-    arr = _load_table(args.input) if args.format == "table" else _load(args.input)
+    arr = _load(args.input, aio.read_table if args.format == "table" else None)
     _emit(arr, args.output)
     return 0
 
@@ -149,13 +147,7 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    arr = _load(args.input)
-    if args.output is None:
-        aio.export_dot(arr, sys.stdout.buffer)
-        sys.stdout.buffer.flush()
-    else:
-        with open(args.output, "wb") as f:
-            aio.export_dot(arr, f)
+    _emit(_load(args.input), args.output, aio.export_dot)
     return 0
 
 

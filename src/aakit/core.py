@@ -11,7 +11,7 @@ Arrays are immutable; every operation returns a new array.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -158,25 +158,53 @@ class Axis(Enum):
     COLUMN = "column"
 
 
+def _prefix_end(prefix: str) -> str | None:
+    """The least key above every key that starts with ``prefix``; None if there is none."""
+    stem = prefix.rstrip("\U0010ffff")  # U+10FFFF has no successor
+    if not stem:
+        return None
+    nxt = ord(stem[-1]) + 1
+    return stem[:-1] + chr(0xE000 if nxt == 0xD800 else nxt)  # no key holds a surrogate
+
+
 class KeySpec:
     """Selects a subset of keys along one axis."""
 
     def matches(self, key: str) -> bool:
         raise NotImplementedError
 
+    def intervals(self) -> list[tuple[str, str | None]] | None:
+        """The matching keys as ascending, disjoint, half-open ``[lo, hi)`` intervals.
+
+        ``hi`` None is unbounded above; None (the default) means filter by ``matches``.
+        """
+        return None
+
     def select(self, keys: tuple[str, ...]) -> list[str]:
         """The matching keys of ``keys``, a sorted tuple of distinct keys, in order.
 
-        Subclasses that only define ``matches`` get this per-key filter;
-        the built-in specs bisect the sorted keys instead.
+        Bisects for each interval's ends, each search starting where the last stopped.
         """
-        return [k for k in keys if self.matches(k)]
+        spans = self.intervals()
+        if spans is None:
+            return [k for k in keys if self.matches(k)]
+        picked: list[str] = []
+        start = 0
+        for lo, hi in spans:
+            start = bisect_left(keys, lo, start)
+            end = len(keys) if hi is None else bisect_left(keys, hi, start)
+            picked.extend(keys[start:end])
+            start = end
+        return picked
 
 
 @dataclass(frozen=True)
 class AllKeys(KeySpec):
     def matches(self, key: str) -> bool:
         return True
+
+    def intervals(self) -> list[tuple[str, str | None]]:
+        return [("", None)]
 
 
 ALL = AllKeys()
@@ -199,8 +227,8 @@ class KeySet(KeySpec):
     def matches(self, key: str) -> bool:
         return key in self._members
 
-    def select(self, keys: tuple[str, ...]) -> list[str]:
-        return [k for k in self.keys if (i := bisect_left(keys, k)) < len(keys) and keys[i] == k]
+    def intervals(self) -> list[tuple[str, str | None]]:
+        return [(k, k + "\x00") for k in self.keys]
 
 
 @dataclass(frozen=True)
@@ -219,8 +247,9 @@ class KeyRange(KeySpec):
     def matches(self, key: str) -> bool:
         return self.lo <= key <= self.hi
 
-    def select(self, keys: tuple[str, ...]) -> list[str]:
-        return list(keys[bisect_left(keys, self.lo) : bisect_right(keys, self.hi)])
+    def intervals(self) -> list[tuple[str, str | None]]:
+        # NUL is a legal key character, so hi + NUL is the least key above hi.
+        return [(self.lo, self.hi + "\x00")]
 
 
 @dataclass(frozen=True)
@@ -235,13 +264,8 @@ class KeyPrefix(KeySpec):
     def matches(self, key: str) -> bool:
         return key.startswith(self.prefix)
 
-    def select(self, keys: tuple[str, ...]) -> list[str]:
-        # Keys with the prefix form one run starting where the prefix itself
-        # would sort (str order is UTF-8 byte order for valid keys).
-        start = end = bisect_left(keys, self.prefix)
-        while end < len(keys) and keys[end].startswith(self.prefix):
-            end += 1
-        return list(keys[start:end])
+    def intervals(self) -> list[tuple[str, str | None]]:
+        return [(self.prefix, _prefix_end(self.prefix))]
 
 
 class AssociativeArray:

@@ -8,6 +8,7 @@ under a pass-through semiring.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable
 
 from .algebra import _SECOND, arrayprod, eladd
@@ -16,13 +17,10 @@ from .core import ARITH, MAXMIN, AssociativeArray, Axis
 
 def degree(arr: AssociativeArray, axis: Axis) -> AssociativeArray:
     """Entry counts per key on an axis, as a single-column array under "deg"."""
-    if axis is Axis.ROW:
-        counts = Counter(r for r, _, _ in arr)
-    else:
-        counts = Counter(c for _, c, _ in arr)
-    return AssociativeArray._from_clean(
-        {(k, "deg"): float(n) for k, n in counts.items()}
-    )
+    # Entries come in row order, so only column keys need sorting.
+    counts = Counter(map(itemgetter(0 if axis is Axis.ROW else 1), arr.support()))
+    keys = counts if axis is Axis.ROW else sorted(counts)
+    return AssociativeArray._from_sorted({(k, "deg"): float(counts[k]) for k in keys})
 
 
 def correlate(arr: AssociativeArray) -> AssociativeArray:

@@ -17,8 +17,9 @@ import csv
 import math
 import operator
 import re
+from io import StringIO
 from itertools import islice
-from typing import BinaryIO
+from typing import BinaryIO, Iterable
 
 from .core import (
     LATTICE,
@@ -32,7 +33,8 @@ from .core import (
 
 TRIPLES_MAGIC = "%aa-triples 1"
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z")
+# ASCII digits only: float() also reads other scripts' digits, which stay text.
+_NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
 
 
 class FormatError(ValueError):
@@ -66,7 +68,8 @@ def read_table(source: BinaryIO) -> AssociativeArray:
         text = source.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"table is not valid UTF-8: {exc}") from None
-    reader = csv.reader(text.splitlines(keepends=True))
+    # newline="" leaves line breaks to csv, which ends rows on CR and LF only.
+    reader = csv.reader(StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -234,11 +237,16 @@ def _record_line(row: str, col: str, value: Value | None) -> str:
     return f"{row}\t{col}\tn\t{format_number(value)}"
 
 
+def encode_records(magic: str, records: Iterable[tuple[str, str, Value | None]]) -> bytes:
+    """``magic``, then a line per ``(row, col, value)`` (None: tombstone), each LF-terminated."""
+    lines = [magic]
+    lines.extend(_record_line(r, c, v) for r, c, v in records)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def write_triples(arr: AssociativeArray, sink: BinaryIO) -> int:
     """Write the canonical triple form; returns the byte count written."""
-    lines = [TRIPLES_MAGIC]
-    lines.extend(_record_line(r, c, v) for r, c, v in arr)
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    payload = encode_records(TRIPLES_MAGIC, arr)
     sink.write(payload)
     return len(payload)
 

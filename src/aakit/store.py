@@ -16,10 +16,10 @@ A handle reads the bytes of every listed segment at open and keeps them
 as its snapshot, which gives readers snapshot isolation at manifest
 granularity even across a concurrent compaction.  Open checks only each
 segment's framing; records are parsed by the command that uses them.  A
-select by a built-in row spec bisects each segment on the row field of
-its lines (segments are sorted, and UTF-8 byte order is key order) and
-parses only the matching lines; other selects and ``compact`` parse
-whole segments.
+select bisects each segment on the row field of its lines for every key
+interval of its row spec (segments are sorted, and UTF-8 byte order is
+key order) and parses only the matching lines; a row spec without
+intervals is filtered by ``matches`` over whole segments.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import warnings
 from itertools import islice
 from pathlib import Path
 
-from .core import ALL, AllKeys, AssociativeArray, KeyPrefix, KeyRange, KeySet, KeySpec, Value
-from .io import FormatError, line_number, parse_record_lines, record_span, _record_line
+from .core import ALL, AllKeys, AssociativeArray, KeySpec, Value
+from .io import FormatError, encode_records, line_number, parse_record_lines, record_span
 
 MANIFEST_MAGIC = "%aa-manifest 1"
 SEGMENT_MAGIC = "%aa-seg 1"
@@ -207,18 +207,19 @@ class TableStore:
     def select(self, rows: KeySpec = ALL, cols: KeySpec = ALL) -> AssociativeArray:
         """Materialize live content filtered by the key specs.
 
-        A built-in row spec reads only the lines of its rows from each
-        segment; any other row spec reads every line and filters with
-        ``matches``.
+        Each segment is read only on the row spec's key intervals; a row
+        spec without intervals reads every line and filters with ``matches``.
         """
         self._require_open()
-        bounds = _row_bounds(rows)
+        intervals, keep_row = rows.intervals(), None
+        if intervals is None:
+            intervals, keep_row = ALL.intervals(), rows.matches
+        # hi is None (unbounded) or a non-empty key.
+        bounds = [(lo.encode("utf-8"), hi and hi.encode("utf-8")) for lo, hi in intervals]
         fold: dict[tuple[str, str], Value | None] = {}
         for seg in self._snapshot:
-            spans = [(seg.start, seg.end)] if bounds is None else _row_spans(seg, bounds)
-            for span in spans:
+            for span in _row_spans(seg, bounds):
                 fold.update(self._records(seg, span))
-        keep_row = None if bounds is not None or isinstance(rows, AllKeys) else rows.matches
         keep_col = None if isinstance(cols, AllKeys) else cols.matches
         # Parsed values are finite floats, text or None, so falsy means
         # empty or deleted.
@@ -272,7 +273,7 @@ class TableStore:
         snapshot: list[_Segment] = []
         if live.nnz:
             name = self._next_segment_name()
-            payload = _segment_payload(live.triples())
+            payload = encode_records(SEGMENT_MAGIC, live)
             _write_file_atomic(self.path / name, payload)
             snapshot.append(self._frame(name, payload, False))
         _write_file_atomic(
@@ -327,7 +328,7 @@ class TableStore:
     def _append_segment(self, records: list[tuple[str, str, Value | None]]) -> None:
         """Write ``records``, already in ascending (row, col) order, as the newest segment."""
         name = self._next_segment_name()
-        payload = _segment_payload(records)
+        payload = encode_records(SEGMENT_MAGIC, records)
         _write_file_atomic(self.path / name, payload)
         _write_file_atomic(
             self.path / MANIFEST_NAME, _manifest_payload([*self.segments, name])
@@ -335,30 +336,16 @@ class TableStore:
         self._snapshot.append(self._frame(name, payload, True))
 
 
-def _row_bounds(rows: KeySpec) -> list[tuple[bytes, bytes, bool]] | None:
-    """A built-in row spec as ascending UTF-8 intervals ``(lo, hi, hi_included)``.
+def _row_spans(seg: _Segment, bounds: list[tuple[bytes, bytes | None]]) -> list[tuple[int, int]]:
+    """Byte spans of ``seg``'s lines whose rows lie in the ascending ``[lo, hi)`` ``bounds``.
 
-    Returns None for any other spec, which is then filtered with ``matches``.
+    ``hi`` None is unbounded above; touching spans merge.
     """
-    if isinstance(rows, KeyRange):
-        return [(rows.lo.encode("utf-8"), rows.hi.encode("utf-8"), True)]
-    if isinstance(rows, KeyPrefix):
-        # 0xFF never occurs in UTF-8: keys with the prefix sort below
-        # prefix + 0xFF, and every other key at or above the prefix above it.
-        prefix = rows.prefix.encode("utf-8")
-        return [(prefix, prefix + b"\xff", False)]
-    if isinstance(rows, KeySet):
-        return [(k, k, True) for k in (key.encode("utf-8") for key in rows.keys)]
-    return None
-
-
-def _row_spans(seg: _Segment, bounds: list[tuple[bytes, bytes, bool]]) -> list[tuple[int, int]]:
-    """Byte spans of ``seg``'s lines whose rows lie in ``bounds``; touching spans merge."""
     spans: list[tuple[int, int]] = []
     pos = seg.start
-    for lo, hi, hi_included in bounds:
-        first = _bisect_rows(seg.data, pos, seg.end, lo, False)
-        pos = _bisect_rows(seg.data, first, seg.end, hi, hi_included)
+    for lo, hi in bounds:
+        first = _bisect_rows(seg.data, pos, seg.end, lo)
+        pos = seg.end if hi is None else _bisect_rows(seg.data, first, seg.end, hi)
         if first < pos:
             if spans and spans[-1][1] == first:
                 first = spans.pop()[0]
@@ -366,8 +353,8 @@ def _row_spans(seg: _Segment, bounds: list[tuple[bytes, bytes, bool]]) -> list[t
     return spans
 
 
-def _bisect_rows(data: bytes, lo: int, hi: int, key: bytes, past_equal: bool) -> int:
-    """The first line start in ``data[lo:hi]`` whose row is >= ``key`` (> with ``past_equal``).
+def _bisect_rows(data: bytes, lo: int, hi: int, key: bytes) -> int:
+    """The first line start in ``data[lo:hi]`` whose row is >= ``key``.
 
     ``lo`` and ``hi`` are line starts, and the lines between them ascend by
     row.  A line's row is its bytes before the first TAB; whole lines are
@@ -380,17 +367,11 @@ def _bisect_rows(data: bytes, lo: int, hi: int, key: bytes, past_equal: bool) ->
         stop = data.index(b"\n", start)
         tab = data.find(b"\t", start, stop)
         row = data[start : stop if tab < 0 else tab]
-        if row < key or (past_equal and row == key):
+        if row < key:
             lo = stop + 1
         else:
             hi = start
     return lo
-
-
-def _segment_payload(records: list[tuple[str, str, Value | None]]) -> bytes:
-    lines = [SEGMENT_MAGIC]
-    lines.extend(_record_line(r, c, v) for r, c, v in records)
-    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _manifest_payload(names: list[str]) -> bytes:

@@ -4,9 +4,22 @@ from __future__ import annotations
 
 import random
 
-from aakit import AssociativeArray, is_empty_value
+from aakit import AssociativeArray, KeyPrefix, KeyRange, KeySet, is_empty_value
 
 KEY_POOL = [f"k{i:02d}" for i in range(12)] + ["édge", "中key", "a b", 'q"uote']
+
+MAXCP = "\U0010ffff"
+# (spec, keys, selected keys); each selects correctly only when the interval
+# helper strips trailing U+10FFFF, skips the surrogates and bounds hi with NUL.
+INTERVAL_EDGE_CASES = [
+    (KeyPrefix("a" + MAXCP), ["a", "a" + MAXCP, "a" + MAXCP + "z", "a" + MAXCP * 2, "b"],
+     ["a" + MAXCP, "a" + MAXCP + "z", "a" + MAXCP * 2]),
+    (KeyPrefix(MAXCP), ["z", "\ue000", MAXCP, MAXCP + "a"], [MAXCP, MAXCP + "a"]),
+    (KeyPrefix("a\ud7ff"), ["a", "a\ud7ff", "a\ud7ffz", "a\ue000", "b"], ["a\ud7ff", "a\ud7ffz"]),
+    (KeyRange("a", "b"), ["a", "b", "b\x00", "b\x00a", "c"], ["a", "b"]),
+    (KeySet(["b"]), ["a", "b", "b\x00", "b\x00a", "c"], ["b"]),
+    (KeySet([]), ["a", "b"], []),  # no interval at all
+]
 
 WORDS = ["red", "green", "blue", "Rock", "Pop", "", "x\ty"]  # "" dropped on build
 

@@ -164,6 +164,11 @@ def test_a_representable_semiring_zero_is_never_stored():
     assert arrayprod(a, b2, minmax).triples() == [("r", "y", 3.0)]
     folded = from_triples([("r", "c", 6.0), ("r", "c", 5.0), ("r", "d", 4.0), ("r", "e", 5.0)], minmax)
     assert folded.triples() == [("r", "d", 4.0)]
+    # a stored zero held by one operand only is dropped too
+    lone = aa({("r", "c"): 5.0})
+    assert eladd(lone, aa({}), minmax).triples() == []
+    assert eladd(aa({}), lone, minmax).triples() == []
+    assert eladd(lone, aa({("s", "c"): 1.0}), minmax).triples() == [("s", "c", 1.0)]
 
 
 # -- mask_select / delete_entries ------------------------------------------

@@ -243,6 +243,14 @@ def test_export_dot(tmp_path, genre_artist):
     assert text.endswith("}\n")
 
 
+def test_export_dot_to_stdout_matches_file(tmp_path, genre_artist, capsysbinary):
+    src = write_aat(tmp_path / "g.aat", genre_artist)
+    out = tmp_path / "g.dot"
+    assert run(["export-dot", src, "-o", str(out)]) == 0
+    assert run(["export-dot", src]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 # -- store -------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from aakit import (
 )
 from aakit.core import check_key, check_value
 
-from helpers import check_invariants
+from helpers import INTERVAL_EDGE_CASES, check_invariants
 
 
 # -- keys and values ---------------------------------------------------------
@@ -222,6 +223,65 @@ WIDE_KEYS = tuple(sorted(["a", "é", "éa", "中", "中文", ASTRAL, ASTRAL + "x
 ])
 def test_select_fixed_cases(spec, keys, want):
     assert spec.select(keys) == want == _filtered(spec, keys)
+
+
+# Code points at the edges of the interval arithmetic: NUL (the least key
+# character), the last one below the surrogates, the first above them, and
+# the greatest.
+EDGE_CHARS = ["\x00", "a", "b", "\ud7ff", "\ue000", "\U0010fffe", "\U0010ffff"]
+edge_keys_strategy = st.text(
+    st.sampled_from(EDGE_CHARS) | st.characters(codec="utf-8", exclude_characters="\t\n\r"),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _bisect_encoded(spec, keys):
+    """The keys in ``spec``'s intervals, found by bisecting UTF-8 bytes as the store does."""
+    encoded = sorted(k.encode("utf-8") for k in keys)
+    picked = []
+    for lo, hi in spec.intervals():
+        start = bisect_left(encoded, lo.encode("utf-8"))
+        end = len(encoded) if hi is None else bisect_left(encoded, hi.encode("utf-8"))
+        picked += encoded[start:end]
+    return [k.decode("utf-8") for k in picked]
+
+
+def _assert_ascending_disjoint(intervals):
+    for i, (lo, hi) in enumerate(intervals):
+        if hi is None:
+            assert i == len(intervals) - 1
+        else:
+            assert lo < hi
+        if i:
+            assert intervals[i - 1][1] <= lo
+
+
+@settings(max_examples=300)
+@given(keys=st.sets(edge_keys_strategy, max_size=25), data=st.data())
+def test_encoded_intervals_select_what_matches_selects(keys, data):
+    keys = tuple(sorted(keys))
+    pool = st.sampled_from(keys) | edge_keys_strategy if keys else edge_keys_strategy
+    picked = data.draw(st.lists(pool, max_size=8, unique=True))
+    lo, hi = sorted(data.draw(st.tuples(pool, pool)))
+    prefix = data.draw(pool)
+    shorter = prefix[: data.draw(st.integers(1, len(prefix)))]
+    for spec in (ALL, KeySet(picked), KeyRange(lo, hi), KeyPrefix(prefix), KeyPrefix(shorter)):
+        _assert_ascending_disjoint(spec.intervals())
+        want = _filtered(spec, keys)
+        assert _bisect_encoded(spec, keys) == want, spec
+        assert spec.select(keys) == want, spec
+
+
+@pytest.mark.parametrize("spec,keys,want", INTERVAL_EDGE_CASES)
+def test_interval_edge_cases(spec, keys, want):
+    keys = tuple(sorted(keys))
+    assert spec.select(keys) == want == _filtered(spec, keys)
+    assert _bisect_encoded(spec, keys) == want
+
+
+def test_user_spec_has_no_intervals():
+    assert KeySpec().intervals() is None
 
 
 class _EvenCodeSum(KeySpec):

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aakit import (
     ARITH,
@@ -14,7 +17,7 @@ from aakit import (
     symmetrize,
 )
 
-from helpers import NONZERO, random_numeric_array
+from helpers import KEY_POOL, NONZERO, check_invariants, random_numeric_array
 from oracles import bfs_oracle, correlate_oracle
 
 
@@ -34,6 +37,21 @@ def test_degree_col_counts(songs):
 
 def test_degree_empty():
     assert degree(AssociativeArray(), Axis.ROW) == AssociativeArray()
+
+
+@settings(max_examples=100)
+@given(cells=st.dictionaries(
+    st.tuples(st.sampled_from(KEY_POOL), st.sampled_from(KEY_POOL)),
+    st.one_of(st.integers(1, 9).map(float), st.sampled_from(["t", "x y"])),
+    max_size=40,
+))
+def test_degree_matches_counter_oracle(cells):
+    arr = AssociativeArray(cells)
+    for axis, side in ((Axis.ROW, 0), (Axis.COLUMN, 1)):
+        counts = Counter(cell[side] for cell in cells)
+        got = degree(arr, axis)
+        check_invariants(got)
+        assert got.triples() == [(k, "deg", float(counts[k])) for k in sorted(counts)]
 
 
 def test_correlate_genre_artist(genre_artist):

@@ -6,6 +6,7 @@ import pytest
 from aakit import LATTICE, AssociativeArray, from_triples
 from aakit.io import (
     FormatError,
+    encode_records,
     export_dot,
     format_number,
     parse_cell,
@@ -62,6 +63,10 @@ def test_format_number_round_trips():
     ("0x10", "0x10"),
     (" 2", " 2"),
     ("", ""),
+    # only ASCII digits make a number
+    ("\u0661\u0662", "\u0661\u0662"),
+    ("\uff13", "\uff13"),
+    ("1\u0665", "1\u0665"),
 ])
 def test_parse_cell(text, want):
     assert parse_cell(text) == want
@@ -119,7 +124,35 @@ def test_read_table_numeric_detection_is_full_cell():
     assert arr.get("r1", "z") == 100.0
 
 
+# Characters str.splitlines() breaks on that are not CSV line breaks.
+UNICODE_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("sep", UNICODE_LINE_BREAKS)
+def test_read_table_rows_break_on_cr_lf_only(sep, quoted):
+    cell = f'"a{sep}b"' if quoted else f"a{sep}b"
+    arr = read_table(buf(f"T,x,y\nr1,{cell},2\n"))
+    assert arr.triples() == [("r1", "x", f"a{sep}b"), ("r1", "y", 2.0)]
+
+
+def test_read_table_non_ascii_digits_stay_text():
+    arr = read_table(buf("T,x,y\nr1,\u0661\u0662,\uff13\n"))
+    assert arr.triples() == [("r1", "x", "\u0661\u0662"), ("r1", "y", "\uff13")]
+    out = io.BytesIO()
+    write_triples(arr, out)
+    assert out.getvalue().decode("utf-8").splitlines()[1:] == [
+        "r1\tx\tt\t\u0661\u0662", "r1\ty\tt\t\uff13"]
+
+
 # -- triple files -------------------------------------------------------------
+
+
+def test_encode_records_frames_every_kind_of_record():
+    records = [("a", "b", 1.5), ("a", "c", None), ("b", "c", "x\ty")]
+    assert encode_records("%aa-seg 1", records) == (
+        b"%aa-seg 1\na\tb\tn\t1.5\na\tc\tx\t\nb\tc\tt\tx\ty\n")
+    assert encode_records("%aa-triples 1", []) == b"%aa-triples 1\n"
 
 
 def test_write_triples_golden_bytes():
@@ -220,6 +253,10 @@ def test_parse_record_lines_tombstone_payload_rejected():
      "line 2: key 'b\\rz' contains a forbidden control character"),
     (b"%aa-triples 1\na\tb\tt\tone\rtwo\n",
      "line 2: text value 'one\\rtwo' contains a line break"),
+    # non-ASCII digits are no number, though float() accepts them
+    ("%aa-triples 1\na\tb\tn\t1\nc\td\tn\t\u0661\u0662\n".encode("utf-8"),
+     "line 3: unparseable number '\u0661\u0662'"),
+    ("%aa-triples 1\na\tb\tn\t\uff13\n".encode("utf-8"), "line 2: unparseable number '\uff13'"),
 ])
 def test_parse_record_lines_errors_name_the_line(data, message):
     with pytest.raises(FormatError) as exc:

@@ -17,7 +17,7 @@ from aakit.store import (
     open_store,
 )
 
-from helpers import KEY_POOL, check_invariants
+from helpers import INTERVAL_EDGE_CASES, KEY_POOL, check_invariants
 from oracles import store_fold_oracle
 
 
@@ -478,6 +478,15 @@ def test_every_edge_key_spec_matches_fold_oracle(tmp_path):
                 got = st.select(rows=rows)
                 check_invariants(got)
                 assert dict(got.items()) == _fold_select(fold, rows, ALL), rows
+            st.compact()
+
+
+@pytest.mark.parametrize("spec,keys,want", INTERVAL_EDGE_CASES)
+def test_interval_edge_cases_select_through_the_store(tmp_path, spec, keys, want):
+    with open_store(tmp_path / "t") as st:
+        st.insert(aa({(k, "x"): 1.0 for k in keys}))
+        for _ in range(2):  # an appended segment, then a compacted one
+            assert st.select(rows=spec).row_keys == tuple(want)
             st.compact()
 
 
