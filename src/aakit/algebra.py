@@ -8,7 +8,6 @@ no-empty-rows/columns property true by construction.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Iterable
 
 from .core import ALL, AssociativeArray, Axis, DomainError, KeySet, Semiring, Value, _kept
@@ -17,7 +16,7 @@ from .core import ALL, AssociativeArray, Axis, DomainError, KeySet, Semiring, Va
 def _require_numeric(arr: AssociativeArray, sr: Semiring, side: str) -> None:
     if not sr.numeric_only:
         return
-    for (r, c), v in arr.items():
+    for r, c, v in arr:
         if isinstance(v, str):
             raise DomainError(
                 f"semiring {sr.name!r} is numeric-only but {side} holds text at ({r!r}, {c!r})"
@@ -33,33 +32,35 @@ _SECOND = Semiring("second", lambda x, y: x, lambda x, y: y, None, None, False)
 def eladd(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> AssociativeArray:
     """Entry-wise addition: union of supports, collisions folded with sr.plus.
 
-    A linear merge of the two sorted entry streams: only folded collisions
-    are screened, and a one-sided cell only against a non-empty ``zero``.
+    Walks the sorted union of row keys: a row that only one operand holds
+    is shared as it is, and a row both hold is merged and its collisions
+    folded.  Only folded collisions are screened, and one-sided cells only
+    against a non-empty ``zero``.
     """
     _require_numeric(a, sr, "left operand")
     _require_numeric(b, sr, "right operand")
     plus, zero = sr.plus, sr.zero
-    out: dict[tuple[str, str], Value] = {}
-    rest_a, rest_b = iter(a.items()), iter(b.items())
-    ea, eb = next(rest_a, None), next(rest_b, None)
-    while ea is not None and eb is not None:
-        if ea[0] < eb[0]:
-            out[ea[0]] = ea[1]
-            ea = next(rest_a, None)
-        elif eb[0] < ea[0]:
-            out[eb[0]] = eb[1]
-            eb = next(rest_b, None)
+    a_rows, b_rows = a._rows, b._rows
+    out: dict[str, dict[str, Value]] = {}
+    for r in sorted(a_rows.keys() | b_rows.keys()):
+        ra, rb = a_rows.get(r), b_rows.get(r)
+        if ra is None or rb is None:
+            row = ra or rb
         else:
-            v = plus(ea[1], eb[1])
-            if _kept(ea[0], v, zero):
-                out[ea[0]] = v
-            ea, eb = next(rest_a, None), next(rest_b, None)
-    for entry, rest in ((ea, rest_a), (eb, rest_b)):
-        if entry is not None:
-            out[entry[0]] = entry[1]
-            out.update(rest)
-    if zero:
-        out = {cell: v for cell, v in out.items() if v != zero}
+            row = {**ra, **rb}
+            if len(row) > len(ra):  # b adds columns: restore column order
+                row = {c: row[c] for c in sorted(row)}
+            for c, va in ra.items():
+                if c in rb:
+                    v = plus(va, rb[c])
+                    if _kept(r, c, v, zero):
+                        row[c] = v
+                    else:
+                        del row[c]
+        if zero:
+            row = {c: v for c, v in row.items() if v != zero}
+        if row:
+            out[r] = row
     return AssociativeArray._from_sorted(out)
 
 
@@ -68,14 +69,18 @@ def elmult(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associativ
     _require_numeric(a, sr, "left operand")
     _require_numeric(b, sr, "right operand")
     times, zero = sr.times, sr.zero
-    out: dict[tuple[str, str], Value] = {}
-    for cell, va in a.items():
-        vb = b.get(*cell)
-        if vb is None:
-            continue
-        v = times(va, vb)
-        if _kept(cell, v, zero):
-            out[cell] = v
+    a_rows, b_rows = a._rows, b._rows
+    out: dict[str, dict[str, Value]] = {}
+    for r in sorted(a_rows.keys() & b_rows.keys()):
+        ra, rb = a_rows[r], b_rows[r]
+        row = {}
+        for c, va in ra.items():
+            if c in rb:
+                v = times(va, rb[c])
+                if _kept(r, c, v, zero):
+                    row[c] = v
+        if row:
+            out[r] = row
     return AssociativeArray._from_sorted(out)
 
 
@@ -87,38 +92,48 @@ def arrayprod(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associa
     the semiring's zero (or a canonical empty) are not stored.
 
     The product is built one row of a at a time (Gustavson's row-wise
-    scheme): a's entries come grouped by row in ascending (row, col)
-    order, so each row accumulates into a dict keyed by column alone,
-    and only that row's columns need sorting before it is emitted.  The
-    rows of b come from b's cached row index, so repeated products with
-    the same b build it once.
+    scheme): each (k, a(i,k)) of row i scales b's row k into a dict keyed
+    by column alone, and only that row's columns need sorting before it
+    is emitted.
     """
     _require_numeric(a, sr, "left operand")
     _require_numeric(b, sr, "right operand")
-    b_rows = b._by_row()
+    b_rows = b._rows
     plus, times, zero = sr.plus, sr.times, sr.zero
-    out: dict[tuple[str, str], Value] = {}
-    for i, row in groupby(a.items(), key=lambda entry: entry[0][0]):
+    out: dict[str, dict[str, Value]] = {}
+    for i, ra in a._rows.items():
         acc: dict[str, Value] = {}
-        for (_, k), av in row:
-            for j, bv in b_rows.get(k, ()):
+        for k, av in ra.items():
+            for j, bv in b_rows.get(k, {}).items():
                 term = times(av, bv)
                 acc[j] = plus(acc[j], term) if j in acc else term
-        for j in sorted(acc):
-            cell, v = (i, j), acc[j]
-            if _kept(cell, v, zero):
-                out[cell] = v
+        row = {j: acc[j] for j in sorted(acc) if _kept(i, j, acc[j], zero)}
+        if row:
+            out[i] = row
     return AssociativeArray._from_sorted(out)
 
 
 def mask_select(t: AssociativeArray, mask: AssociativeArray) -> AssociativeArray:
-    """Entries of t whose cell is present in mask; values come from t."""
-    return AssociativeArray._from_sorted({cell: v for cell, v in t.items() if cell in mask})
+    """Entries of t whose cell is present in mask; values come from t.
+
+    The element-wise product of mask and t under the pass-through semiring.
+    """
+    return elmult(mask, t, _SECOND)
 
 
 def delete_entries(t: AssociativeArray, mask: AssociativeArray) -> AssociativeArray:
-    """Entries of t whose cell is absent from mask; complement of mask_select."""
-    return AssociativeArray._from_sorted({cell: v for cell, v in t.items() if cell not in mask})
+    """Entries of t whose cell is absent from mask; complement of mask_select.
+
+    A row the mask does not touch is shared as it is.
+    """
+    m_rows = mask._rows
+    out: dict[str, dict[str, Value]] = {}
+    for r, row in t._rows.items():
+        if r in m_rows:
+            row = {c: v for c, v in row.items() if c not in m_rows[r]}
+        if row:
+            out[r] = row
+    return AssociativeArray._from_sorted(out)
 
 
 def perm_select(t: AssociativeArray, keys: Iterable[str], axis: Axis) -> AssociativeArray:

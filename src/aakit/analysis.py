@@ -43,16 +43,12 @@ class DenseProjection:
 
 
 def to_dense(arr: AssociativeArray) -> DenseProjection:
-    rows = arr.row_keys
-    cols = arr.col_keys
-    row_index = {r: i for i, r in enumerate(rows)}
-    col_index = {c: j for j, c in enumerate(cols)}
-    grid = [[0.0] * len(cols) for _ in rows]
     for r, c, v in arr:
         if isinstance(v, str):
             raise DomainError(f"dense projection needs numbers, found text at ({r!r}, {c!r})")
-        grid[row_index[r]][col_index[c]] = v
-    return DenseProjection(rows, cols, tuple(tuple(row) for row in grid))
+    cols = arr.col_keys
+    cells = tuple(tuple(row.get(c, 0.0) for c in cols) for row in arr._rows.values())
+    return DenseProjection(arr.row_keys, cols, cells)
 
 
 def _check_tol(tol: float) -> None:
@@ -128,7 +124,7 @@ def null_space(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> AssociativeAr
         return AssociativeArray()
     m, pivots = _rref([list(row) for row in dense.cells], tol * _max_abs_cell(dense))
     free = [c for c in range(ncols) if c not in set(pivots)]
-    entries: dict[tuple[str, str], Value] = {}
+    rows: dict[str, dict[str, Value]] = {}
     for idx, f in enumerate(free, start=1):
         vec = [0.0] * ncols
         vec[f] = 1.0
@@ -136,10 +132,9 @@ def null_space(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> AssociativeAr
             vec[pc] = -m[row_i][f]
         norm = math.sqrt(sum(x * x for x in vec))
         name = f"ns{idx}"
-        for j, x in enumerate(vec):
-            if x != 0.0:
-                entries[(dense.col_order[j], name)] = x / norm
-    return AssociativeArray._from_clean(entries)
+        for j, x in enumerate(vec):  # the builder drops the zeros
+            rows.setdefault(dense.col_order[j], {})[name] = x / norm
+    return AssociativeArray._from_clean(rows)
 
 
 def products_unique(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> bool:
@@ -183,9 +178,7 @@ def _matvec(cells, v):
 
 
 def _vector_array(order, v) -> AssociativeArray:
-    return AssociativeArray._from_clean(
-        {(k, "v1"): x for k, x in zip(order, v) if x != 0.0}
-    )
+    return AssociativeArray._from_clean({k: {"v1": x} for k, x in zip(order, v)})
 
 
 def dominant_eigenpair(

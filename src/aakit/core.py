@@ -6,15 +6,20 @@ never stored, so row and column key sets are always derivable from the
 entries and no row or column can be entirely empty.  Keys compare
 bytewise on their UTF-8 encoding (identical to Python's str ordering).
 Arrays are immutable; every operation returns a new array.
+
+An array holds its cells once, as row dicts (row key -> column key ->
+value): rows ascend by key, each row's columns ascend, and no row is
+empty.  No row dict changes once an array holds it, so a result shares
+the rows it leaves unchanged with its operands.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping
 
 Value = float | str
@@ -90,8 +95,8 @@ def value_sort_key(value: Value) -> tuple[int, float | str]:
     return (0, value)
 
 
-def _kept(cell: tuple[str, str], v: Value, zero: float | None = None) -> bool:
-    """Screen one computed value before it is stored at ``cell``.
+def _kept(row: str, col: str, v: Value, zero: float | None = None) -> bool:
+    """Screen one computed value before it is stored at (``row``, ``col``).
 
     False for a canonical empty or the semiring's ``zero`` (the value is
     dropped), BadValueError naming the cell for a non-finite number, else
@@ -100,7 +105,7 @@ def _kept(cell: tuple[str, str], v: Value, zero: float | None = None) -> bool:
     if not v or v == zero:
         return False
     if isinstance(v, float) and not math.isfinite(v):
-        raise BadValueError(f"operation produced a non-finite number at {cell!r}")
+        raise BadValueError(f"operation produced a non-finite number at {(row, col)!r}")
     return True
 
 
@@ -277,75 +282,63 @@ class AssociativeArray:
     iterate in ascending (row, col) order.
     """
 
-    __slots__ = ("_entries", "_rows", "_cols", "_row_index")
+    __slots__ = ("_rows", "_cols")
 
     def __init__(self, entries: Mapping[tuple[str, str], Value] = {}):
-        self._entries = from_triples(((r, c, v) for (r, c), v in entries.items()), LATTICE)._entries
-        self._rows: tuple[str, ...] | None = None
+        self._rows = from_triples(((r, c, v) for (r, c), v in entries.items()), LATTICE)._rows
         self._cols: tuple[str, ...] | None = None
-        self._row_index: dict[str, list[tuple[str, Value]]] | None = None
 
     @classmethod
     def _from_clean(
-        cls, entries: dict[tuple[str, str], Value], zero: float | None = None
+        cls, rows: dict[str, dict[str, Value]], zero: float | None = None
     ) -> "AssociativeArray":
-        """Sort ``entries``, screen each value with ``_kept``, and wrap the result.
+        """Sort ``rows`` and each row's columns, screen each value with ``_kept``, and wrap them.
 
         For internal callers whose keys are already valid (they came out of
         existing arrays or passed ``check_key``) but whose values are
-        computed and may be empty, ``zero`` or non-finite.
+        computed and may be empty, ``zero``, None or non-finite.  Rows left
+        empty are dropped; the dicts passed in are not kept.
         """
-        return cls._from_sorted(
-            {cell: entries[cell] for cell in sorted(entries) if _kept(cell, entries[cell], zero)}
-        )
+        out: dict[str, dict[str, Value]] = {}
+        for r in sorted(rows):
+            row = rows[r]
+            kept = {c: row[c] for c in sorted(row) if _kept(r, c, row[c], zero)}
+            if kept:
+                out[r] = kept
+        return cls._from_sorted(out)
 
     @classmethod
-    def _from_sorted(cls, entries: dict[tuple[str, str], Value]) -> "AssociativeArray":
-        """Wrap ``entries`` as an array without checking or copying them.
+    def _from_sorted(cls, rows: dict[str, dict[str, Value]]) -> "AssociativeArray":
+        """Wrap ``rows`` (row key -> column key -> value) as an array, unchecked and uncopied.
 
         The caller guarantees the array invariants: every key passed
-        ``check_key``, every value is non-empty and storable (a finite
-        float or line-break-free text), and the dict iterates in ascending
-        (row, col) order with no repeated cell.  Nothing is sorted or
-        screened here, and the dict becomes the array's own storage.
+        ``check_key``; every value is non-empty and storable (a finite
+        float or line-break-free text); rows iterate in ascending key
+        order, and so do the columns within each row; no row is empty.
+        Nothing is sorted or screened here.  ``rows`` and its row dicts
+        become the array's storage and are never changed again, so other
+        arrays may share them: a kernel copies a row it changes.
         """
         arr = cls.__new__(cls)
-        arr._entries = entries
-        arr._rows = None
+        arr._rows = rows
         arr._cols = None
-        arr._row_index = None
         return arr
 
     # -- plain queries ----------------------------------------------------
 
     @property
     def nnz(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._rows.values()))
 
     @property
     def row_keys(self) -> tuple[str, ...]:
-        if self._rows is None:
-            self._rows = tuple(sorted({r for r, _ in self._entries}))
-        return self._rows
+        return tuple(self._rows)
 
     @property
     def col_keys(self) -> tuple[str, ...]:
         if self._cols is None:
-            self._cols = tuple(sorted({c for _, c in self._entries}))
+            self._cols = tuple(sorted(set().union(*self._rows.values())))
         return self._cols
-
-    def _by_row(self) -> dict[str, list[tuple[str, Value]]]:
-        """Row key -> that row's ``(column key, value)`` pairs, in entry order.
-
-        Built on first use and kept, like ``row_keys``; the array is
-        immutable, so it never goes stale.  Callers must not mutate it.
-        Pairs, not whole entries, keep the product's inner loop lean.
-        """
-        if self._row_index is None:
-            self._row_index = index = {}
-            for (r, c), v in self._entries.items():
-                index.setdefault(r, []).append((c, v))
-        return self._row_index
 
     def keys(self, axis: Axis) -> tuple[str, ...]:
         """Sorted keys with at least one entry on the given axis."""
@@ -353,16 +346,16 @@ class AssociativeArray:
 
     def get(self, row: str, col: str, default=None):
         """Value at (row, col), or ``default`` when the cell is empty."""
-        return self._entries.get((row, col), default)
+        return self._rows.get(row, {}).get(col, default)
 
-    def items(self):
-        return self._entries.items()
+    def items(self) -> list[tuple[tuple[str, str], Value]]:
+        return [((r, c), v) for r, row in self._rows.items() for c, v in row.items()]
 
-    def support(self):
-        return self._entries.keys()
+    def support(self) -> list[tuple[str, str]]:
+        return [(r, c) for r, row in self._rows.items() for c in row]
 
     def triples(self) -> list[Triple]:
-        return [(r, c, v) for (r, c), v in self._entries.items()]
+        return [(r, c, v) for r, row in self._rows.items() for c, v in row.items()]
 
     # -- derived arrays ---------------------------------------------------
 
@@ -370,55 +363,55 @@ class AssociativeArray:
         """Entries whose row key matches ``rows`` and column key matches ``cols``.
 
         Surviving entries keep their original keys.  Specs are resolved
-        against the sorted keys; selected rows come from the row index.
+        against the sorted keys; a row select shares the selected rows.
         """
-        wanted = None if isinstance(cols, AllKeys) else set(cols.select(self.col_keys))
-        picked = self._entries.items()
+        picked = self._rows
         if not isinstance(rows, AllKeys):
-            index = self._by_row()
-            picked = (((r, c), v) for r in rows.select(self.row_keys) for c, v in index[r])
-        return AssociativeArray._from_sorted(
-            dict(picked) if wanted is None else {cell: v for cell, v in picked if cell[1] in wanted}
-        )
+            picked = {r: picked[r] for r in rows.select(self.row_keys)}
+        if not isinstance(cols, AllKeys):
+            wanted = set(cols.select(self.col_keys))
+            picked = {
+                r: {c: v for c, v in row.items() if c in wanted}
+                for r, row in picked.items()
+                if not wanted.isdisjoint(row)  # build only rows that keep a cell
+            }
+        return AssociativeArray._from_sorted(picked)
 
     def transpose(self) -> "AssociativeArray":
-        # Bucket by column: rows arrive ascending within each bucket, so only
-        # the distinct column keys need sorting.
-        buckets: defaultdict[str, list] = defaultdict(list)
-        for (r, c), v in self._entries.items():
-            buckets[c].append(((c, r), v))
-        out: dict[tuple[str, str], Value] = {}
-        for c in sorted(buckets):
-            out.update(buckets[c])
-        return AssociativeArray._from_sorted(out)
+        # Rows arrive ascending, so each column's new row fills in order and
+        # only the column keys need sorting.
+        out: dict[str, dict[str, Value]] = {}
+        for r, row in self._rows.items():
+            for c, v in row.items():
+                out.setdefault(c, {})[r] = v
+        return AssociativeArray._from_sorted({c: out[c] for c in sorted(out)})
 
     def logical(self) -> "AssociativeArray":
         """Same support, every value replaced by 1.0."""
-        return AssociativeArray._from_sorted(dict.fromkeys(self._entries, 1.0))
+        return AssociativeArray._from_sorted(
+            {r: dict.fromkeys(row, 1.0) for r, row in self._rows.items()}
+        )
 
     # -- dunder support ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.nnz
 
     def __iter__(self) -> Iterator[Triple]:
-        for (r, c), v in self._entries.items():
-            yield r, c, v
+        return ((r, c, v) for r, row in self._rows.items() for c, v in row.items())
 
     def __contains__(self, cell: tuple[str, str]) -> bool:
-        return cell in self._entries
+        return cell[1] in self._rows.get(cell[0], ())
 
     def __eq__(self, other):
         if not isinstance(other, AssociativeArray):
             return NotImplemented
-        return self._entries == other._entries
+        return self._rows == other._rows
 
     __hash__ = None  # mutable-looking container semantics
 
     def __repr__(self):
-        shown = ", ".join(
-            f"({r!r}, {c!r}): {v!r}" for (r, c), v in list(self._entries.items())[:4]
-        )
+        shown = ", ".join(f"({r!r}, {c!r}): {v!r}" for r, c, v in islice(self, 4))
         if self.nnz > 4:
             shown += f", ... {self.nnz} entries"
         return f"AssociativeArray({{{shown}}})"
@@ -434,19 +427,19 @@ def from_triples(
     numeric-only combiner raises DomainError only when text is actually
     asked to combine (a lone text triple is fine).
     """
-    acc: dict[tuple[str, str], Value] = {}
+    acc: dict[str, dict[str, Value]] = {}
     for r, c, v in triples:
         r = check_key(r)
         c = check_key(c)
         v = check_value(v)
-        cell = (r, c)
-        if cell in acc:
-            a = acc[cell]
+        row = acc.setdefault(r, {})
+        if c in row:
+            a = row[c]
             if combiner.numeric_only and (isinstance(a, str) or isinstance(v, str)):
                 raise DomainError(
-                    f"semiring {combiner.name!r} cannot combine text at cell {cell!r}"
+                    f"semiring {combiner.name!r} cannot combine text at cell {(r, c)!r}"
                 )
-            acc[cell] = combiner.plus(a, v)
+            row[c] = combiner.plus(a, v)
         else:
-            acc[cell] = v
+            row[c] = v
     return AssociativeArray._from_clean(acc, combiner.zero)

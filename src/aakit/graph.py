@@ -8,7 +8,7 @@ under a pass-through semiring.
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
+from itertools import chain
 from typing import Iterable
 
 from .algebra import _SECOND, arrayprod, eladd
@@ -17,10 +17,11 @@ from .core import ARITH, MAXMIN, AssociativeArray, Axis
 
 def degree(arr: AssociativeArray, axis: Axis) -> AssociativeArray:
     """Entry counts per key on an axis, as a single-column array under "deg"."""
-    # Entries come in row order, so only column keys need sorting.
-    counts = Counter(map(itemgetter(0 if axis is Axis.ROW else 1), arr.support()))
-    keys = counts if axis is Axis.ROW else sorted(counts)
-    return AssociativeArray._from_sorted({(k, "deg"): float(counts[k]) for k in keys})
+    if axis is Axis.ROW:
+        counts = {r: len(row) for r, row in arr._rows.items()}
+    else:
+        counts = Counter(chain.from_iterable(arr._rows.values()))
+    return AssociativeArray._from_sorted({k: {"deg": float(counts[k])} for k in sorted(counts)})
 
 
 def correlate(arr: AssociativeArray) -> AssociativeArray:
@@ -51,9 +52,7 @@ def bfs(arr: AssociativeArray, sources: Iterable[str], steps: int) -> Associativ
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps!r}")
     present = set(arr.row_keys) | set(arr.col_keys)
-    frontier = AssociativeArray._from_clean(
-        {("front", s): 1.0 for s in dict.fromkeys(sources) if s in present}
-    )
+    frontier = AssociativeArray._from_clean({"front": {s: 1.0 for s in sources if s in present}})
     for _ in range(steps):
         frontier = arrayprod(frontier, arr, _SECOND).logical()
     return frontier

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import re
 from io import StringIO
-from itertools import islice
 from typing import BinaryIO, Iterable
 
 from .core import (
@@ -85,8 +83,7 @@ def read_table(source: BinaryIO) -> AssociativeArray:
     if len(set(col_keys)) != len(col_keys):
         raise FormatError("duplicate column key in header")
 
-    entries: dict[tuple[str, str], Value] = {}
-    seen_rows: set[str] = set()
+    rows: dict[str, dict[str, Value]] = {}
     try:
         for record in reader:
             if not record:
@@ -96,21 +93,21 @@ def read_table(source: BinaryIO) -> AssociativeArray:
                 check_key(row_key)
             except BadKeyError as exc:
                 raise FormatError(f"bad row key: {exc}") from None
-            if row_key in seen_rows:
+            if row_key in rows:
                 raise FormatError(f"duplicate row key {row_key!r}")
-            seen_rows.add(row_key)
             if len(record) - 1 > len(col_keys):
                 raise FormatError(f"row {row_key!r} has more cells than the header")
+            row = rows[row_key] = {}
             for j, cell in enumerate(record[1:]):
                 if cell == "":
                     continue
                 try:
-                    entries[(row_key, col_keys[j])] = check_value(parse_cell(cell))
+                    row[col_keys[j]] = check_value(parse_cell(cell))
                 except BadValueError as exc:
                     raise FormatError(f"row {row_key!r}: {exc}") from None
     except csv.Error as exc:
         raise FormatError(f"malformed CSV: {exc}") from None
-    return AssociativeArray._from_clean(entries)
+    return AssociativeArray._from_clean(rows)
 
 
 def record_span(data: bytes, magic: str, *, lenient_tail: bool = False) -> tuple[int, int, bool]:
@@ -218,15 +215,12 @@ def read_triples(source: BinaryIO) -> AssociativeArray:
     records = parse_record_lines(data, start, end)
     del data
     plus = LATTICE.plus
-    acc: dict[tuple[str, str], Value] = {}
+    rows: dict[str, dict[str, Value]] = {}
     for r, c, v in records:
-        cell = (r, c)
-        acc[cell] = plus(acc[cell], v) if cell in acc else v
+        row = rows.setdefault(r, {})
+        row[c] = plus(row[c], v) if c in row else v
     del records
-    if not all(map(operator.lt, acc, islice(acc, 1, None))):
-        acc = {cell: acc[cell] for cell in sorted(acc)}
-    # Parsed values are finite floats or text, so falsy means empty.
-    return AssociativeArray._from_sorted({cell: v for cell, v in acc.items() if v})
+    return AssociativeArray._from_clean(rows)
 
 
 def _record_line(row: str, col: str, value: Value | None) -> str:

@@ -18,7 +18,7 @@ def identity_from_keys(keys: Iterable[str]) -> AssociativeArray:
     ks = tuple(check_key(k) for k in keys)
     if len(set(ks)) != len(ks):
         raise ValueError("duplicate key passed to identity_from_keys")
-    return AssociativeArray._from_clean({(k, k): 1.0 for k in ks})
+    return AssociativeArray._from_clean({k: {k: 1.0} for k in ks})
 
 
 def perm_from_pairs(pairs: Iterable[tuple[str, str]]) -> AssociativeArray:
@@ -27,20 +27,18 @@ def perm_from_pairs(pairs: Iterable[tuple[str, str]]) -> AssociativeArray:
     Raises ValueError if any row key or any column key repeats, since that
     would break the bijection on the support.
     """
-    entries: dict[tuple[str, str], float] = {}
-    rows_seen: set[str] = set()
+    rows: dict[str, dict[str, float]] = {}
     cols_seen: set[str] = set()
     for r, c in pairs:
         r = check_key(r)
         c = check_key(c)
-        if r in rows_seen:
+        if r in rows:
             raise ValueError(f"duplicate row key {r!r} in permutation pairs")
         if c in cols_seen:
             raise ValueError(f"duplicate column key {c!r} in permutation pairs")
-        rows_seen.add(r)
         cols_seen.add(c)
-        entries[(r, c)] = 1.0
-    return AssociativeArray._from_clean(entries)
+        rows[r] = {c: 1.0}
+    return AssociativeArray._from_clean(rows)
 
 
 def is_permutation(arr: AssociativeArray) -> bool:

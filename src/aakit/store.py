@@ -101,6 +101,8 @@ class TableStore:
         open creates nothing and raises StoreError when the directory is
         missing.  When the lock is already held elsewhere, the handle
         silently degrades to read-only; check the ``read_only`` attribute.
+        Its writes then raise ReadOnlyError naming the LOCK file and the
+        PID written in it.
         Only the lock holder writes a missing MANIFEST; any other open of
         a directory without one raises StoreError.
         """
@@ -110,20 +112,21 @@ class TableStore:
         elif not path.is_dir():
             raise StoreError(f"no table directory at {str(path)!r}")
 
-        holds_lock = False
+        holds_lock, holder = False, ""
         if not read_only:
             try:
                 fd = os.open(path / LOCK_NAME, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
                 os.write(fd, f"{os.getpid()}\n".encode("ascii"))
                 os.close(fd)
                 holds_lock = True
-            except FileExistsError:
-                pass  # another writer; degrade to read-only
+            except FileExistsError:  # another writer; degrade to read-only
+                holder = _lock_holder(path / LOCK_NAME)
 
         self = cls.__new__(cls)
         self.path = path
         self.read_only = not holds_lock
         self._holds_lock = holds_lock
+        self._holder = holder
         self._closed = False
         try:
             manifest = path / MANIFEST_NAME
@@ -189,48 +192,43 @@ class TableStore:
             warnings.warn(f"segment {name}: {action}", RuntimeWarning, stacklevel=4)
         return _Segment(name, data, start, end)
 
-    def _records(self, seg: _Segment, span: tuple[int, int]) -> dict[tuple[str, str], Value | None]:
+    def _records(self, seg: _Segment, span: tuple[int, int]) -> list[tuple[str, str, Value | None]]:
         """Parse ``seg.data[span[0]:span[1]]``; its cells must strictly ascend."""
         try:
             records = parse_record_lines(seg.data, *span, allow_tombstones=True)
         except FormatError as exc:
             raise StoreError(f"segment {seg.name}: {exc}") from None
-        part = {(r, c): v for r, c, v in records}
-        if len(part) != len(records) or not all(map(operator.lt, part, islice(part, 1, None))):
-            i = next(i for i in range(1, len(records)) if records[i - 1][:2] >= records[i][:2])
+        cells = [record[:2] for record in records]
+        if not all(map(operator.lt, cells, islice(cells, 1, None))):
+            i = next(i for i in range(1, len(cells)) if cells[i - 1] >= cells[i])
             lineno = line_number(seg.data, span[0]) + i
             raise StoreError(f"segment {seg.name}: line {lineno}: record out of (row, col) order")
-        return part
+        return records
 
     # -- queries -----------------------------------------------------------
 
     def select(self, rows: KeySpec = ALL, cols: KeySpec = ALL) -> AssociativeArray:
-        """Materialize live content filtered by the key specs.
+        """Materialize live content filtered by the key specs: the stored table's subarray.
 
         Each segment is read only on the row spec's key intervals; a row
-        spec without intervals reads every line and filters with ``matches``.
+        spec without intervals reads every line, and ``subarray`` filters.
         """
         self._require_open()
-        intervals, keep_row = rows.intervals(), None
+        intervals = rows.intervals()
         if intervals is None:
-            intervals, keep_row = ALL.intervals(), rows.matches
+            intervals = ALL.intervals()
         # hi is None (unbounded) or a non-empty key.
         bounds = [(lo.encode("utf-8"), hi and hi.encode("utf-8")) for lo, hi in intervals]
-        fold: dict[tuple[str, str], Value | None] = {}
+        fold: dict[str, dict[str, Value | None]] = {}
         for seg in self._snapshot:
             for span in _row_spans(seg, bounds):
-                fold.update(self._records(seg, span))
-        keep_col = None if isinstance(cols, AllKeys) else cols.matches
-        # Parsed values are finite floats, text or None, so falsy means
-        # empty or deleted.
-        live = {
-            cell: v
-            for cell, v in fold.items()
-            if v
-            and (keep_row is None or keep_row(cell[0]))
-            and (keep_col is None or keep_col(cell[1]))
-        }
-        return AssociativeArray._from_sorted({cell: live[cell] for cell in sorted(live)})
+                for r, c, v in self._records(seg, span):
+                    fold.setdefault(r, {})[c] = v
+        if not isinstance(cols, AllKeys):
+            keep = cols.matches
+            fold = {r: {c: v for c, v in row.items() if keep(c)} for r, row in fold.items()}
+        # The builder drops the tombstones (None) with the empties.
+        return AssociativeArray._from_clean(fold).subarray(rows)
 
     @property
     def segments(self) -> tuple[str, ...]:
@@ -315,7 +313,7 @@ class TableStore:
     def _require_writer(self) -> None:
         self._require_open()
         if self.read_only:
-            raise ReadOnlyError(f"table {str(self.path)!r} is open read-only")
+            raise ReadOnlyError(f"table {str(self.path)!r} is open read-only{self._holder}")
 
     def _next_segment_name(self) -> str:
         highest = 0
@@ -372,6 +370,15 @@ def _bisect_rows(data: bytes, lo: int, hi: int, key: bytes) -> int:
         else:
             hi = start
     return lo
+
+
+def _lock_holder(lock: Path) -> str:
+    """``lock`` and the PID its writer wrote into it, as read now: a suffix for errors."""
+    try:
+        pid = lock.read_text("ascii", "replace").strip()
+    except FileNotFoundError:  # the holder closed since
+        pid = ""
+    return f": {str(lock)!r} is held by " + (f"PID {pid}" if pid.isdigit() else "an unknown PID")
 
 
 def _manifest_payload(names: list[str]) -> bytes:

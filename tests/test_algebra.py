@@ -290,6 +290,8 @@ def test_arrayprod_identity_roundtrip():
         a = random_numeric_array(rng, NONZERO, 6, 6)
         left = identity_from_keys(a.row_keys)
         right = identity_from_keys(a.col_keys)
+        check_invariants(left)
+        check_invariants(right)
         assert arrayprod(left, a, ARITH) == a
         assert arrayprod(a, right, ARITH) == a
 
@@ -347,10 +349,14 @@ def test_perm_select_duality_fuzz():
         t = random_mixed_array(rng)
         pool = list(t.row_keys) + ["zz", "aa"]
         ks = rng.sample(pool, rng.randint(0, len(pool)))
-        assert perm_select(t, ks, Axis.ROW) == t.subarray(KeySet(ks), ALL)
+        got = perm_select(t, ks, Axis.ROW)
+        check_invariants(got)
+        assert got == t.subarray(KeySet(ks), ALL)
         pool = list(t.col_keys) + ["zz"]
         ks = rng.sample(pool, rng.randint(0, len(pool)))
-        assert perm_select(t, ks, Axis.COLUMN) == t.subarray(ALL, KeySet(ks))
+        got = perm_select(t, ks, Axis.COLUMN)
+        check_invariants(got)
+        assert got == t.subarray(ALL, KeySet(ks))
 
 
 def test_pass_through_product_keeps_the_smallest_k():

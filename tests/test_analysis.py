@@ -23,6 +23,7 @@ from aakit import (
     to_dense,
 )
 
+from helpers import check_invariants
 from oracles import fraction_rank, jacobi_eigenvalues
 
 
@@ -135,6 +136,7 @@ def test_null_space_unit_norm_and_annihilation():
         if arr.nnz == 0:
             continue
         ns = null_space(arr)
+        check_invariants(ns)
         dense = to_dense(arr)
         nullity = len(dense.col_order) - fraction_rank(
             [[int(x) for x in row] for row in dense.cells])
@@ -252,6 +254,7 @@ def test_eigen_matches_jacobi_oracle_sample():
         if len(arr.row_keys) != n or arr.row_keys != arr.col_keys:
             continue
         res = dominant_eigenpair(arr, tol=1e-10, maxiter=100000)
+        check_invariants(res.eigenvector)
         assert res.eigenvalue == pytest.approx(by_mag[0], rel=1e-6, abs=1e-9)
         assert res.residual <= 1e-6
 

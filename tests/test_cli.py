@@ -273,6 +273,17 @@ def test_store_lifecycle(tmp_path, capsys):
     assert capsys.readouterr().out == "segments 2 -> 1\n"
 
 
+def test_store_write_under_a_held_lock_names_the_holder(tmp_path, capsys):
+    table = tmp_path / "table"
+    batch = write_aat(tmp_path / "b.aat", aa({("a", "x"): 1.0}))
+    assert run(["store", "init", str(table)]) == 0
+    (table / "LOCK").write_text("999999\n")
+    assert run(["store", "insert", str(table), batch]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("aakit: ") and err.count("\n") == 1
+    assert str(table / "LOCK") in err and "PID 999999" in err
+
+
 def test_store_select_missing_table_is_exit_1(tmp_path, capsys):
     missing = tmp_path / "typo"
     assert run(["store", "select", str(missing)]) == 1

@@ -24,12 +24,17 @@ from aakit import (
     KeySpec,
     arrayprod,
     bfs,
+    correlate,
+    degree,
+    delete_entries,
     eladd,
     elmult,
     from_triples,
     get_semiring,
     is_empty_value,
+    mask_select,
     perm_select,
+    symmetrize,
     value_sort_key,
 )
 from aakit.core import check_key, check_value
@@ -485,19 +490,40 @@ def test_subarray_never_grows(arr, seed):
 def test_operations_leave_operands_untouched(songs):
     before = songs.triples()
     rows = tuple(sorted({r for r, _, _ in before}))
-    songs.subarray(KeyPrefix("0530"), ALL)
-    songs.subarray(KeySet(["063012ktnA1"]), KeyRange("Artist", "Date"))
-    songs.transpose()
-    songs.logical()
-    perm_select(songs, ["082812ktnA1", "053013ktnA2"], Axis.ROW)
-    perm_select(songs, ["Genre"], Axis.COLUMN)
-    bfs(songs, ["053013ktnA1"], 2)
-    arrayprod(songs, songs.transpose(), LATTICE)
-    arrayprod(songs.transpose(), songs, LATTICE)
-    eladd(songs, songs, LATTICE)
-    elmult(songs, songs, LATTICE)
+    cols = tuple(sorted({c for _, c, _ in before}))
+    # Built first; upper, lower and joined hold songs' own row dicts.
+    upper = songs.subarray(KeyPrefix("0530"), ALL)
+    lower = songs.subarray(KeyRange("06", "09"), ALL)
+    joined = eladd(upper, lower, LATTICE)  # each row comes from one operand
+    mask = songs.subarray(KeyPrefix("0530"), KeySet(["Artist", "Genre"]))
+    producers = [
+        lambda: songs.subarray(KeySet(["063012ktnA1"]), KeyRange("Artist", "Date")),
+        lambda: songs.subarray(ALL, KeySet(["Genre", "Artist"])),
+        songs.transpose,
+        songs.logical,
+        lambda: perm_select(songs, ["082812ktnA1", "053013ktnA2"], Axis.ROW),
+        lambda: perm_select(songs, ["Genre"], Axis.COLUMN),
+        lambda: bfs(songs, ["053013ktnA1"], 2),
+        lambda: arrayprod(songs, songs.transpose(), LATTICE),
+        lambda: arrayprod(songs.transpose(), songs, LATTICE),
+        lambda: eladd(songs, songs, LATTICE),
+        lambda: eladd(joined, songs, LATTICE),
+        lambda: elmult(songs, songs, LATTICE),
+        lambda: mask_select(songs, mask),
+        lambda: delete_entries(songs, mask),
+        lambda: symmetrize(songs),
+        lambda: correlate(songs.logical()),
+        lambda: degree(songs, Axis.ROW),
+        lambda: degree(songs, Axis.COLUMN),
+    ]
+    built = [(arr, arr.triples()) for arr in (upper, lower, joined, mask)]
+    for produce in producers:
+        result = produce()
+        check_invariants(result)
+        built.append((result, result.triples()))
     assert songs.triples() == before
     assert songs.row_keys == rows
-    # the cached row index the kernels share is still the pristine one
-    assert songs._by_row() == AssociativeArray(dict(songs.items()))._by_row()
+    assert songs.col_keys == cols  # the one cached view is still the pristine one
+    for arr, triples in built:  # no later call changed a row an earlier result shares
+        assert arr.triples() == triples
     assert not hasattr(songs, "__dict__")  # __slots__: no stray attribute growth

@@ -146,8 +146,14 @@ def test_bfs_matches_set_oracle():
         arr = random_numeric_array(rng, NONZERO, 6, 6).logical()
         if arr.nnz == 0:
             continue
-        keys = sorted(set(arr.row_keys) | set(arr.col_keys))
+        keys = sorted(set(arr.row_keys) | set(arr.col_keys)) + ["zz-absent"]
         starts = rng.sample(keys, min(len(keys), rng.randint(1, 2)))
         k = rng.randint(0, 4)
-        got = {c for (_, c), _ in bfs(arr, starts, k).items()}
-        assert got == bfs_oracle({(r, c) for r, c, _ in arr}, starts, k)
+        edges = {(r, c) for r, c, _ in arr}
+        # the undirected view is one more graph for the same oracle
+        undirected = symmetrize(arr)
+        check_invariants(undirected)
+        for graph, graph_edges in ((arr, edges), (undirected, edges | {(c, r) for r, c in edges})):
+            hit = bfs(graph, starts, k)
+            check_invariants(hit)
+            assert {c for (_, c), _ in hit.items()} == bfs_oracle(graph_edges, starts, k)

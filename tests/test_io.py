@@ -78,11 +78,14 @@ def test_parse_cell(text, want):
 
 def test_read_table_song_file(songs):
     with open("tests/data/songs.csv", "rb") as f:
-        assert read_table(f) == songs
+        arr = read_table(f)
+    check_invariants(arr)
+    assert arr == songs
 
 
 def test_read_table_skips_empty_cells():
-    arr = read_table(buf("T,x,y\nr1,,5\nr2,hi,\n"))
+    arr = read_table(buf("T,x,y\nr1,,5\nr2,hi,\nr3,,\n"))
+    check_invariants(arr)  # r3 holds no cell, so it is no row
     assert arr.nnz == 2
     assert arr.get("r1", "y") == 5.0
     assert arr.get("r2", "x") == "hi"

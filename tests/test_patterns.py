@@ -14,7 +14,7 @@ from aakit import (
     perm_select,
 )
 
-from helpers import NONZERO, random_numeric_array
+from helpers import NONZERO, check_invariants, random_numeric_array
 
 
 def test_identity_from_keys():
@@ -85,6 +85,7 @@ def test_permutation_product_selects_rows():
             continue
         picked = rng.sample(rows, rng.randint(1, len(rows)))
         p = perm_from_pairs([(f"new{i}", k) for i, k in enumerate(picked)])
+        check_invariants(p)
         prod = arrayprod(p, t, ARITH)
         # each output row carries the selected source row's values
         for i, k in enumerate(picked):

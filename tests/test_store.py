@@ -91,6 +91,26 @@ def test_second_writer_degrades_to_read_only(tmp_path):
     assert not (tmp_path / "t" / "LOCK").exists()
 
 
+def test_degraded_writer_names_the_lock_holder(tmp_path):
+    root = tmp_path / "t"
+    open_store(root).close()
+    lock = root / "LOCK"
+    lock.write_text("999999\n")  # a writer that may be gone
+    with open_store(root) as st:
+        assert st.read_only
+        with pytest.raises(ReadOnlyError) as info:
+            st.insert(aa({("a", "x"): 1.0}))
+    assert str(lock) in str(info.value) and "PID 999999" in str(info.value)
+    assert lock.read_text() == "999999\n"  # left as it was
+    lock.write_text("")  # a writer that died before writing its PID
+    with open_store(root) as st, pytest.raises(ReadOnlyError, match="unknown PID"):
+        st.delete(aa({("a", "x"): 1.0}))
+    # a handle opened read-only on purpose has no lock holder to name
+    with open_store(root, read_only=True) as st, pytest.raises(ReadOnlyError) as info:
+        st.compact()
+    assert "LOCK" not in str(info.value)
+
+
 def test_read_only_flag_skips_lock(tmp_path):
     with open_store(tmp_path / "t") as writer:
         writer.insert(aa({("a", "x"): 1.0}))
