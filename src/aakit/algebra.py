@@ -10,17 +10,14 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import ALL, AssociativeArray, Axis, DomainError, KeySet, Semiring, Value, _kept
+from .core import ALL, AssociativeArray, Axis, KeySet, Semiring, Value, _kept, _refuse_text
 
 
-def _require_numeric(arr: AssociativeArray, sr: Semiring, side: str) -> None:
-    if not sr.numeric_only:
-        return
-    for r, c, v in arr:
-        if isinstance(v, str):
-            raise DomainError(
-                f"semiring {sr.name!r} is numeric-only but {side} holds text at ({r!r}, {c!r})"
-            )
+def _require_numeric(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> None:
+    """Refuse text in either operand of a numeric-only semiring, the left one first."""
+    if sr.numeric_only:
+        for arr, side in ((a, "left"), (b, "right")):
+            _refuse_text(arr, f"semiring {sr.name!r} is numeric-only but {side} operand holds text")
 
 
 # Pass-through semiring (GraphBLAS's SECOND): ``times`` returns the right
@@ -37,8 +34,7 @@ def eladd(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associative
     folded.  Only folded collisions are screened, and one-sided cells only
     against a non-empty ``zero``.
     """
-    _require_numeric(a, sr, "left operand")
-    _require_numeric(b, sr, "right operand")
+    _require_numeric(a, b, sr)
     plus, zero = sr.plus, sr.zero
     a_rows, b_rows = a._rows, b._rows
     out: dict[str, dict[str, Value]] = {}
@@ -66,8 +62,7 @@ def eladd(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associative
 
 def elmult(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> AssociativeArray:
     """Entry-wise multiplication: intersection of supports, values via sr.times."""
-    _require_numeric(a, sr, "left operand")
-    _require_numeric(b, sr, "right operand")
+    _require_numeric(a, b, sr)
     times, zero = sr.times, sr.zero
     a_rows, b_rows = a._rows, b._rows
     out: dict[str, dict[str, Value]] = {}
@@ -96,8 +91,7 @@ def arrayprod(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associa
     by column alone, and only that row's columns need sorting before it
     is emitted.
     """
-    _require_numeric(a, sr, "left operand")
-    _require_numeric(b, sr, "right operand")
+    _require_numeric(a, b, sr)
     b_rows = b._rows
     plus, times, zero = sr.plus, sr.times, sr.zero
     out: dict[str, dict[str, Value]] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import LATTICE, AssociativeArray, DomainError, Value, from_triples
+from .core import LATTICE, AssociativeArray, Value, _refuse_text, from_triples
 
 DEFAULT_TOL = 1e-10
 
@@ -43,9 +43,7 @@ class DenseProjection:
 
 
 def to_dense(arr: AssociativeArray) -> DenseProjection:
-    for r, c, v in arr:
-        if isinstance(v, str):
-            raise DomainError(f"dense projection needs numbers, found text at ({r!r}, {c!r})")
+    _refuse_text(arr, "dense projection needs numbers, found text")
     cols = arr.col_keys
     cells = tuple(tuple(row.get(c, 0.0) for c in cols) for row in arr._rows.values())
     return DenseProjection(arr.row_keys, cols, cells)

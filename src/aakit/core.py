@@ -109,6 +109,17 @@ def _kept(row: str, col: str, v: Value, zero: float | None = None) -> bool:
     return True
 
 
+def _refuse_text(arr: AssociativeArray, prefix: str) -> None:
+    """Raise DomainError("``prefix`` at (row, col)") for ``arr``'s first text cell, if any.
+
+    The one text screen: numeric-only kernels and dense projections call it.
+    """
+    for r, row in arr._rows.items():
+        for c, v in row.items():
+            if isinstance(v, str):
+                raise DomainError(f"{prefix} at ({r!r}, {c!r})")
+
+
 def _lattice_plus(a: Value, b: Value) -> Value:
     return b if value_sort_key(a) < value_sort_key(b) else a
 

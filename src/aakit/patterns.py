@@ -10,15 +10,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import AssociativeArray, check_key
+from .core import AssociativeArray, KeySet, check_key
 
 
 def identity_from_keys(keys: Iterable[str]) -> AssociativeArray:
-    """The permutation array mapping each key to itself."""
-    ks = tuple(check_key(k) for k in keys)
-    if len(set(ks)) != len(ks):
-        raise ValueError("duplicate key passed to identity_from_keys")
-    return AssociativeArray._from_clean({k: {k: 1.0} for k in ks})
+    """The permutation array mapping each key to itself; ``keys`` must form a ``KeySet``."""
+    return AssociativeArray._from_sorted({k: {k: 1.0} for k in KeySet(keys).keys})
 
 
 def perm_from_pairs(pairs: Iterable[tuple[str, str]]) -> AssociativeArray:

@@ -13,13 +13,15 @@ is replaced atomically (write-temp, fsync, rename), so a reader sees
 either the old or the new segment list, never a mix.
 
 A handle reads the bytes of every listed segment at open and keeps them
-as its snapshot, which gives readers snapshot isolation at manifest
-granularity even across a concurrent compaction.  Open checks only each
-segment's framing; records are parsed by the command that uses them.  A
-select bisects each segment on the row field of its lines for every key
-interval of its row spec (segments are sorted, and UTF-8 byte order is
-key order) and parses only the matching lines; a row spec without
-intervals is filtered by ``matches`` over whole segments.
+as its snapshot: each segment's name, oldest first, mapped to its bytes
+up to the last complete line.  That gives readers snapshot isolation at
+manifest granularity even across a concurrent compaction.  Open checks
+only each segment's framing, through the same ``record_span`` that frames
+triple files and the MANIFEST; records are parsed by the command that
+uses them.  A select bisects each segment on the row field of its lines
+for every key interval of its row spec (segments are sorted, and UTF-8
+byte order is key order) and parses only the matching lines; a row spec
+without intervals is filtered by ``matches`` over whole segments.
 """
 
 from __future__ import annotations
@@ -39,7 +41,10 @@ SEGMENT_MAGIC = "%aa-seg 1"
 MANIFEST_NAME = "MANIFEST"
 LOCK_NAME = "LOCK"
 
-_SEGMENT_RE = re.compile(r"seg-(\d{8})\.aat\Z")
+_SEGMENT_RE = re.compile(r"seg-(\d{8})\.aat\Z", re.ASCII)
+
+# Where a framed segment's record lines start: right after its magic line.
+_RECORDS_START = len(SEGMENT_MAGIC) + 1
 
 # How often an open starts over when a compaction replaced the segments it
 # was reading; each retry means the MANIFEST changed in between.
@@ -52,15 +57,6 @@ class StoreError(RuntimeError):
 
 class ReadOnlyError(StoreError):
     """Write attempted through a read-only handle."""
-
-
-class _Segment:
-    """One listed segment as read at open: ``data[start:end]`` are its record lines."""
-
-    __slots__ = ("name", "data", "start", "end")
-
-    def __init__(self, name: str, data: bytes, start: int, end: int):
-        self.name, self.data, self.start, self.end = name, data, start, end
 
 
 def _fsync_dir(path: Path) -> None:
@@ -134,7 +130,7 @@ class TableStore:
                 if not holds_lock:
                     raise StoreError(f"no table at {str(path)!r}: {MANIFEST_NAME} is missing")
                 _write_file_atomic(manifest, f"{MANIFEST_MAGIC}\n".encode("ascii"))
-                self._snapshot: list[_Segment] = []
+                self._snapshot: dict[str, bytes] = {}
             else:
                 self._snapshot = self._read_snapshot()
         except BaseException:
@@ -142,8 +138,8 @@ class TableStore:
             raise
         return self
 
-    def _read_snapshot(self) -> list[_Segment]:
-        """Read the listed segments' bytes and check their framing.
+    def _read_snapshot(self) -> dict[str, bytes]:
+        """Map each listed segment's name, oldest first, to its framed bytes.
 
         A segment can vanish between the MANIFEST read and its own read
         when a compaction swaps the MANIFEST in between; the open then
@@ -160,49 +156,51 @@ class TableStore:
                     break
             else:
                 last = len(names) - 1
-                return [
-                    self._frame(name, data, i == last)
+                return {
+                    name: self._frame(name, data, i == last)
                     for i, (name, data) in enumerate(zip(names, blobs))
-                ]
+                }
             current = _read_manifest(manifest)
             if current == names:
                 raise StoreError(f"manifest names missing segment {names[len(blobs)]!r}")
             names = current
         raise StoreError(f"MANIFEST changed {_OPEN_ATTEMPTS} times during open; try again")
 
-    def _frame(self, name: str, data: bytes, newest: bool) -> _Segment:
-        """Check one segment's framing; only the newest may end in a torn line.
+    def _frame(self, name: str, data: bytes, newest: bool) -> bytes:
+        """Check one segment's framing and return its bytes up to the last complete line.
 
-        A writer cuts a torn final line from the file (atomically) so the
-        segment ends in LF again before anything is appended after it; a
-        reader only skips the torn line.
+        Only the newest segment may end in a torn line.  A writer cuts it
+        from the file (atomically) so the segment ends in LF again before
+        anything is appended after it; a reader only skips it.  A segment
+        torn inside its magic line reads as the magic line alone.
         """
         try:
-            start, end, truncated = record_span(data, SEGMENT_MAGIC, lenient_tail=newest)
+            _, end, truncated = record_span(data, SEGMENT_MAGIC, lenient_tail=newest)
         except FormatError as exc:
             raise StoreError(f"segment {name}: {exc}") from None
         if truncated:
+            data = data[:end] or f"{SEGMENT_MAGIC}\n".encode("ascii")
             if self._holds_lock:
-                data = data[:end] or f"{SEGMENT_MAGIC}\n".encode("ascii")
                 _write_file_atomic(self.path / name, data)
-                start, end, _ = record_span(data, SEGMENT_MAGIC)
                 action = "cut truncated final line from the file"
             else:
                 action = "ignoring truncated final line"
             warnings.warn(f"segment {name}: {action}", RuntimeWarning, stacklevel=4)
-        return _Segment(name, data, start, end)
+        return data
 
-    def _records(self, seg: _Segment, span: tuple[int, int]) -> list[tuple[str, str, Value | None]]:
-        """Parse ``seg.data[span[0]:span[1]]``; its cells must strictly ascend."""
+    def _records(
+        self, name: str, data: bytes, span: tuple[int, int]
+    ) -> list[tuple[str, str, Value | None]]:
+        """Parse ``data[span[0]:span[1]]`` of segment ``name``; its cells must strictly ascend."""
         try:
-            records = parse_record_lines(seg.data, *span, allow_tombstones=True)
+            records = parse_record_lines(data, *span, allow_tombstones=True)
         except FormatError as exc:
-            raise StoreError(f"segment {seg.name}: {exc}") from None
+            raise StoreError(f"segment {name}: {exc}") from None
         cells = [record[:2] for record in records]
         if not all(map(operator.lt, cells, islice(cells, 1, None))):
             i = next(i for i in range(1, len(cells)) if cells[i - 1] >= cells[i])
-            lineno = line_number(seg.data, span[0]) + i
-            raise StoreError(f"segment {seg.name}: line {lineno}: record out of (row, col) order")
+            lineno = line_number(data, span[0]) + i
+            raise StoreError(f"segment {name}: line {lineno}: record out of (row, col) order")
         return records
 
     # -- queries -----------------------------------------------------------
@@ -220,9 +218,9 @@ class TableStore:
         # hi is None (unbounded) or a non-empty key.
         bounds = [(lo.encode("utf-8"), hi and hi.encode("utf-8")) for lo, hi in intervals]
         fold: dict[str, dict[str, Value | None]] = {}
-        for seg in self._snapshot:
-            for span in _row_spans(seg, bounds):
-                for r, c, v in self._records(seg, span):
+        for name, data in self._snapshot.items():
+            for span in _row_spans(data, bounds):
+                for r, c, v in self._records(name, data, span):
                     fold.setdefault(r, {})[c] = v
         if not isinstance(cols, AllKeys):
             keep = cols.matches
@@ -232,7 +230,7 @@ class TableStore:
 
     @property
     def segments(self) -> tuple[str, ...]:
-        return tuple(seg.name for seg in self._snapshot)
+        return tuple(self._snapshot)
 
     # -- writes ------------------------------------------------------------
 
@@ -268,18 +266,14 @@ class TableStore:
         self._require_writer()
         before = len(self._snapshot)
         live = self.select()
-        snapshot: list[_Segment] = []
+        snapshot: dict[str, bytes] = {}
         if live.nnz:
             name = self._next_segment_name()
-            payload = encode_records(SEGMENT_MAGIC, live)
-            _write_file_atomic(self.path / name, payload)
-            snapshot.append(self._frame(name, payload, False))
-        _write_file_atomic(
-            self.path / MANIFEST_NAME, _manifest_payload([seg.name for seg in snapshot])
-        )
-        keep = {seg.name for seg in snapshot}
+            snapshot[name] = encode_records(SEGMENT_MAGIC, live)
+            _write_file_atomic(self.path / name, snapshot[name])
+        _write_file_atomic(self.path / MANIFEST_NAME, _manifest_payload(list(snapshot)))
         for entry in self.path.iterdir():
-            if entry.name not in keep and (_SEGMENT_RE.match(entry.name) or entry.name.endswith(".tmp")):
+            if entry.name not in snapshot and (_SEGMENT_RE.match(entry.name) or entry.name.endswith(".tmp")):
                 entry.unlink(missing_ok=True)
         self._snapshot = snapshot
         return before, len(snapshot)
@@ -331,19 +325,20 @@ class TableStore:
         _write_file_atomic(
             self.path / MANIFEST_NAME, _manifest_payload([*self.segments, name])
         )
-        self._snapshot.append(self._frame(name, payload, True))
+        self._snapshot[name] = payload
 
 
-def _row_spans(seg: _Segment, bounds: list[tuple[bytes, bytes | None]]) -> list[tuple[int, int]]:
-    """Byte spans of ``seg``'s lines whose rows lie in the ascending ``[lo, hi)`` ``bounds``.
+def _row_spans(data: bytes, bounds: list[tuple[bytes, bytes | None]]) -> list[tuple[int, int]]:
+    """Byte spans of framed segment ``data``'s lines whose rows lie in ``bounds``.
 
-    ``hi`` None is unbounded above; touching spans merge.
+    ``bounds`` are ascending ``[lo, hi)`` intervals; ``hi`` None is unbounded
+    above; touching spans merge.
     """
     spans: list[tuple[int, int]] = []
-    pos = seg.start
+    pos, end = _RECORDS_START, len(data)
     for lo, hi in bounds:
-        first = _bisect_rows(seg.data, pos, seg.end, lo)
-        pos = seg.end if hi is None else _bisect_rows(seg.data, first, seg.end, hi)
+        first = _bisect_rows(data, pos, end, lo)
+        pos = end if hi is None else _bisect_rows(data, first, end, hi)
         if first < pos:
             if spans and spans[-1][1] == first:
                 first = spans.pop()[0]
@@ -386,17 +381,13 @@ def _manifest_payload(names: list[str]) -> bytes:
 
 
 def _read_manifest(manifest: Path) -> list[str]:
+    data = manifest.read_bytes()
     try:
-        text = manifest.read_bytes().decode("ascii")
-    except UnicodeDecodeError:
-        raise StoreError("manifest is not ASCII") from None
-    lines = text.split("\n")
-    if not text.endswith("\n"):
-        raise StoreError("manifest does not end with a newline")
-    lines.pop()  # trailing empty piece
-    if not lines or lines[0] != MANIFEST_MAGIC:
-        raise StoreError(f"bad manifest magic, expected {MANIFEST_MAGIC!r}")
-    names = lines[1:]
+        start, end, _ = record_span(data, MANIFEST_MAGIC)
+    except FormatError as exc:
+        raise StoreError(f"{MANIFEST_NAME}: {exc}") from None
+    # A non-ASCII byte decodes to U+FFFD, which no segment name holds.
+    names = str(data[start:end], "ascii", "replace").split("\n")[:-1]
     for name in names:
         if not _SEGMENT_RE.match(name):
             raise StoreError(f"manifest lists invalid segment name {name!r}")

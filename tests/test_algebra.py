@@ -65,6 +65,21 @@ def test_eladd_numeric_only_rejects_text(songs):
     assert eladd(songs, songs, LATTICE) == songs
 
 
+@pytest.mark.parametrize("kernel", [eladd, elmult, arrayprod])
+def test_numeric_only_kernels_name_the_first_text_cell(kernel):
+    text = AssociativeArray({("a", "b"): 1.0, ("b", "a"): "t", ("b", "b"): "u"})
+    nums = AssociativeArray({("a", "a"): 1.0, ("b", "b"): 2.0})
+    for sr in (ARITH, MAXPLUS, MINPLUS, MAXMIN):
+        cases = ((text, nums, "left"), (nums, text, "right"), (text, text, "left"))
+        for left, right, side in cases:
+            with pytest.raises(DomainError) as exc:
+                kernel(left, right, sr)
+            assert str(exc.value) == (
+                f"semiring {sr.name!r} is numeric-only but {side} operand "
+                "holds text at ('b', 'a')"
+            )
+
+
 def test_eladd_commutative_fuzz():
     rng = random.Random(101)
     for _ in range(150):

@@ -60,8 +60,11 @@ def test_to_dense_round_trip():
 
 
 def test_to_dense_rejects_text(songs):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         to_dense(songs)
+    assert str(exc.value) == (
+        "dense projection needs numbers, found text at ('053013ktnA1', 'Artist')"
+    )
 
 
 @pytest.mark.parametrize("rows,cols,cells,error", [

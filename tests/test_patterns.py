@@ -6,6 +6,7 @@ from aakit import (
     ARITH,
     AssociativeArray,
     Axis,
+    BadKeyError,
     arrayprod,
     identity_from_keys,
     is_clique,
@@ -21,8 +22,11 @@ def test_identity_from_keys():
     ident = identity_from_keys(["b", "a"])
     assert ident.triples() == [("a", "a", 1.0), ("b", "b", 1.0)]
     assert is_permutation(ident)
-    with pytest.raises(ValueError):
-        identity_from_keys(["a", "a"])
+    with pytest.raises(ValueError, match="key set contains duplicates"):
+        identity_from_keys(["b", "a", "b"])
+    for bad in ("a\tb", ""):
+        with pytest.raises(BadKeyError):
+            identity_from_keys(["a", bad])
 
 
 def test_perm_from_pairs_builds_ones():

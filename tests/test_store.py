@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -251,6 +255,12 @@ def test_corrupt_manifest_is_an_error(tmp_path):
     (tmp_path / "t" / MANIFEST_NAME).write_bytes(b"%aa-manifest 1\n../evil\n")
     with pytest.raises(StoreError):
         open_store(tmp_path / "t")
+    # a segment name with non-ASCII digits
+    (tmp_path / "t" / MANIFEST_NAME).write_bytes(
+        "%aa-manifest 1\nseg-\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668.aat\n".encode()
+    )
+    with pytest.raises(StoreError, match="manifest"):
+        open_store(tmp_path / "t")
 
 
 def test_closed_handle_refuses_everything(tmp_path):
@@ -388,13 +398,95 @@ def test_compact_deletes_orphan_segments_and_temp_files(tmp_path):
     (root / "seg-00000007.aat").write_bytes(b"%aa-seg 1\nz\tz\tn\t9\n")
     (root / "seg-00000008.aat.tmp").write_bytes(b"%aa-seg 1\nz\tz")
     (root / "MANIFEST.tmp").write_bytes(b"%aa-manifest 1\nseg-0")
+    # Arabic-Indic digits 1-8: int() reads them, but no segment name holds them
+    stray = "seg-\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668.aat"
+    (root / stray).write_bytes(b"%aa-seg 1\n")
     with open_store(root) as st:
         assert st.compact() == (2, 1)
         listed = st.segments
+        assert listed == ("seg-00000008.aat",)  # numbering continues from the segments
         assert st.select() == aa({("a", "x"): 1.0})
-    assert sorted(p.name for p in root.iterdir()) == sorted([MANIFEST_NAME, *listed])
+    assert sorted(p.name for p in root.iterdir()) == sorted([MANIFEST_NAME, stray, *listed])
     with open_store(root, read_only=True) as st:
         assert st.select() == aa({("a", "x"): 1.0})
+
+
+# -- a writer killed at each step of a write -----------------------------------
+
+
+# The child opens the table as its writer, then makes the n-th call of one
+# file-system function exit the process at once, before the call runs.
+_KILL_CHILD = """
+import json, os, sys
+from pathlib import Path
+from aakit import AssociativeArray, open_store
+
+root, target, n, op, cells = sys.argv[1:]
+st = open_store(root)
+assert not st.read_only
+owner = {"fsync": os, "replace": os, "unlink": Path}[target]
+real, calls = getattr(owner, target), []
+
+def killer(*args, **kwargs):
+    calls.append(None)
+    if len(calls) == int(n):
+        os._exit(77)
+    return real(*args, **kwargs)
+
+setattr(owner, target, killer)
+if op == "compact":
+    st.compact()
+else:
+    batch = AssociativeArray({(r, c): v for r, c, v in json.loads(cells)})
+    st.insert(batch) if op == "insert" else st.delete(batch)
+"""
+
+
+@pytest.mark.parametrize("target,n,op", [
+    ("fsync", 1, "insert"),  # segment written, not yet synced
+    ("replace", 1, "insert"),  # segment synced, not yet renamed
+    ("replace", 1, "delete"),
+    ("replace", 2, "insert"),  # segment renamed, MANIFEST not yet swapped
+    ("replace", 2, "delete"),
+    ("unlink", 1, "compact"),  # MANIFEST swapped, orphans not yet deleted
+])
+def test_writer_killed_mid_write_leaves_the_fold_intact(tmp_path, target, n, op):
+    root = tmp_path / "t"
+    rng = random.Random(f"{target}{n}{op}")
+    ops = []
+    with open_store(root) as st:
+        for kind in ("insert", "insert", "delete", "insert"):
+            cells = {(rng.choice(KEY_POOL), rng.choice(KEY_POOL)): float(rng.randint(1, 9))
+                     for _ in range(6)}
+            batch = aa(cells)
+            ops.append((kind, batch))
+            st.insert(batch) if kind == "insert" else st.delete(batch)
+    # Every kill point lies before the MANIFEST swap that would publish the
+    # batch, and a compaction leaves the content as it was.
+    want = store_fold_oracle(ops)
+    cells = []
+    if op != "compact":
+        batch = aa({cell: 5.5 for cell in [("a", "x"), ("b", "y"), *want][:6]})
+        assert store_fold_oracle([*ops, (op, batch)]) != want  # a landed batch would show
+        cells = batch.triples()
+    src = str(Path(aakit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    child = subprocess.run(
+        [sys.executable, "-c", _KILL_CHILD, str(root), target, str(n), op, json.dumps(cells)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert child.returncode == 77, child.stderr  # the kill point was reached
+    assert (root / "LOCK").exists()
+    with open_store(root, read_only=True) as st:
+        assert dict(st.select().items()) == want
+    (root / "LOCK").unlink()  # the dead writer's; telling it is stale is not done here
+    with open_store(root) as st:
+        assert not st.read_only
+        st.compact()
+        listed = st.segments
+        assert dict(st.select().items()) == want
+    assert sorted(p.name for p in root.iterdir()) == sorted([MANIFEST_NAME, *listed])
 
 
 # -- corruption found by the command that reads it ----------------------------
