@@ -9,14 +9,21 @@ LF-framed, one record per line::
 
 Numbers are rendered in their shortest round-trip decimal form, records
 sort by (row, col), so equal arrays serialize to identical bytes.
+
+The store's segment and MANIFEST bytes are this module's too.  Segment
+lines follow two more rules, which ``parse_record_lines(..., segment=True)``
+checks: tag "x" marks a tombstone, and cells strictly ascend in (row, col)
+order.  ``row_spans`` bisects sorted record lines for rows in key intervals.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
 from io import StringIO
+from itertools import islice
 from typing import BinaryIO, Iterable
 
 from .core import (
@@ -137,14 +144,14 @@ def record_span(data: bytes, magic: str, *, lenient_tail: bool = False) -> tuple
 
 
 def parse_record_lines(
-    data: bytes, start: int, end: int, *, allow_tombstones: bool = False
+    data: bytes, start: int, end: int, *, segment: bool = False
 ) -> list[tuple[str, str, Value | None]]:
     """Parse the LF-framed tab-separated record lines in ``data[start:end]``.
 
     ``start`` and ``end`` are line starts within the bounds ``record_span``
-    returned for ``data``, which has already checked framing and magic.  A
-    record value of None is a tombstone (tag "x", only when
-    ``allow_tombstones``).  Every returned key passed ``check_key`` and
+    returned for ``data``, which has already checked framing and magic.
+    ``segment`` applies the segment rules of the module docstring (a
+    tombstone reads as None).  Every returned key passed ``check_key`` and
     every value ``check_value``; error messages number lines from the
     start of ``data``.
     """
@@ -185,7 +192,7 @@ def parse_record_lines(
                 if "\r" in valtext:
                     check_value(valtext)
                 value = valtext
-            elif tag == "x" and allow_tombstones:
+            elif tag == "x" and segment:
                 if valtext != "":
                     raise FormatError("tombstone carries a payload")
                 value = None
@@ -196,7 +203,54 @@ def parse_record_lines(
         raise FormatError(f"line {line_number(data, start) + i}: {exc}") from None
     if bad_at is not None:
         raise FormatError(f"line {line_number(data, bad_at)}: not valid UTF-8")
+    del lines  # free the line texts before the order check lists the cells
+    if segment:
+        cells = [record[:2] for record in records]
+        if not all(map(operator.lt, cells, islice(cells, 1, None))):
+            i = next(i for i in range(1, len(cells)) if cells[i - 1] >= cells[i])
+            lineno = line_number(data, start) + i
+            raise FormatError(f"line {lineno}: record out of (row, col) order")
     return records
+
+
+def row_spans(data: bytes, bounds: list[tuple[bytes, bytes | None]]) -> list[tuple[int, int]]:
+    """Byte spans of framed ``data``'s record lines whose rows lie in ``bounds``.
+
+    The lines must ascend by row, as a segment's do.  ``bounds`` are
+    ascending ``[lo, hi)`` intervals of UTF-8 row keys (UTF-8 byte order is
+    key order); ``hi`` None is unbounded above; touching spans merge.
+    """
+    spans: list[tuple[int, int]] = []
+    pos, end = data.index(b"\n") + 1, len(data)
+    for lo, hi in bounds:
+        first = _row_lower_bound(data, pos, end, lo)
+        pos = end if hi is None else _row_lower_bound(data, first, end, hi)
+        if first < pos:
+            if spans and spans[-1][1] == first:
+                first = spans.pop()[0]
+            spans.append((first, pos))
+    return spans
+
+
+def _row_lower_bound(data: bytes, lo: int, hi: int, key: bytes) -> int:
+    """The first line start in ``data[lo:hi]`` whose row is >= ``key``.
+
+    ``lo`` and ``hi`` are line starts, and the lines between them ascend by
+    row.  A line's row is its bytes before the first TAB; whole lines are
+    not compared, because a row like "a\x01" sorts after "a" though its
+    line sorts before "a<TAB>...".
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        start = data.rfind(b"\n", lo, mid) + 1 or lo
+        stop = data.index(b"\n", start)
+        tab = data.find(b"\t", start, stop)
+        row = data[start : stop if tab < 0 else tab]
+        if row < key:
+            lo = stop + 1
+        else:
+            hi = start
+    return lo
 
 
 def line_number(data: bytes, offset: int) -> int:
@@ -231,11 +285,16 @@ def _record_line(row: str, col: str, value: Value | None) -> str:
     return f"{row}\t{col}\tn\t{format_number(value)}"
 
 
+def encode_lines(lines: list[str]) -> bytes:
+    """``lines`` as UTF-8, each terminated by LF: the framing of every file the package writes."""
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def encode_records(magic: str, records: Iterable[tuple[str, str, Value | None]]) -> bytes:
     """``magic``, then a line per ``(row, col, value)`` (None: tombstone), each LF-terminated."""
     lines = [magic]
     lines.extend(_record_line(r, c, v) for r, c, v in records)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return encode_lines(lines)
 
 
 def write_triples(arr: AssociativeArray, sink: BinaryIO) -> int:
@@ -266,6 +325,6 @@ def export_dot(arr: AssociativeArray, sink: BinaryIO) -> int:
             label = labels[v] = _dot_quote(v if isinstance(v, str) else format_number(v))
         lines.append(f"  {nodes[r]} -> {nodes[c]} [label={label}];")
     lines.append("}")
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    payload = encode_lines(lines)
     sink.write(payload)
     return len(payload)

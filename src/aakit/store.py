@@ -12,29 +12,30 @@ insert or delete batch becomes one new immutable segment; the MANIFEST
 is replaced atomically (write-temp, fsync, rename), so a reader sees
 either the old or the new segment list, never a mix.
 
+This module owns the files, the LOCK, the MANIFEST's list of segment
+names, each handle's snapshot and the fold.  ``io`` owns the bytes: it
+frames and writes every file here, parses segment record lines and checks
+their rules, and finds the lines of a row interval.
+
 A handle reads the bytes of every listed segment at open and keeps them
 as its snapshot: each segment's name, oldest first, mapped to its bytes
 up to the last complete line.  That gives readers snapshot isolation at
 manifest granularity even across a concurrent compaction.  Open checks
-only each segment's framing, through the same ``record_span`` that frames
-triple files and the MANIFEST; records are parsed by the command that
-uses them.  A select bisects each segment on the row field of its lines
-for every key interval of its row spec (segments are sorted, and UTF-8
-byte order is key order) and parses only the matching lines; a row spec
-without intervals is filtered by ``matches`` over whole segments.
+only each segment's framing; records are parsed by the command that
+uses them.  A select reads each segment only on the key intervals of its
+row spec and folds the parsed records; a row spec without intervals is
+filtered by ``matches`` over whole segments.
 """
 
 from __future__ import annotations
 
-import operator
 import os
 import re
 import warnings
-from itertools import islice
 from pathlib import Path
 
 from .core import ALL, AllKeys, AssociativeArray, KeySpec, Value
-from .io import FormatError, encode_records, line_number, parse_record_lines, record_span
+from .io import FormatError, encode_lines, encode_records, parse_record_lines, record_span, row_spans
 
 MANIFEST_MAGIC = "%aa-manifest 1"
 SEGMENT_MAGIC = "%aa-seg 1"
@@ -42,9 +43,6 @@ MANIFEST_NAME = "MANIFEST"
 LOCK_NAME = "LOCK"
 
 _SEGMENT_RE = re.compile(r"seg-(\d{8})\.aat\Z", re.ASCII)
-
-# Where a framed segment's record lines start: right after its magic line.
-_RECORDS_START = len(SEGMENT_MAGIC) + 1
 
 # How often an open starts over when a compaction replaced the segments it
 # was reading; each retry means the MANIFEST changed in between.
@@ -121,7 +119,6 @@ class TableStore:
         self = cls.__new__(cls)
         self.path = path
         self.read_only = not holds_lock
-        self._holds_lock = holds_lock
         self._holder = holder
         self._closed = False
         try:
@@ -129,7 +126,7 @@ class TableStore:
             if not manifest.exists():
                 if not holds_lock:
                     raise StoreError(f"no table at {str(path)!r}: {MANIFEST_NAME} is missing")
-                _write_file_atomic(manifest, f"{MANIFEST_MAGIC}\n".encode("ascii"))
+                _write_file_atomic(manifest, encode_lines([MANIFEST_MAGIC]))
                 self._snapshot: dict[str, bytes] = {}
             else:
                 self._snapshot = self._read_snapshot()
@@ -179,29 +176,14 @@ class TableStore:
         except FormatError as exc:
             raise StoreError(f"segment {name}: {exc}") from None
         if truncated:
-            data = data[:end] or f"{SEGMENT_MAGIC}\n".encode("ascii")
-            if self._holds_lock:
+            data = data[:end] or encode_lines([SEGMENT_MAGIC])
+            if not self.read_only:
                 _write_file_atomic(self.path / name, data)
                 action = "cut truncated final line from the file"
             else:
                 action = "ignoring truncated final line"
             warnings.warn(f"segment {name}: {action}", RuntimeWarning, stacklevel=4)
         return data
-
-    def _records(
-        self, name: str, data: bytes, span: tuple[int, int]
-    ) -> list[tuple[str, str, Value | None]]:
-        """Parse ``data[span[0]:span[1]]`` of segment ``name``; its cells must strictly ascend."""
-        try:
-            records = parse_record_lines(data, *span, allow_tombstones=True)
-        except FormatError as exc:
-            raise StoreError(f"segment {name}: {exc}") from None
-        cells = [record[:2] for record in records]
-        if not all(map(operator.lt, cells, islice(cells, 1, None))):
-            i = next(i for i in range(1, len(cells)) if cells[i - 1] >= cells[i])
-            lineno = line_number(data, span[0]) + i
-            raise StoreError(f"segment {name}: line {lineno}: record out of (row, col) order")
-        return records
 
     # -- queries -----------------------------------------------------------
 
@@ -219,9 +201,12 @@ class TableStore:
         bounds = [(lo.encode("utf-8"), hi and hi.encode("utf-8")) for lo, hi in intervals]
         fold: dict[str, dict[str, Value | None]] = {}
         for name, data in self._snapshot.items():
-            for span in _row_spans(data, bounds):
-                for r, c, v in self._records(name, data, span):
-                    fold.setdefault(r, {})[c] = v
+            try:
+                for start, end in row_spans(data, bounds):
+                    for r, c, v in parse_record_lines(data, start, end, segment=True):
+                        fold.setdefault(r, {})[c] = v
+            except FormatError as exc:
+                raise StoreError(f"segment {name}: {exc}") from None
         if not isinstance(cols, AllKeys):
             keep = cols.matches
             fold = {r: {c: v for c, v in row.items() if keep(c)} for r, row in fold.items()}
@@ -271,7 +256,7 @@ class TableStore:
             name = self._next_segment_name()
             snapshot[name] = encode_records(SEGMENT_MAGIC, live)
             _write_file_atomic(self.path / name, snapshot[name])
-        _write_file_atomic(self.path / MANIFEST_NAME, _manifest_payload(list(snapshot)))
+        _write_file_atomic(self.path / MANIFEST_NAME, encode_lines([MANIFEST_MAGIC, *snapshot]))
         for entry in self.path.iterdir():
             if entry.name not in snapshot and (_SEGMENT_RE.match(entry.name) or entry.name.endswith(".tmp")):
                 entry.unlink(missing_ok=True)
@@ -284,9 +269,8 @@ class TableStore:
         if getattr(self, "_closed", True):
             return
         self._closed = True
-        if self._holds_lock:
+        if not self.read_only:
             (self.path / LOCK_NAME).unlink(missing_ok=True)
-            self._holds_lock = False
 
     def __enter__(self) -> "TableStore":
         return self
@@ -322,49 +306,9 @@ class TableStore:
         name = self._next_segment_name()
         payload = encode_records(SEGMENT_MAGIC, records)
         _write_file_atomic(self.path / name, payload)
-        _write_file_atomic(
-            self.path / MANIFEST_NAME, _manifest_payload([*self.segments, name])
-        )
+        manifest = encode_lines([MANIFEST_MAGIC, *self._snapshot, name])
+        _write_file_atomic(self.path / MANIFEST_NAME, manifest)
         self._snapshot[name] = payload
-
-
-def _row_spans(data: bytes, bounds: list[tuple[bytes, bytes | None]]) -> list[tuple[int, int]]:
-    """Byte spans of framed segment ``data``'s lines whose rows lie in ``bounds``.
-
-    ``bounds`` are ascending ``[lo, hi)`` intervals; ``hi`` None is unbounded
-    above; touching spans merge.
-    """
-    spans: list[tuple[int, int]] = []
-    pos, end = _RECORDS_START, len(data)
-    for lo, hi in bounds:
-        first = _bisect_rows(data, pos, end, lo)
-        pos = end if hi is None else _bisect_rows(data, first, end, hi)
-        if first < pos:
-            if spans and spans[-1][1] == first:
-                first = spans.pop()[0]
-            spans.append((first, pos))
-    return spans
-
-
-def _bisect_rows(data: bytes, lo: int, hi: int, key: bytes) -> int:
-    """The first line start in ``data[lo:hi]`` whose row is >= ``key``.
-
-    ``lo`` and ``hi`` are line starts, and the lines between them ascend by
-    row.  A line's row is its bytes before the first TAB; whole lines are
-    not compared, because a row like "a\x01" sorts after "a" though its
-    line sorts before "a<TAB>...".
-    """
-    while lo < hi:
-        mid = (lo + hi) // 2
-        start = data.rfind(b"\n", lo, mid) + 1 or lo
-        stop = data.index(b"\n", start)
-        tab = data.find(b"\t", start, stop)
-        row = data[start : stop if tab < 0 else tab]
-        if row < key:
-            lo = stop + 1
-        else:
-            hi = start
-    return lo
 
 
 def _lock_holder(lock: Path) -> str:
@@ -374,10 +318,6 @@ def _lock_holder(lock: Path) -> str:
     except FileNotFoundError:  # the holder closed since
         pid = ""
     return f": {str(lock)!r} is held by " + (f"PID {pid}" if pid.isdigit() else "an unknown PID")
-
-
-def _manifest_payload(names: list[str]) -> bytes:
-    return ("\n".join([MANIFEST_MAGIC, *names]) + "\n").encode("ascii")
 
 
 def _read_manifest(manifest: Path) -> list[str]:

@@ -278,7 +278,7 @@ def test_store_equivalence_and_crash(tmp_path):
         for name in names:
             data = (root / name).read_bytes()
             records = parse_record_lines(
-                data, *record_span(data, SEGMENT_MAGIC)[:2], allow_tombstones=True)
+                data, *record_span(data, SEGMENT_MAGIC)[:2], segment=True)
             if name == names[-1]:
                 records = records[:-1]  # the record the crash destroys
             for r, c, v in records:

@@ -98,6 +98,12 @@ def test_rank_simple_cases():
     assert rank(dependent) == 1
 
 
+@pytest.mark.parametrize("tol", ["x", True, None])
+def test_rank_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        rank(identity_from_keys(["a"]), tol=tol)
+
+
 def test_rank_matches_fraction_oracle():
     rng = random.Random(2)
     for _ in range(200):

@@ -68,7 +68,8 @@ def test_value_normalization():
     assert check_value("tab\tok") == "tab\tok"
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, None, b"x", "line\nbreak", "cr\rhere"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, None, b"x", "line\nbreak", "cr\rhere",
+                                 "bad\ud800value"])
 def test_bad_values_rejected(bad):
     with pytest.raises(BadValueError):
         check_value(bad)
@@ -311,6 +312,14 @@ def test_keyset_equality_and_repr_see_only_keys():
     assert KeySet(["b", "a"]) == KeySet(("a", "b"))
     assert hash(KeySet(["b", "a"])) == hash(KeySet(["a", "b"]))
     assert repr(KeySet(["b", "a"])) == "KeySet(keys=('a', 'b'))"
+
+
+def test_repr_shows_at_most_four_entries():
+    assert repr(AssociativeArray({("a", "b"): "x"})) == "AssociativeArray({('a', 'b'): 'x'})"
+    big = AssociativeArray({(f"r{i}", "c"): float(i) for i in range(1, 6)})
+    assert repr(big) == (
+        "AssociativeArray({('r1', 'c'): 1.0, ('r2', 'c'): 2.0, ('r3', 'c'): 3.0, "
+        "('r4', 'c'): 4.0, ... 5 entries})")
 
 
 # -- construction ------------------------------------------------------------

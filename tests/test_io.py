@@ -115,6 +115,22 @@ def test_read_table_rejects(text):
         read_table(buf(text))
 
 
+@pytest.mark.parametrize("text,message", [
+    ("T,,x\nr1,1,2\n", "bad column key in header: key must be non-empty"),
+    ("T,a\tb\nr1,1\n",
+     "bad column key in header: key 'a\\tb' contains a forbidden control character"),
+    ('T,x\nr1,"a\nb"\n', "row 'r1': text value 'a\\nb' contains a line break"),
+])
+def test_read_table_errors_name_the_cause(text, message):
+    with pytest.raises(FormatError) as exc:
+        read_table(buf(text))
+    assert str(exc.value) == message
+
+
+def test_read_table_skips_blank_lines():
+    assert read_table(buf("T,x\n\nr1,1\n\n")) == read_table(buf("T,x\nr1,1\n"))
+
+
 def test_read_table_not_utf8():
     with pytest.raises(FormatError):
         read_table(io.BytesIO(b"T,x\nr1,\xff\n"))
@@ -231,7 +247,7 @@ def test_record_span_lenient_tail():
 def test_parse_record_lines_tombstones():
     data = b"%aa-seg 1\na\tb\tx\t\n"
     start, end, truncated = record_span(data, "%aa-seg 1")
-    assert parse_record_lines(data, start, end, allow_tombstones=True) == [("a", "b", None)]
+    assert parse_record_lines(data, start, end, segment=True) == [("a", "b", None)]
     assert not truncated
 
 
@@ -239,7 +255,7 @@ def test_parse_record_lines_tombstone_payload_rejected():
     data = b"%aa-seg 1\na\tb\tx\tstuff\n"
     start, end, _ = record_span(data, "%aa-seg 1")
     with pytest.raises(FormatError):
-        parse_record_lines(data, start, end, allow_tombstones=True)
+        parse_record_lines(data, start, end, segment=True)
 
 
 @pytest.mark.parametrize("data,message", [
@@ -256,6 +272,7 @@ def test_parse_record_lines_tombstone_payload_rejected():
      "line 2: key 'b\\rz' contains a forbidden control character"),
     (b"%aa-triples 1\na\tb\tt\tone\rtwo\n",
      "line 2: text value 'one\\rtwo' contains a line break"),
+    (b"%aa-triples 1\na\tb\tn\t1e999\n", "line 2: number '1e999' is not finite"),
     # non-ASCII digits are no number, though float() accepts them
     ("%aa-triples 1\na\tb\tn\t1\nc\td\tn\t\u0661\u0662\n".encode("utf-8"),
      "line 3: unparseable number '\u0661\u0662'"),
@@ -265,6 +282,20 @@ def test_parse_record_lines_errors_name_the_line(data, message):
     with pytest.raises(FormatError) as exc:
         read_triples(io.BytesIO(data))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("body,lineno", [
+    (b"a\tx\tn\t1\nc\tx\tn\t3\nb\tx\tn\t2\n", 4),  # rows out of order
+    (b"a\tx\tn\t1\na\tx\tn\t2\nb\tx\tn\t2\n", 3),  # a cell twice
+    (b"a\ty\tn\t1\na\tx\tn\t2\nb\tx\tn\t2\n", 3),  # columns out of order
+])
+def test_segment_records_must_strictly_ascend(body, lineno):
+    data = b"%aa-seg 1\n" + body
+    start, end, _ = record_span(data, "%aa-seg 1")
+    with pytest.raises(FormatError) as exc:
+        parse_record_lines(data, start, end, segment=True)
+    assert str(exc.value) == f"line {lineno}: record out of (row, col) order"
+    assert len(parse_record_lines(data, start, end)) == 3  # no order rule outside segments
 
 
 def test_record_span_lenient_tail_may_be_undecodable():

@@ -95,6 +95,15 @@ def test_second_writer_degrades_to_read_only(tmp_path):
     assert not (tmp_path / "t" / "LOCK").exists()
 
 
+def test_repr_names_path_mode_and_segments(tmp_path):
+    root = tmp_path / "t"
+    with open_store(root) as st:
+        st.insert(aa({("a", "x"): 1.0}))
+        assert repr(st) == f"TableStore({str(root)!r}, writer, 1 segments)"
+        with open_store(root, read_only=True) as ro:
+            assert repr(ro) == f"TableStore({str(root)!r}, read-only, 1 segments)"
+
+
 def test_degraded_writer_names_the_lock_holder(tmp_path):
     root = tmp_path / "t"
     open_store(root).close()
