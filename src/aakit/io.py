@@ -8,7 +8,9 @@ LF-framed, one record per line::
     row<TAB>col2<TAB>t<TAB>free text (TABs allowed, line breaks not)
 
 Numbers are rendered in their shortest round-trip decimal form, records
-sort by (row, col), so equal arrays serialize to identical bytes.
+sort by (row, col), so equal arrays serialize to identical bytes.  Writers
+walk row dicts.  A call renders or parses each distinct number once until
+``_CACHE_SIZE`` of them are cached, and then drops the cache.
 
 The store's segment and MANIFEST bytes are this module's too.  Segment
 lines follow two more rules, which ``parse_record_lines(..., segment=True)``
@@ -22,9 +24,10 @@ import csv
 import math
 import operator
 import re
+import threading
 from io import StringIO
 from itertools import islice
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Mapping
 
 from .core import (
     LATTICE,
@@ -40,6 +43,8 @@ TRIPLES_MAGIC = "%aa-triples 1"
 
 # ASCII digits only: float() also reads other scripts' digits, which stay text.
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
+_CSV_FIELD_LIMIT_LOCK = threading.Lock()  # read_table raises csv's process-wide limit
+_CACHE_SIZE = 1024  # a call drops a value cache this full: so many distinct values seldom repeat
 
 
 class FormatError(ValueError):
@@ -73,6 +78,16 @@ def read_table(source: BinaryIO) -> AssociativeArray:
         text = source.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"table is not valid UTF-8: {exc}") from None
+    # csv's process-wide field limit is not the format's: raise it past any field, never lower it.
+    with _CSV_FIELD_LIMIT_LOCK:
+        saved = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
+        try:
+            return _parse_table(text)
+        finally:
+            csv.field_size_limit(saved)
+
+
+def _parse_table(text: str) -> AssociativeArray:
     # newline="" leaves line breaks to csv, which ends rows on CR and LF only.
     reader = csv.reader(StringIO(text, newline=""))
     try:
@@ -172,6 +187,7 @@ def parse_record_lines(
     # A field that came from strict UTF-8 split on LF and TAB can break the
     # key and text rules only by being empty (keys) or by holding a CR.
     records: list[tuple[str, str, Value | None]] = []
+    numbers: dict[str, float] | None = {}  # number texts that passed both checks
     try:
         for i, line in enumerate(lines):
             fields = line.split("\t", 3)
@@ -183,11 +199,17 @@ def parse_record_lines(
                 check_key(col)
             value: Value | None
             if tag == "n":
-                if not _NUMBER_RE.match(valtext):
-                    raise FormatError(f"unparseable number {valtext!r}")
-                value = float(valtext)
-                if not math.isfinite(value):
-                    raise FormatError(f"number {valtext!r} is not finite")
+                value = None if numbers is None else numbers.get(valtext)
+                if value is None:
+                    if not _NUMBER_RE.match(valtext):
+                        raise FormatError(f"unparseable number {valtext!r}")
+                    value = float(valtext)
+                    if not math.isfinite(value):
+                        raise FormatError(f"number {valtext!r} is not finite")
+                    if numbers is not None:
+                        numbers[valtext] = value
+                        if len(numbers) == _CACHE_SIZE:
+                            numbers = None
             elif tag == "t":
                 if "\r" in valtext:
                     check_value(valtext)
@@ -270,19 +292,13 @@ def read_triples(source: BinaryIO) -> AssociativeArray:
     del data
     plus = LATTICE.plus
     rows: dict[str, dict[str, Value]] = {}
+    last = None
     for r, c, v in records:
-        row = rows.setdefault(r, {})
+        if r != last:
+            row, last = rows.setdefault(r, {}), r
         row[c] = plus(row[c], v) if c in row else v
     del records
     return AssociativeArray._from_clean(rows)
-
-
-def _record_line(row: str, col: str, value: Value | None) -> str:
-    if value is None:
-        return f"{row}\t{col}\tx\t"
-    if isinstance(value, str):
-        return f"{row}\t{col}\tt\t{value}"
-    return f"{row}\t{col}\tn\t{format_number(value)}"
 
 
 def encode_lines(lines: list[str]) -> bytes:
@@ -290,16 +306,33 @@ def encode_lines(lines: list[str]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def encode_records(magic: str, records: Iterable[tuple[str, str, Value | None]]) -> bytes:
-    """``magic``, then a line per ``(row, col, value)`` (None: tombstone), each LF-terminated."""
+def encode_records(magic: str, rows: Mapping[str, Mapping[str, Value | None]]) -> bytes:
+    """``magic``, then a line per cell of ``rows`` (row -> column -> value; None: tombstone)."""
     lines = [magic]
-    lines.extend(_record_line(r, c, v) for r, c, v in records)
+    append = lines.append
+    numbers: dict[float, str] | None = {}  # an array holds no -0.0 to take 0.0's text
+    for r, row in rows.items():
+        head = r + "\t"
+        for c, v in row.items():
+            if v is None:
+                append(f"{head}{c}\tx\t")
+            elif isinstance(v, str):
+                append(f"{head}{c}\tt\t{v}")
+            else:
+                text = None if numbers is None else numbers.get(v)
+                if text is None:
+                    text = format_number(v)
+                    if numbers is not None:
+                        numbers[v] = text
+                        if len(numbers) == _CACHE_SIZE:
+                            numbers = None
+                append(f"{head}{c}\tn\t{text}")
     return encode_lines(lines)
 
 
 def write_triples(arr: AssociativeArray, sink: BinaryIO) -> int:
     """Write the canonical triple form; returns the byte count written."""
-    payload = encode_records(TRIPLES_MAGIC, arr)
+    payload = encode_records(TRIPLES_MAGIC, arr._rows)
     sink.write(payload)
     return len(payload)
 
@@ -316,14 +349,20 @@ def export_dot(arr: AssociativeArray, sink: BinaryIO) -> int:
     render identically.
     """
     nodes = {k: _dot_quote(k) for k in sorted(set(arr.row_keys) | set(arr.col_keys))}
-    labels: dict[Value, str] = {}
+    tails: dict[Value, str] | None = {}
     lines = ["digraph aa {"]
     lines.extend(f"  {q};" for q in nodes.values())
-    for r, c, v in arr:
-        label = labels.get(v)
-        if label is None:
-            label = labels[v] = _dot_quote(v if isinstance(v, str) else format_number(v))
-        lines.append(f"  {nodes[r]} -> {nodes[c]} [label={label}];")
+    for r, row in arr._rows.items():
+        head = f"  {nodes[r]} -> "
+        for c, v in row.items():
+            tail = None if tails is None else tails.get(v)
+            if tail is None:
+                tail = f" [label={_dot_quote(v if isinstance(v, str) else format_number(v))}];"
+                if tails is not None:
+                    tails[v] = tail
+                    if len(tails) == _CACHE_SIZE:
+                        tails = None
+            lines.append(f"{head}{nodes[c]}{tail}")
     lines.append("}")
     payload = encode_lines(lines)
     sink.write(payload)

@@ -228,7 +228,7 @@ class TableStore:
         self._require_writer()
         if batch.nnz == 0:
             return 0
-        self._append_segment(batch.triples())
+        self._append_segment(batch._rows)
         return batch.nnz
 
     def delete(self, mask: AssociativeArray) -> int:
@@ -236,7 +236,7 @@ class TableStore:
         self._require_writer()
         if mask.nnz == 0:
             return 0
-        self._append_segment([(r, c, None) for r, c in mask.support()])
+        self._append_segment({r: dict.fromkeys(row) for r, row in mask._rows.items()})
         return mask.nnz
 
     def compact(self) -> tuple[int, int]:
@@ -254,7 +254,7 @@ class TableStore:
         snapshot: dict[str, bytes] = {}
         if live.nnz:
             name = self._next_segment_name()
-            snapshot[name] = encode_records(SEGMENT_MAGIC, live)
+            snapshot[name] = encode_records(SEGMENT_MAGIC, live._rows)
             _write_file_atomic(self.path / name, snapshot[name])
         _write_file_atomic(self.path / MANIFEST_NAME, encode_lines([MANIFEST_MAGIC, *snapshot]))
         for entry in self.path.iterdir():
@@ -301,10 +301,10 @@ class TableStore:
                 highest = max(highest, int(m.group(1)))
         return f"seg-{highest + 1:08d}.aat"
 
-    def _append_segment(self, records: list[tuple[str, str, Value | None]]) -> None:
-        """Write ``records``, already in ascending (row, col) order, as the newest segment."""
+    def _append_segment(self, rows: dict[str, dict[str, Value | None]]) -> None:
+        """Write ``rows`` (None: tombstone), already in ascending (row, col) order, as the newest segment."""
         name = self._next_segment_name()
-        payload = encode_records(SEGMENT_MAGIC, records)
+        payload = encode_records(SEGMENT_MAGIC, rows)
         _write_file_atomic(self.path / name, payload)
         manifest = encode_lines([MANIFEST_MAGIC, *self._snapshot, name])
         _write_file_atomic(self.path / MANIFEST_NAME, manifest)

@@ -4,7 +4,8 @@ Everything here is deliberately written against different machinery than
 the code under test: exact Fraction arithmetic instead of float
 elimination, Jacobi rotations instead of power iteration, plain nested
 loops instead of indexed sparse folds, set arithmetic instead of
-pass-through products.
+pass-through products, and the file formats rebuilt from their
+specification instead of through ``aakit.io``.
 """
 
 from __future__ import annotations
@@ -151,3 +152,51 @@ def store_fold_oracle(batches: list[tuple[str, AssociativeArray]]) -> dict:
 def filter_keys_oracle(keys, predicate) -> set[str]:
     """Brute-force key filtering (for key spec equivalences)."""
     return {k for k in keys if predicate(k)}
+
+
+# -- file formats ---------------------------------------------------------------
+
+
+def _number_text(x: float) -> str:
+    """Shortest round-trip decimal: ``repr``, with integral values below 1e16 as integers."""
+    return str(int(x)) if x.is_integer() and abs(x) < 1e16 else repr(x)
+
+
+def triples_bytes_oracle(cells: dict, magic: str = "%aa-triples 1") -> bytes:
+    """A record file for a {(row, col): value} table, from the format's specification.
+
+    The magic line, then one line per cell in (row, col) order: row, column,
+    tag and value text joined by TABs, where a number is tagged ``n``, text
+    ``t``, and None (a store tombstone) ``x`` with an empty value text.
+    """
+    out = [magic + "\n"]
+    for (r, c), v in sorted(cells.items()):
+        if v is None:
+            tag, text = "x", ""
+        elif isinstance(v, str):
+            tag, text = "t", v
+        else:
+            tag, text = "n", _number_text(v)
+        out.append("\t".join((r, c, tag, text)) + "\n")
+    return "".join(out).encode("utf-8")
+
+
+def _dot_id(s: str) -> str:
+    return '"' + "".join("\\" + ch if ch in '"\\' else ch for ch in s) + '"'
+
+
+def dot_bytes_oracle(cells: dict) -> bytes:
+    """The DOT digraph for a {(row, col): value} table, from the format's specification.
+
+    Every row and column key once as a quoted node in sorted order, then one
+    edge per cell in (row, col) order labelled with its value text;
+    backslashes and double quotes are escaped with a backslash.
+    """
+    keys = sorted({k for cell in cells for k in cell})
+    out = ["digraph aa {\n"]
+    out.extend(f"  {_dot_id(k)};\n" for k in keys)
+    for (r, c), v in sorted(cells.items()):
+        label = v if isinstance(v, str) else _number_text(v)
+        out.append(f"  {_dot_id(r)} -> {_dot_id(c)} [label={_dot_id(label)}];\n")
+    out.append("}\n")
+    return "".join(out).encode("utf-8")

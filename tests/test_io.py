@@ -1,8 +1,14 @@
+import csv
 import io
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import aakit.io
 from aakit import LATTICE, AssociativeArray, from_triples
 from aakit.io import (
     FormatError,
@@ -18,6 +24,7 @@ from aakit.io import (
 )
 
 from helpers import check_invariants, random_mixed_array
+from oracles import dot_bytes_oracle, triples_bytes_oracle
 
 
 def buf(text: str) -> io.BytesIO:
@@ -131,6 +138,72 @@ def test_read_table_skips_blank_lines():
     assert read_table(buf("T,x\n\nr1,1\n\n")) == read_table(buf("T,x\nr1,1\n"))
 
 
+@pytest.mark.parametrize("quoted", [False, True])
+def test_read_table_cells_have_no_length_cap(quoted):
+    # 131,072 is the csv module's default field_size_limit, not the format's.
+    long = "a" * 131_073
+    cell = f'"{long}"' if quoted else long
+    before = csv.field_size_limit()
+    assert read_table(buf(f"T,x,{long}\nr1,{cell},1\n")).triples() == [
+        ("r1", long, 1.0), ("r1", "x", long)]
+    assert csv.field_size_limit() == before
+    with pytest.raises(FormatError, match="duplicate row key"):
+        read_table(buf(f"T,x\nr1,{cell}\nr1,1\n"))
+    assert csv.field_size_limit() == before
+
+
+def test_read_table_leaves_a_custom_field_size_limit_alone():
+    before = csv.field_size_limit(10)
+    try:
+        assert read_table(buf("T,x\nr1,abcdefghijklmnop\n")).get("r1", "x") == "abcdefghijklmnop"
+        assert csv.field_size_limit() == 10
+    finally:
+        csv.field_size_limit(before)
+
+
+def test_read_table_never_lowers_the_field_size_limit(monkeypatch):
+    # Another reader of the process, here one that runs in the middle of the
+    # parse, may meet a field longer than the table being read.
+    parse = aakit.io._parse_table
+    field = "b" * 1000
+
+    def parse_beside_another_reader(text):
+        assert next(csv.reader([field])) == [field]
+        return parse(text)
+
+    monkeypatch.setattr(aakit.io, "_parse_table", parse_beside_another_reader)
+    before = csv.field_size_limit()
+    assert read_table(buf("T,x\nr1,1\n")).get("r1", "x") == 1.0
+    assert csv.field_size_limit() == before
+
+
+def test_read_table_threads_restore_the_field_size_limit():
+    data = ("T,x\nr1," + "a" * 131_073 + "\n").encode("utf-8")
+    errors = []
+
+    def work():
+        try:
+            for _ in range(20):
+                read_table(io.BytesIO(data))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    before = csv.field_size_limit()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert csv.field_size_limit() == before
+
+
 def test_read_table_not_utf8():
     with pytest.raises(FormatError):
         read_table(io.BytesIO(b"T,x\nr1,\xff\n"))
@@ -168,10 +241,10 @@ def test_read_table_non_ascii_digits_stay_text():
 
 
 def test_encode_records_frames_every_kind_of_record():
-    records = [("a", "b", 1.5), ("a", "c", None), ("b", "c", "x\ty")]
-    assert encode_records("%aa-seg 1", records) == (
+    rows = {"a": {"b": 1.5, "c": None}, "b": {"c": "x\ty"}}
+    assert encode_records("%aa-seg 1", rows) == (
         b"%aa-seg 1\na\tb\tn\t1.5\na\tc\tx\t\nb\tc\tt\tx\ty\n")
-    assert encode_records("%aa-triples 1", []) == b"%aa-triples 1\n"
+    assert encode_records("%aa-triples 1", {}) == b"%aa-triples 1\n"
 
 
 def test_write_triples_golden_bytes():
@@ -198,6 +271,114 @@ def test_triples_round_trip():
         back = read_triples(io.BytesIO(sink.getvalue()))
         assert back == arr
         check_invariants(back)
+
+
+# A few values drawn for many cells, so they repeat across rows: number-like
+# text beside the numbers it reads as, and numbers whose shortest text is
+# exponent form, a subnormal, or longer than its literal.
+ORACLE_VALUES = ["1", "1.0", "-0", "1e3", "x\ty", 'say "hi"', "back\\slash",
+                 1.0, 1000.0, 0.1 + 0.2, 1e16, 5e-324, -1.5]
+ORACLE_KEYS = st.sampled_from(["a", "b", "k1", "k10", 'q"uote', "back\\", "édge", "中"])
+
+
+def mixed_cells(values=ORACLE_VALUES):
+    return st.dictionaries(st.tuples(ORACLE_KEYS, ORACLE_KEYS), st.sampled_from(values), max_size=40)
+
+
+@settings(max_examples=200)
+@given(cells=mixed_cells())
+def test_write_triples_matches_the_format_oracle(cells):
+    arr = AssociativeArray(cells)
+    sink = io.BytesIO()
+    n = write_triples(arr, sink)
+    assert sink.getvalue() == triples_bytes_oracle(cells)
+    assert n == len(sink.getvalue())
+    assert read_triples(io.BytesIO(sink.getvalue())) == arr
+
+
+@settings(max_examples=200)
+@given(cells=mixed_cells(ORACLE_VALUES + [None, None]))
+def test_encode_records_with_tombstones_matches_the_format_oracle(cells):
+    rows: dict = {}
+    for (r, c), v in sorted(cells.items()):
+        rows.setdefault(r, {})[c] = v
+    assert encode_records("%aa-seg 1", rows) == triples_bytes_oracle(cells, "%aa-seg 1")
+
+
+@pytest.mark.parametrize("cache_size", [None, 0, 2])
+def test_value_caches_past_their_size_match_the_format_oracles(monkeypatch, cache_size):
+    # More distinct numbers than a cache holds, and numbers first met after
+    # it was dropped repeat later on; None keeps the shipped size.
+    shipped = aakit.io._CACHE_SIZE
+    if cache_size is not None:
+        monkeypatch.setattr(aakit.io, "_CACHE_SIZE", cache_size)
+    rng = random.Random(25)
+    values = ORACLE_VALUES + [i + 0.25 for i in range(2 * shipped)]
+    keys = [f"k{i:03d}" for i in range(90)]
+    for _ in range(5):
+        cells = {(rng.choice(keys), rng.choice(keys)): rng.choice(values) for _ in range(5000)}
+        assert len(set(cells.values())) > shipped + len(ORACLE_VALUES)
+        arr = AssociativeArray(cells)
+        sink = io.BytesIO()
+        write_triples(arr, sink)
+        assert sink.getvalue() == triples_bytes_oracle(cells)
+        assert read_triples(io.BytesIO(sink.getvalue())) == arr
+        sink = io.BytesIO()
+        export_dot(arr, sink)
+        assert sink.getvalue() == dot_bytes_oracle(cells)
+        cells.update(dict.fromkeys(rng.sample(sorted(cells), 100)))
+        rows: dict = {}
+        for (r, c), v in sorted(cells.items()):
+            rows.setdefault(r, {})[c] = v
+        data = encode_records("%aa-seg 1", rows)
+        assert data == triples_bytes_oracle(cells, "%aa-seg 1")
+        start, end, _ = record_span(data, "%aa-seg 1")
+        assert parse_record_lines(data, start, end, segment=True) == sorted(
+            (r, c, v) for (r, c), v in cells.items())
+
+
+@pytest.mark.parametrize("cache_size,checks", [(None, 2), (1, 4)])
+def test_value_caches_convert_a_number_once_until_full(monkeypatch, cache_size, checks):
+    # Values 1, 2, 2, 2: with room, each distinct number is converted once;
+    # a cache that fills is dropped, and every later number is converted.
+    if cache_size is not None:
+        monkeypatch.setattr(aakit.io, "_CACHE_SIZE", cache_size)
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(args)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(aakit.io, "format_number", counted(aakit.io.format_number))
+    arr = AssociativeArray({("a", "w"): 1.0, ("a", "x"): 2.0, ("b", "x"): 2.0, ("b", "y"): 2.0})
+    for render in (write_triples, export_dot):
+        calls.clear()
+        render(arr, io.BytesIO())
+        assert len(calls) == checks
+
+    class CountedPattern:
+        def match(self, text):
+            calls.append(text)
+            return number_re.match(text)
+
+    number_re = aakit.io._NUMBER_RE
+    monkeypatch.setattr(aakit.io, "_NUMBER_RE", CountedPattern())
+    calls.clear()
+    parse_body("a\tw\tn\t1\na\tx\tn\t2\nb\tx\tn\t2\nb\ty\tn\t2\n", segment=True)
+    assert len(calls) == checks
+
+
+@pytest.mark.parametrize("cache_size", [0, 1])
+def test_parse_record_lines_errors_past_the_cache_size(monkeypatch, cache_size):
+    monkeypatch.setattr(aakit.io, "_CACHE_SIZE", cache_size)
+    body = "a\tv\tn\t1\na\tw\tn\t2\na\tx\tn\t2\na\ty\tn\t1e999\na\tz\tn\t1e999\n"
+    with pytest.raises(FormatError) as exc:
+        parse_body(body, segment=True)
+    assert str(exc.value) == "line 5: number '1e999' is not finite"
+    assert parse_body("a\tw\tn\t1\na\tx\tn\t2\na\ty\tn\t2\na\tz\tn\t1.0\n", False) == [
+        ("a", "w", 1.0), ("a", "x", 2.0), ("a", "y", 2.0), ("a", "z", 1.0)]
 
 
 def test_read_triples_duplicate_cells_keep_lattice_max():
@@ -284,6 +465,34 @@ def test_parse_record_lines_errors_name_the_line(data, message):
     assert str(exc.value) == message
 
 
+def parse_body(body: str, segment: bool):
+    data = ("%aa-seg 1\n" + body).encode("utf-8")
+    start, end, _ = record_span(data, "%aa-seg 1")
+    return parse_record_lines(data, start, end, segment=segment)
+
+
+@pytest.mark.parametrize("segment", [False, True])
+def test_parse_record_lines_number_texts_share_a_value_not_a_tag(segment):
+    body = "a\tw\tn\t1\na\tx\tn\t1.0\na\ty\tn\t01\na\tz\tt\t1\nb\tw\tn\t1\nb\tx\tt\t1\n"
+    assert parse_body(body, segment) == [
+        ("a", "w", 1.0), ("a", "x", 1.0), ("a", "y", 1.0), ("a", "z", "1"),
+        ("b", "w", 1.0), ("b", "x", "1")]
+
+
+@pytest.mark.parametrize("segment", [False, True])
+@pytest.mark.parametrize("body,message", [
+    # a bad text after good ones that share its prefix is not taken from them
+    ("a\tw\tn\t1\na\tx\tn\t1\na\ty\tn\t1\na\tz\tn\t1x\n", "line 5: unparseable number '1x'"),
+    # a text that failed is not remembered as passing: the first one is named
+    ("a\tw\tn\t2\na\tx\tn\t1e999\na\ty\tn\t1e999\n", "line 3: number '1e999' is not finite"),
+    ("a\tw\tn\t1\na\tx\tt\t1x\na\ty\tn\t1x\n", "line 4: unparseable number '1x'"),
+])
+def test_parse_record_lines_cached_numbers_keep_every_error(body, message, segment):
+    with pytest.raises(FormatError) as exc:
+        parse_body(body, segment)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("body,lineno", [
     (b"a\tx\tn\t1\nc\tx\tn\t3\nb\tx\tn\t2\n", 4),  # rows out of order
     (b"a\tx\tn\t1\na\tx\tn\t2\nb\tx\tn\t2\n", 3),  # a cell twice
@@ -355,6 +564,15 @@ def test_export_dot_escapes_quotes_and_backslashes():
     text = sink.getvalue().decode()
     assert '"say \\"hi\\""' in text
     assert '"back\\\\slash"' in text
+
+
+@settings(max_examples=200)
+@given(cells=mixed_cells())
+def test_export_dot_matches_the_format_oracle(cells):
+    sink = io.BytesIO()
+    n = export_dot(AssociativeArray(cells), sink)
+    assert sink.getvalue() == dot_bytes_oracle(cells)
+    assert n == len(sink.getvalue())
 
 
 def test_export_dot_deterministic():
