@@ -9,8 +9,8 @@ LF-framed, one record per line::
 
 Numbers are rendered in their shortest round-trip decimal form, records
 sort by (row, col), so equal arrays serialize to identical bytes.  Writers
-walk row dicts.  A call renders or parses each distinct number once until
-``_CACHE_SIZE`` of them are cached, and then drops the cache.
+walk row dicts; the record parser folds into them and reports sorted input.
+A call converts each distinct number once until ``_CACHE_SIZE`` are cached.
 
 The store's segment and MANIFEST bytes are this module's too.  Segment
 lines follow two more rules, which ``parse_record_lines(..., segment=True)``
@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import re
 import threading
 from io import StringIO
-from itertools import islice
-from typing import BinaryIO, Mapping
+from typing import BinaryIO, Callable, Mapping
 
 from .core import (
     LATTICE,
@@ -159,16 +157,19 @@ def record_span(data: bytes, magic: str, *, lenient_tail: bool = False) -> tuple
 
 
 def parse_record_lines(
-    data: bytes, start: int, end: int, *, segment: bool = False
-) -> list[tuple[str, str, Value | None]]:
-    """Parse the LF-framed tab-separated record lines in ``data[start:end]``.
+    data: bytes, start: int, end: int, into: dict[str, dict[str, Value | None]],
+    plus: Callable[[Value, Value], Value] | None = None, *, segment: bool = False,
+) -> bool:
+    """Fold the LF-framed record lines in ``data[start:end]`` into ``into``: row -> column -> value.
 
     ``start`` and ``end`` are line starts within the bounds ``record_span``
-    returned for ``data``, which has already checked framing and magic.
-    ``segment`` applies the segment rules of the module docstring (a
-    tombstone reads as None).  Every returned key passed ``check_key`` and
-    every value ``check_value``; error messages number lines from the
-    start of ``data``.
+    returned for ``data``, which has already checked framing and magic.  A
+    repeated cell combines with ``plus`` in file order, or the later record
+    replaces it if ``plus`` is None.  Returns whether ``into`` started empty
+    and the records strictly ascended by (row, col) with no empty value.
+    ``segment`` applies the module docstring's segment rules (a tombstone
+    reads as None).  Keys and values pass ``check_key`` and ``check_value``;
+    an error names the first faulty line, numbered from the start of ``data``.
     """
     # Decode the span at once.  On a decoding error, parse the lines before
     # the bad one (an earlier error wins) and then report it; LF never
@@ -186,15 +187,15 @@ def parse_record_lines(
 
     # A field that came from strict UTF-8 split on LF and TAB can break the
     # key and text rules only by being empty (keys) or by holding a CR.
-    records: list[tuple[str, str, Value | None]] = []
     numbers: dict[str, float] | None = {}  # number texts that passed both checks
+    ordered, last_row, last_col = not into, "", ""  # "" is below every key: keys are non-empty
     try:
         for i, line in enumerate(lines):
-            fields = line.split("\t", 3)
-            if len(fields) != 4:
-                raise FormatError("expected 4 tab-separated fields")
-            row, col, tag, valtext = fields
-            if not row or not col or "\r" in row or "\r" in col:
+            try:
+                row, col, tag, valtext = line.split("\t", 3)
+            except ValueError:
+                raise FormatError("expected 4 tab-separated fields") from None
+            if not row or not col or "\r" in line:
                 check_key(row)
                 check_key(col)
             value: Value | None
@@ -220,19 +221,22 @@ def parse_record_lines(
                 value = None
             else:
                 raise FormatError(f"unknown type tag {tag!r}")
-            records.append((row, col, value))
+            if row != last_row:
+                ascends, cells, last_row = row > last_row, into.setdefault(row, {}), row
+            else:
+                ascends = col > last_col
+            last_col = col
+            if not (ascends and value):
+                if segment and not ascends:
+                    raise FormatError("record out of (row, col) order")
+                ordered = False
+            # While ordered, the cell is new: every record so far ascended into an empty ``into``.
+            cells[col] = plus(cells[col], value) if not ordered and plus and col in cells else value
     except (FormatError, BadKeyError, BadValueError) as exc:
         raise FormatError(f"line {line_number(data, start) + i}: {exc}") from None
     if bad_at is not None:
         raise FormatError(f"line {line_number(data, bad_at)}: not valid UTF-8")
-    del lines  # free the line texts before the order check lists the cells
-    if segment:
-        cells = [record[:2] for record in records]
-        if not all(map(operator.lt, cells, islice(cells, 1, None))):
-            i = next(i for i in range(1, len(cells)) if cells[i - 1] >= cells[i])
-            lineno = line_number(data, start) + i
-            raise FormatError(f"line {lineno}: record out of (row, col) order")
-    return records
+    return ordered
 
 
 def row_spans(data: bytes, bounds: list[tuple[bytes, bytes | None]]) -> list[tuple[int, int]]:
@@ -288,16 +292,9 @@ def read_triples(source: BinaryIO) -> AssociativeArray:
     """
     data = source.read()
     start, end, _ = record_span(data, TRIPLES_MAGIC)
-    records = parse_record_lines(data, start, end)
-    del data
-    plus = LATTICE.plus
     rows: dict[str, dict[str, Value]] = {}
-    last = None
-    for r, c, v in records:
-        if r != last:
-            row, last = rows.setdefault(r, {}), r
-        row[c] = plus(row[c], v) if c in row else v
-    del records
+    if parse_record_lines(data, start, end, rows, LATTICE.plus):
+        return AssociativeArray._from_sorted(rows)
     return AssociativeArray._from_clean(rows)
 
 

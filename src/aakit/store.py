@@ -22,9 +22,9 @@ as its snapshot: each segment's name, oldest first, mapped to its bytes
 up to the last complete line.  That gives readers snapshot isolation at
 manifest granularity even across a concurrent compaction.  Open checks
 only each segment's framing; records are parsed by the command that
-uses them.  A select reads each segment only on the key intervals of its
-row spec and folds the parsed records; a row spec without intervals is
-filtered by ``matches`` over whole segments.
+uses them.  A select has ``io``'s parser fold each segment, read only on
+the key intervals of its row spec, straight into one set of row dicts; a
+row spec without intervals is filtered by ``matches`` over whole segments.
 """
 
 from __future__ import annotations
@@ -203,8 +203,7 @@ class TableStore:
         for name, data in self._snapshot.items():
             try:
                 for start, end in row_spans(data, bounds):
-                    for r, c, v in parse_record_lines(data, start, end, segment=True):
-                        fold.setdefault(r, {})[c] = v
+                    parse_record_lines(data, start, end, fold, segment=True)
             except FormatError as exc:
                 raise StoreError(f"segment {name}: {exc}") from None
         if not isinstance(cols, AllKeys):
@@ -312,12 +311,22 @@ class TableStore:
 
 
 def _lock_holder(lock: Path) -> str:
-    """``lock`` and the PID its writer wrote into it, as read now: a suffix for errors."""
+    """``lock``, the PID its writer wrote into it and whether that PID runs, as read now: an error suffix."""
     try:
         pid = lock.read_text("ascii", "replace").strip()
     except FileNotFoundError:  # the holder closed since
         pid = ""
-    return f": {str(lock)!r} is held by " + (f"PID {pid}" if pid.isdigit() else "an unknown PID")
+    state = ""
+    try:
+        if pid.isdigit() and int(pid) > 0:  # 0 would signal a process group
+            os.kill(int(pid), 0)
+    except (OverflowError, ValueError):
+        pid = ""
+    except ProcessLookupError:
+        state = " (not running)"
+    except PermissionError:  # alive, and another user's
+        pass
+    return f": {str(lock)!r} is held by " + (f"PID {pid}{state}" if pid.isdigit() else "an unknown PID")
 
 
 def _read_manifest(manifest: Path) -> list[str]:

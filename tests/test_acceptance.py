@@ -274,15 +274,14 @@ def test_store_equivalence_and_crash(tmp_path):
             for _ in range(rng.randint(2, 4)):
                 st.insert(random_batch())
             names = st.segments
-        folded = {}
+        rows: dict = {}
         for name in names:
             data = (root / name).read_bytes()
-            records = parse_record_lines(
-                data, *record_span(data, SEGMENT_MAGIC)[:2], segment=True)
+            start, end, _ = record_span(data, SEGMENT_MAGIC)
             if name == names[-1]:
-                records = records[:-1]  # the record the crash destroys
-            for r, c, v in records:
-                folded[(r, c)] = v
+                end = data.rfind(b"\n", 0, end - 1) + 1  # the record the crash destroys
+            parse_record_lines(data, start, end, rows, segment=True)
+        folded = {(r, c): v for r, row in rows.items() for c, v in row.items()}
         data = (root / names[-1]).read_bytes()
         last_line_len = len(data.rsplit(b"\n", 2)[1]) + 1
         (root / names[-1]).write_bytes(data[:-rng.randint(1, last_line_len)])

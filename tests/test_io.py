@@ -333,7 +333,8 @@ def test_value_caches_past_their_size_match_the_format_oracles(monkeypatch, cach
         data = encode_records("%aa-seg 1", rows)
         assert data == triples_bytes_oracle(cells, "%aa-seg 1")
         start, end, _ = record_span(data, "%aa-seg 1")
-        assert parse_record_lines(data, start, end, segment=True) == sorted(
+        folded = fold_span(data, start, end, segment=True)
+        assert [(r, c, v) for r, row in folded.items() for c, v in row.items()] == sorted(
             (r, c, v) for (r, c), v in cells.items())
 
 
@@ -377,8 +378,8 @@ def test_parse_record_lines_errors_past_the_cache_size(monkeypatch, cache_size):
     with pytest.raises(FormatError) as exc:
         parse_body(body, segment=True)
     assert str(exc.value) == "line 5: number '1e999' is not finite"
-    assert parse_body("a\tw\tn\t1\na\tx\tn\t2\na\ty\tn\t2\na\tz\tn\t1.0\n", False) == [
-        ("a", "w", 1.0), ("a", "x", 2.0), ("a", "y", 2.0), ("a", "z", 1.0)]
+    assert parse_body("a\tw\tn\t1\na\tx\tn\t2\na\ty\tn\t2\na\tz\tn\t1.0\n", False) == {
+        "a": {"w": 1.0, "x": 2.0, "y": 2.0, "z": 1.0}}
 
 
 def test_read_triples_duplicate_cells_keep_lattice_max():
@@ -422,13 +423,13 @@ def test_record_span_lenient_tail():
     data = b"%aa-triples 1\na\tb\tn\t1\nc\td\tn\t2"
     start, end, truncated = record_span(data, "%aa-triples 1", lenient_tail=True)
     assert truncated
-    assert parse_record_lines(data, start, end) == [("a", "b", 1.0)]
+    assert fold_span(data, start, end) == {"a": {"b": 1.0}}
 
 
 def test_parse_record_lines_tombstones():
     data = b"%aa-seg 1\na\tb\tx\t\n"
     start, end, truncated = record_span(data, "%aa-seg 1")
-    assert parse_record_lines(data, start, end, segment=True) == [("a", "b", None)]
+    assert fold_span(data, start, end, segment=True) == {"a": {"b": None}}
     assert not truncated
 
 
@@ -436,7 +437,7 @@ def test_parse_record_lines_tombstone_payload_rejected():
     data = b"%aa-seg 1\na\tb\tx\tstuff\n"
     start, end, _ = record_span(data, "%aa-seg 1")
     with pytest.raises(FormatError):
-        parse_record_lines(data, start, end, segment=True)
+        fold_span(data, start, end, segment=True)
 
 
 @pytest.mark.parametrize("data,message", [
@@ -465,18 +466,23 @@ def test_parse_record_lines_errors_name_the_line(data, message):
     assert str(exc.value) == message
 
 
-def parse_body(body: str, segment: bool):
+def fold_span(data: bytes, start: int, end: int, plus=None, segment: bool = False) -> dict:
+    into: dict = {}
+    parse_record_lines(data, start, end, into, plus, segment=segment)
+    return into
+
+
+def parse_body(body: str, segment: bool) -> dict:
     data = ("%aa-seg 1\n" + body).encode("utf-8")
     start, end, _ = record_span(data, "%aa-seg 1")
-    return parse_record_lines(data, start, end, segment=segment)
+    return fold_span(data, start, end, segment=segment)
 
 
 @pytest.mark.parametrize("segment", [False, True])
 def test_parse_record_lines_number_texts_share_a_value_not_a_tag(segment):
     body = "a\tw\tn\t1\na\tx\tn\t1.0\na\ty\tn\t01\na\tz\tt\t1\nb\tw\tn\t1\nb\tx\tt\t1\n"
-    assert parse_body(body, segment) == [
-        ("a", "w", 1.0), ("a", "x", 1.0), ("a", "y", 1.0), ("a", "z", "1"),
-        ("b", "w", 1.0), ("b", "x", "1")]
+    assert parse_body(body, segment) == {
+        "a": {"w": 1.0, "x": 1.0, "y": 1.0, "z": "1"}, "b": {"w": 1.0, "x": "1"}}
 
 
 @pytest.mark.parametrize("segment", [False, True])
@@ -502,16 +508,77 @@ def test_segment_records_must_strictly_ascend(body, lineno):
     data = b"%aa-seg 1\n" + body
     start, end, _ = record_span(data, "%aa-seg 1")
     with pytest.raises(FormatError) as exc:
-        parse_record_lines(data, start, end, segment=True)
+        fold_span(data, start, end, segment=True)
     assert str(exc.value) == f"line {lineno}: record out of (row, col) order"
-    assert len(parse_record_lines(data, start, end)) == 3  # no order rule outside segments
+    expected: dict = {}  # no order rule outside segments: all three records fold
+    for line in body.decode().splitlines():
+        r, c, _, v = line.split("\t")
+        expected.setdefault(r, {})[c] = float(v)
+    assert fold_span(data, start, end) == expected
+
+
+def test_parse_record_lines_reports_a_sorted_screened_file():
+    data = b"%aa-seg 1\na\tx\tn\t1\na\ty\tt\tv\nb\tw\tn\t2\n"
+    start, end, _ = record_span(data, "%aa-seg 1")
+    into: dict = {}
+    assert parse_record_lines(data, start, end, into) is True
+    assert into == {"a": {"x": 1.0, "y": "v"}, "b": {"w": 2.0}}
+
+
+@pytest.mark.parametrize("body", [
+    "b\tx\tn\t1\na\tx\tn\t2\n",  # a row goes backwards
+    "a\ty\tn\t1\na\tx\tn\t2\n",  # a column goes backwards inside a row
+    "a\tx\tn\t1\na\tx\tn\t2\n",  # a cell repeats
+    "a\tx\tn\t0\na\ty\tn\t2\n",  # a stored zero
+    "a\tx\tt\t\na\ty\tn\t2\n",   # an empty text
+])
+def test_parse_record_lines_reports_unsorted_or_unscreened_records(body):
+    data = ("%aa-triples 1\n" + body).encode("utf-8")
+    start, end, _ = record_span(data, "%aa-triples 1")
+    assert parse_record_lines(data, start, end, {}, LATTICE.plus) is False
+
+
+def test_parse_record_lines_folds_repeats_in_file_order():
+    data = b"%aa-triples 1\nr\tc\tn\t2\nr\tc\tn\t5\nr\tc\tn\t3\nr\td\tt\tx\nr\td\tt\ty\n"
+    start, end, _ = record_span(data, "%aa-triples 1")
+    assert fold_span(data, start, end, LATTICE.plus) == {"r": {"c": 5.0, "d": "y"}}
+    assert fold_span(data, start, end) == {"r": {"c": 3.0, "d": "y"}}  # the last record wins
+    calls = []
+    fold_span(data, start, end, lambda a, b: calls.append((a, b)) or b)
+    assert calls == [(2.0, 5.0), (5.0, 3.0), ("x", "y")]
+    # a cell already in ``into`` combines too, though the records ascend
+    into = {"a": {"x": 4.0}}
+    data = b"%aa-triples 1\na\tx\tn\t2\nb\tx\tn\t1\n"
+    start, end, _ = record_span(data, "%aa-triples 1")
+    assert parse_record_lines(data, start, end, into, LATTICE.plus) is False
+    assert into == {"a": {"x": 4.0}, "b": {"x": 1.0}}
+
+
+def test_read_triples_sorted_file_drops_a_stored_zero():
+    arr = read_triples(buf("%aa-triples 1\na\tx\tn\t1\na\ty\tn\t0\nb\tx\tn\t-0\nb\ty\tn\t2\n"))
+    assert list(arr) == [("a", "x", 1.0), ("b", "y", 2.0)]
+    check_invariants(arr)
+
+
+@pytest.mark.parametrize("data,message", [
+    # an order fault on line 3 is named before an unparseable number on line 5
+    (b"%aa-seg 1\nb\tx\tn\t1\na\tx\tn\t1\nc\tx\tn\t1\nd\tx\tn\tz\n",
+     "line 3: record out of (row, col) order"),
+    # and before a line that is not UTF-8
+    (b"%aa-seg 1\na\ty\tn\t1\na\tx\tn\t1\nb\t\xff\tn\t1\n", "line 3: record out of (row, col) order"),
+])
+def test_parse_record_lines_first_faulty_line_wins(data, message):
+    start, end, _ = record_span(data, "%aa-seg 1")
+    with pytest.raises(FormatError) as exc:
+        fold_span(data, start, end, segment=True)
+    assert str(exc.value) == message
 
 
 def test_record_span_lenient_tail_may_be_undecodable():
     data = b"%aa-seg 1\na\tb\tn\t1\nc\td\tt\tcaf\xc3"
     start, end, truncated = record_span(data, "%aa-seg 1", lenient_tail=True)
     assert truncated
-    assert parse_record_lines(data, start, end) == [("a", "b", 1.0)]
+    assert fold_span(data, start, end) == {"a": {"b": 1.0}}
 
 
 def test_read_triples_shuffled_duplicates_fold_like_from_triples():

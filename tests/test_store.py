@@ -124,6 +124,32 @@ def test_degraded_writer_names_the_lock_holder(tmp_path):
     assert "LOCK" not in str(info.value)
 
 
+def test_degraded_writer_says_whether_the_lock_holder_runs(tmp_path, monkeypatch):
+    root = tmp_path / "t"
+    open_store(root).close()
+    lock = root / "LOCK"
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: no process has its PID now
+
+    def holder(text):
+        lock.write_text(text)
+        with open_store(root) as st, pytest.raises(ReadOnlyError) as info:
+            st.insert(aa({("a", "x"): 1.0}))
+        assert lock.read_text() == text  # never taken or removed
+        return str(info.value).split(" is held by ")[1]
+
+    assert holder(f"{child.pid}\n") == f"PID {child.pid} (not running)"
+    assert holder(f"{os.getpid()}\n") == f"PID {os.getpid()}"
+    assert holder("0\n") == "PID 0"  # not checked: kill(0) signals a process group
+    assert holder("9" * 30 + "\n") == "an unknown PID"  # past the platform's PIDs
+
+    def denied(pid, sig):
+        raise PermissionError(pid)
+
+    monkeypatch.setattr(os, "kill", denied)  # a process of another user
+    assert holder(f"{child.pid}\n") == f"PID {child.pid}"
+
+
 def test_read_only_flag_skips_lock(tmp_path):
     with open_store(tmp_path / "t") as writer:
         writer.insert(aa({("a", "x"): 1.0}))
