@@ -53,7 +53,10 @@ def parse_keyspec(text: str) -> KeySpec:
 # per call so that wrappers set on aio apply.
 def _load(path: str, read=None) -> AssociativeArray:
     with open(path, "rb") as f:
-        return (read or aio.read_triples)(f)
+        try:
+            return (read or aio.read_triples)(f)
+        except aio.FormatError as exc:
+            raise aio.FormatError(f"{path}: {exc}") from None
 
 
 def _emit(arr: AssociativeArray, out: str | None, render=None) -> None:

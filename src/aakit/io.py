@@ -12,10 +12,10 @@ sort by (row, col), so equal arrays serialize to identical bytes.  Writers
 walk row dicts; the record parser folds into them and reports sorted input.
 A call converts each distinct number once until ``_CACHE_SIZE`` are cached.
 
-The store's segment and MANIFEST bytes are this module's too.  Segment
-lines follow two more rules, which ``parse_record_lines(..., segment=True)``
-checks: tag "x" marks a tombstone, and cells strictly ascend in (row, col)
-order.  ``row_spans`` bisects sorted record lines for rows in key intervals.
+The store's segment and MANIFEST bytes are this module's too.  The magic
+line picks ``parse_record_lines``' rules: a segment's tag "x" marks a
+tombstone and its cells strictly ascend in (row, col) order.  ``row_spans``
+bisects sorted record lines for rows in key intervals.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import re
 import threading
 from io import StringIO
-from typing import BinaryIO, Callable, Mapping
+from typing import BinaryIO, Mapping
 
 from .core import (
     LATTICE,
@@ -38,6 +38,9 @@ from .core import (
 )
 
 TRIPLES_MAGIC = "%aa-triples 1"
+SEGMENT_MAGIC = "%aa-seg 1"
+MANIFEST_MAGIC = "%aa-manifest 1"
+_SEGMENT_HEAD = (SEGMENT_MAGIC + "\n").encode("ascii")
 
 # ASCII digits only: float() also reads other scripts' digits, which stay text.
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
@@ -86,14 +89,15 @@ def read_table(source: BinaryIO) -> AssociativeArray:
 
 
 def _parse_table(text: str) -> AssociativeArray:
-    # newline="" leaves line breaks to csv, which ends rows on CR and LF only.
-    reader = csv.reader(StringIO(text, newline=""))
+    # newline="" leaves line breaks to csv, which ends rows on CR and LF only;
+    # strict refuses text after a closing quote, and a quote left open.
+    reader = csv.reader(StringIO(text, newline=""), strict=True)
     try:
         header = next(reader)
     except StopIteration:
         raise FormatError("table has no header row") from None
     except csv.Error as exc:
-        raise FormatError(f"malformed CSV: {exc}") from None
+        raise FormatError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     col_keys = header[1:]
     try:
         for c in col_keys:
@@ -126,7 +130,7 @@ def _parse_table(text: str) -> AssociativeArray:
                 except BadValueError as exc:
                     raise FormatError(f"row {row_key!r}: {exc}") from None
     except csv.Error as exc:
-        raise FormatError(f"malformed CSV: {exc}") from None
+        raise FormatError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     return AssociativeArray._from_clean(rows)
 
 
@@ -156,21 +160,21 @@ def record_span(data: bytes, magic: str, *, lenient_tail: bool = False) -> tuple
     return start, end, truncated
 
 
-def parse_record_lines(
-    data: bytes, start: int, end: int, into: dict[str, dict[str, Value | None]],
-    plus: Callable[[Value, Value], Value] | None = None, *, segment: bool = False,
-) -> bool:
+def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[str, Value | None]]) -> bool:
     """Fold the LF-framed record lines in ``data[start:end]`` into ``into``: row -> column -> value.
 
     ``start`` and ``end`` are line starts within the bounds ``record_span``
-    returned for ``data``, which has already checked framing and magic.  A
-    repeated cell combines with ``plus`` in file order, or the later record
-    replaces it if ``plus`` is None.  Returns whether ``into`` started empty
-    and the records strictly ascended by (row, col) with no empty value.
-    ``segment`` applies the module docstring's segment rules (a tombstone
-    reads as None).  Keys and values pass ``check_key`` and ``check_value``;
-    an error names the first faulty line, numbered from the start of ``data``.
+    returned for ``data``, which has already checked framing and magic.  The
+    magic line picks the rules: a triple file's repeated cell combines with
+    ``LATTICE.plus`` in file order; a segment follows the module docstring's
+    rules (a tombstone reads as None), and its record replaces one already
+    in ``into``.  Returns whether ``into`` started empty and the records
+    strictly ascended by (row, col) with no empty value.  Keys and values
+    pass ``check_key`` and ``check_value``; an error names the first faulty
+    line, numbered from the start of ``data``.
     """
+    segment = data.startswith(_SEGMENT_HEAD)
+    plus = None if segment else LATTICE.plus
     # Decode the span at once.  On a decoding error, parse the lines before
     # the bad one (an earlier error wins) and then report it; LF never
     # occurs inside a UTF-8 sequence, so the first bad byte lies on the
@@ -239,18 +243,19 @@ def parse_record_lines(
     return ordered
 
 
-def row_spans(data: bytes, bounds: list[tuple[bytes, bytes | None]]) -> list[tuple[int, int]]:
-    """Byte spans of framed ``data``'s record lines whose rows lie in ``bounds``.
+def row_spans(data: bytes, intervals: list[tuple[str, str | None]]) -> list[tuple[int, int]]:
+    """Byte spans of framed ``data``'s record lines whose rows lie in ``intervals``.
 
-    The lines must ascend by row, as a segment's do.  ``bounds`` are
-    ascending ``[lo, hi)`` intervals of UTF-8 row keys (UTF-8 byte order is
-    key order); ``hi`` None is unbounded above; touching spans merge.
+    The lines must ascend by row, as a segment's do.  ``intervals`` are
+    ``KeySpec.intervals()``: ascending ``[lo, hi)`` row key intervals, ``hi``
+    None unbounded above.  Each bound is searched as UTF-8, whose byte order
+    is key order.  Touching spans merge.
     """
     spans: list[tuple[int, int]] = []
     pos, end = data.index(b"\n") + 1, len(data)
-    for lo, hi in bounds:
-        first = _row_lower_bound(data, pos, end, lo)
-        pos = end if hi is None else _row_lower_bound(data, first, end, hi)
+    for lo, hi in intervals:
+        first = _row_lower_bound(data, pos, end, lo.encode("utf-8"))
+        pos = end if hi is None else _row_lower_bound(data, first, end, hi.encode("utf-8"))
         if first < pos:
             if spans and spans[-1][1] == first:
                 first = spans.pop()[0]
@@ -293,7 +298,7 @@ def read_triples(source: BinaryIO) -> AssociativeArray:
     data = source.read()
     start, end, _ = record_span(data, TRIPLES_MAGIC)
     rows: dict[str, dict[str, Value]] = {}
-    if parse_record_lines(data, start, end, rows, LATTICE.plus):
+    if parse_record_lines(data, start, end, rows):
         return AssociativeArray._from_sorted(rows)
     return AssociativeArray._from_clean(rows)
 

@@ -22,9 +22,10 @@ as its snapshot: each segment's name, oldest first, mapped to its bytes
 up to the last complete line.  That gives readers snapshot isolation at
 manifest granularity even across a concurrent compaction.  Open checks
 only each segment's framing; records are parsed by the command that
-uses them.  A select has ``io``'s parser fold each segment, read only on
-the key intervals of its row spec, straight into one set of row dicts; a
-row spec without intervals is filtered by ``matches`` over whole segments.
+uses them.  A select has ``io`` find the lines of its row spec's key
+intervals in each segment and fold them, by the segment rules, straight
+into one set of row dicts.  Only what that search cannot narrow is then
+filtered by ``matches``: the rows of a spec without intervals, and columns.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ import warnings
 from pathlib import Path
 
 from .core import ALL, AllKeys, AssociativeArray, KeySpec, Value
-from .io import FormatError, encode_lines, encode_records, parse_record_lines, record_span, row_spans
+from .io import (MANIFEST_MAGIC, SEGMENT_MAGIC, FormatError, encode_lines, encode_records,
+                 parse_record_lines, record_span, row_spans)
 
-MANIFEST_MAGIC = "%aa-manifest 1"
-SEGMENT_MAGIC = "%aa-seg 1"
 MANIFEST_NAME = "MANIFEST"
 LOCK_NAME = "LOCK"
 
@@ -122,12 +122,10 @@ class TableStore:
         self._holder = holder
         self._closed = False
         try:
-            manifest = path / MANIFEST_NAME
-            if not manifest.exists():
+            if not (path / MANIFEST_NAME).exists():
                 if not holds_lock:
                     raise StoreError(f"no table at {str(path)!r}: {MANIFEST_NAME} is missing")
-                _write_file_atomic(manifest, encode_lines([MANIFEST_MAGIC]))
-                self._snapshot: dict[str, bytes] = {}
+                self._commit({})
             else:
                 self._snapshot = self._read_snapshot()
         except BaseException:
@@ -191,26 +189,23 @@ class TableStore:
         """Materialize live content filtered by the key specs: the stored table's subarray.
 
         Each segment is read only on the row spec's key intervals; a row
-        spec without intervals reads every line, and ``subarray`` filters.
+        spec without intervals reads every line and filters by ``matches``.
         """
         self._require_open()
         intervals = rows.intervals()
-        if intervals is None:
-            intervals = ALL.intervals()
-        # hi is None (unbounded) or a non-empty key.
-        bounds = [(lo.encode("utf-8"), hi and hi.encode("utf-8")) for lo, hi in intervals]
+        read = ALL.intervals() if intervals is None else intervals
         fold: dict[str, dict[str, Value | None]] = {}
         for name, data in self._snapshot.items():
             try:
-                for start, end in row_spans(data, bounds):
-                    parse_record_lines(data, start, end, fold, segment=True)
+                for start, end in row_spans(data, read):
+                    parse_record_lines(data, start, end, fold)
             except FormatError as exc:
                 raise StoreError(f"segment {name}: {exc}") from None
-        if not isinstance(cols, AllKeys):
-            keep = cols.matches
-            fold = {r: {c: v for c, v in row.items() if keep(c)} for r, row in fold.items()}
+        if intervals is None or not isinstance(cols, AllKeys):
+            keep_row, keep_col = rows.matches, cols.matches
+            fold = {r: {c: v for c, v in row.items() if keep_col(c)} for r, row in fold.items() if keep_row(r)}
         # The builder drops the tombstones (None) with the empties.
-        return AssociativeArray._from_clean(fold).subarray(rows)
+        return AssociativeArray._from_clean(fold)
 
     @property
     def segments(self) -> tuple[str, ...]:
@@ -227,7 +222,7 @@ class TableStore:
         self._require_writer()
         if batch.nnz == 0:
             return 0
-        self._append_segment(batch._rows)
+        self._commit(self._snapshot, batch._rows)
         return batch.nnz
 
     def delete(self, mask: AssociativeArray) -> int:
@@ -235,7 +230,7 @@ class TableStore:
         self._require_writer()
         if mask.nnz == 0:
             return 0
-        self._append_segment({r: dict.fromkeys(row) for r, row in mask._rows.items()})
+        self._commit(self._snapshot, {r: dict.fromkeys(row) for r, row in mask._rows.items()})
         return mask.nnz
 
     def compact(self) -> tuple[int, int]:
@@ -249,18 +244,11 @@ class TableStore:
         """
         self._require_writer()
         before = len(self._snapshot)
-        live = self.select()
-        snapshot: dict[str, bytes] = {}
-        if live.nnz:
-            name = self._next_segment_name()
-            snapshot[name] = encode_records(SEGMENT_MAGIC, live._rows)
-            _write_file_atomic(self.path / name, snapshot[name])
-        _write_file_atomic(self.path / MANIFEST_NAME, encode_lines([MANIFEST_MAGIC, *snapshot]))
+        self._commit({}, self.select()._rows)
         for entry in self.path.iterdir():
-            if entry.name not in snapshot and (_SEGMENT_RE.match(entry.name) or entry.name.endswith(".tmp")):
+            if entry.name not in self._snapshot and (_SEGMENT_RE.match(entry.name) or entry.name.endswith(".tmp")):
                 entry.unlink(missing_ok=True)
-        self._snapshot = snapshot
-        return before, len(snapshot)
+        return before, len(self._snapshot)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -300,14 +288,17 @@ class TableStore:
                 highest = max(highest, int(m.group(1)))
         return f"seg-{highest + 1:08d}.aat"
 
-    def _append_segment(self, rows: dict[str, dict[str, Value | None]]) -> None:
-        """Write ``rows`` (None: tombstone), already in ascending (row, col) order, as the newest segment."""
-        name = self._next_segment_name()
-        payload = encode_records(SEGMENT_MAGIC, rows)
-        _write_file_atomic(self.path / name, payload)
-        manifest = encode_lines([MANIFEST_MAGIC, *self._snapshot, name])
-        _write_file_atomic(self.path / MANIFEST_NAME, manifest)
-        self._snapshot[name] = payload
+    def _commit(self, snapshot: dict[str, bytes], rows: dict[str, dict[str, Value | None]] | None = None) -> None:
+        """Write ``rows`` (None: tombstone), if any, as a segment after ``snapshot``'s, then their MANIFEST.
+
+        ``rows`` ascend by (row, col); the handle takes the new snapshot once the MANIFEST is durable.
+        """
+        if rows:
+            name = self._next_segment_name()
+            snapshot = {**snapshot, name: encode_records(SEGMENT_MAGIC, rows)}
+            _write_file_atomic(self.path / name, snapshot[name])
+        _write_file_atomic(self.path / MANIFEST_NAME, encode_lines([MANIFEST_MAGIC, *snapshot]))
+        self._snapshot = snapshot
 
 
 def _lock_holder(lock: Path) -> str:

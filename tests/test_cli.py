@@ -108,6 +108,22 @@ def test_op_mask_and_delete(tmp_path):
     assert load_aat(out) == aa({("r", "d"): 7.0})
 
 
+def test_malformed_input_file_names_itself(tmp_path, capsys):
+    good = write_aat(tmp_path / "good.aat", aa({("r", "c"): 2.0}))
+    bad = tmp_path / "bad.aat"
+    bad.write_bytes(b"%aa-triples 1\nr\tc\tq\t2\n")
+    csv_file = tmp_path / "bad.csv"
+    csv_file.write_bytes(b",x\nr,1\nr,2\n")
+    table = str(tmp_path / "table")
+    for argv, path, message in [
+        (["op", "add", good, str(bad)], bad, "line 2: unknown type tag 'q'"),
+        (["ingest", str(csv_file)], csv_file, "duplicate row key 'r'"),
+        (["store", "insert", table, str(bad)], bad, "line 2: unknown type tag 'q'"),
+    ]:
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"aakit: {path}: {message}\n"
+
+
 def test_op_unknown_semiring_is_exit_1(tmp_path, capsys):
     a = write_aat(tmp_path / "a.aat", aa({("r", "c"): 2.0}))
     assert run(["op", "add", a, a, "--semiring", "frobnicate"]) == 1

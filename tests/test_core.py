@@ -97,6 +97,7 @@ def test_registry_and_lookup():
     assert get_semiring("maxplus") is MAXPLUS
     with pytest.raises(ValueError):
         get_semiring("boolean")
+    assert repr(ARITH) == "Semiring('arith')"
 
 
 NUMERIC_SAMPLES = [-3.0, -1.0, 1.0, 2.0, 5.0]
@@ -288,6 +289,8 @@ def test_interval_edge_cases(spec, keys, want):
 
 def test_user_spec_has_no_intervals():
     assert KeySpec().intervals() is None
+    with pytest.raises(NotImplementedError):
+        KeySpec().matches("a")  # a user spec defines its own
 
 
 class _EvenCodeSum(KeySpec):
@@ -461,6 +464,8 @@ def test_equality_is_content_based():
     b = AssociativeArray({("a", "x"): 1.0})
     assert a == b
     assert a != AssociativeArray({("a", "x"): "1"})
+    assert a.__eq__({("a", "x"): 1.0}) is NotImplemented  # a mapping is no array
+    assert a != {("a", "x"): 1.0}
 
 
 arrays_strategy = st.dictionaries(

@@ -127,6 +127,11 @@ def test_read_table_rejects(text):
     ("T,a\tb\nr1,1\n",
      "bad column key in header: key 'a\\tb' contains a forbidden control character"),
     ('T,x\nr1,"a\nb"\n', "row 'r1': text value 'a\\nb' contains a line break"),
+    # quoting that breaks RFC 4180 names the line where csv found the fault
+    ('T,x\nr1,"1"2\n', "malformed CSV at line 2: ',' expected after '\"'"),
+    ('"T,x\nr1,1\n', "malformed CSV at line 2: unexpected end of data"),  # open in the header
+    ('T,x\nr1,"a\nr2,1\n', "malformed CSV at line 3: unexpected end of data"),  # open in the body
+    ('T,x\nr1,1\nr2,"x', "malformed CSV at line 3: unexpected end of data"),  # open at the end
 ])
 def test_read_table_errors_name_the_cause(text, message):
     with pytest.raises(FormatError) as exc:
@@ -333,7 +338,7 @@ def test_value_caches_past_their_size_match_the_format_oracles(monkeypatch, cach
         data = encode_records("%aa-seg 1", rows)
         assert data == triples_bytes_oracle(cells, "%aa-seg 1")
         start, end, _ = record_span(data, "%aa-seg 1")
-        folded = fold_span(data, start, end, segment=True)
+        folded = fold_span(data, start, end)
         assert [(r, c, v) for r, row in folded.items() for c, v in row.items()] == sorted(
             (r, c, v) for (r, c), v in cells.items())
 
@@ -429,7 +434,7 @@ def test_record_span_lenient_tail():
 def test_parse_record_lines_tombstones():
     data = b"%aa-seg 1\na\tb\tx\t\n"
     start, end, truncated = record_span(data, "%aa-seg 1")
-    assert fold_span(data, start, end, segment=True) == {"a": {"b": None}}
+    assert fold_span(data, start, end) == {"a": {"b": None}}
     assert not truncated
 
 
@@ -437,7 +442,7 @@ def test_parse_record_lines_tombstone_payload_rejected():
     data = b"%aa-seg 1\na\tb\tx\tstuff\n"
     start, end, _ = record_span(data, "%aa-seg 1")
     with pytest.raises(FormatError):
-        fold_span(data, start, end, segment=True)
+        fold_span(data, start, end)
 
 
 @pytest.mark.parametrize("data,message", [
@@ -466,16 +471,17 @@ def test_parse_record_lines_errors_name_the_line(data, message):
     assert str(exc.value) == message
 
 
-def fold_span(data: bytes, start: int, end: int, plus=None, segment: bool = False) -> dict:
+def fold_span(data: bytes, start: int, end: int) -> dict:
     into: dict = {}
-    parse_record_lines(data, start, end, into, plus, segment=segment)
+    parse_record_lines(data, start, end, into)
     return into
 
 
 def parse_body(body: str, segment: bool) -> dict:
-    data = ("%aa-seg 1\n" + body).encode("utf-8")
-    start, end, _ = record_span(data, "%aa-seg 1")
-    return fold_span(data, start, end, segment=segment)
+    magic = "%aa-seg 1" if segment else "%aa-triples 1"
+    data = (magic + "\n" + body).encode("utf-8")
+    start, end, _ = record_span(data, magic)
+    return fold_span(data, start, end)
 
 
 @pytest.mark.parametrize("segment", [False, True])
@@ -508,13 +514,13 @@ def test_segment_records_must_strictly_ascend(body, lineno):
     data = b"%aa-seg 1\n" + body
     start, end, _ = record_span(data, "%aa-seg 1")
     with pytest.raises(FormatError) as exc:
-        fold_span(data, start, end, segment=True)
+        fold_span(data, start, end)
     assert str(exc.value) == f"line {lineno}: record out of (row, col) order"
     expected: dict = {}  # no order rule outside segments: all three records fold
     for line in body.decode().splitlines():
         r, c, _, v = line.split("\t")
         expected.setdefault(r, {})[c] = float(v)
-    assert fold_span(data, start, end) == expected
+    assert parse_body(body.decode(), segment=False) == expected
 
 
 def test_parse_record_lines_reports_a_sorted_screened_file():
@@ -535,22 +541,24 @@ def test_parse_record_lines_reports_a_sorted_screened_file():
 def test_parse_record_lines_reports_unsorted_or_unscreened_records(body):
     data = ("%aa-triples 1\n" + body).encode("utf-8")
     start, end, _ = record_span(data, "%aa-triples 1")
-    assert parse_record_lines(data, start, end, {}, LATTICE.plus) is False
+    assert parse_record_lines(data, start, end, {}) is False
 
 
 def test_parse_record_lines_folds_repeats_in_file_order():
     data = b"%aa-triples 1\nr\tc\tn\t2\nr\tc\tn\t5\nr\tc\tn\t3\nr\td\tt\tx\nr\td\tt\ty\n"
     start, end, _ = record_span(data, "%aa-triples 1")
-    assert fold_span(data, start, end, LATTICE.plus) == {"r": {"c": 5.0, "d": "y"}}
-    assert fold_span(data, start, end) == {"r": {"c": 3.0, "d": "y"}}  # the last record wins
-    calls = []
-    fold_span(data, start, end, lambda a, b: calls.append((a, b)) or b)
-    assert calls == [(2.0, 5.0), (5.0, 3.0), ("x", "y")]
+    assert fold_span(data, start, end) == {"r": {"c": 5.0, "d": "y"}}
+    # a segment's record replaces the one already in ``into``: the later record wins
+    into = {"r": {"c": 5.0, "d": "x"}}
+    data = b"%aa-seg 1\nr\tc\tn\t3\nr\td\tt\ty\n"
+    start, end, _ = record_span(data, "%aa-seg 1")
+    assert parse_record_lines(data, start, end, into) is False
+    assert into == {"r": {"c": 3.0, "d": "y"}}
     # a cell already in ``into`` combines too, though the records ascend
     into = {"a": {"x": 4.0}}
     data = b"%aa-triples 1\na\tx\tn\t2\nb\tx\tn\t1\n"
     start, end, _ = record_span(data, "%aa-triples 1")
-    assert parse_record_lines(data, start, end, into, LATTICE.plus) is False
+    assert parse_record_lines(data, start, end, into) is False
     assert into == {"a": {"x": 4.0}, "b": {"x": 1.0}}
 
 
@@ -570,7 +578,7 @@ def test_read_triples_sorted_file_drops_a_stored_zero():
 def test_parse_record_lines_first_faulty_line_wins(data, message):
     start, end, _ = record_span(data, "%aa-seg 1")
     with pytest.raises(FormatError) as exc:
-        fold_span(data, start, end, segment=True)
+        fold_span(data, start, end)
     assert str(exc.value) == message
 
 

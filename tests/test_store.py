@@ -148,6 +148,8 @@ def test_degraded_writer_says_whether_the_lock_holder_runs(tmp_path, monkeypatch
 
     monkeypatch.setattr(os, "kill", denied)  # a process of another user
     assert holder(f"{child.pid}\n") == f"PID {child.pid}"
+    lock.unlink()  # the holder closed between the failed take and the read
+    assert aakit.store._lock_holder(lock) == f": {str(lock)!r} is held by an unknown PID"
 
 
 def test_read_only_flag_skips_lock(tmp_path):
