@@ -56,18 +56,20 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
 
 
-def _rref(grid: list[list[float]], thresh: float) -> tuple[list[list[float]], list[int]]:
-    """Reduced row echelon form with partial pivoting.
+def _eliminate(arr: AssociativeArray, tol: float) -> tuple[tuple[str, ...], list[list[float]], list[int]]:
+    """Reduced row echelon form of ``arr``'s dense grid, by partial pivoting.
 
-    Entries whose column maximum falls at or below ``thresh`` are treated
-    as zero.  Returns the reduced matrix and the pivot column indices.
+    Cells at or below ``tol`` times the largest absolute cell count as zero.
+    Returns the column keys, the reduced rows and the pivot column indices.
     """
-    m = [row[:] for row in grid]
+    _check_tol(tol)
+    dense = to_dense(arr)
+    m = [list(row) for row in dense.cells]
+    thresh = tol * max((abs(x) for row in m for x in row), default=0.0)
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(dense.col_order)):
         if r >= nrows:
             break
         p = max(range(r, nrows), key=lambda i: abs(m[i][c]))
@@ -86,42 +88,29 @@ def _rref(grid: list[list[float]], thresh: float) -> tuple[list[list[float]], li
                 m[i][c] = 0.0
         pivots.append(c)
         r += 1
-    return m, pivots
-
-
-def _max_abs_cell(dense: DenseProjection) -> float:
-    return max((abs(x) for row in dense.cells for x in row), default=0.0)
+    return dense.col_order, m, pivots
 
 
 def rank(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank via Gaussian elimination with partial pivoting.
+    """Numerical rank: the number of pivots ``_eliminate`` finds.
 
-    Pivots smaller than ``tol`` times the largest absolute cell count as
-    zero.  The empty array has rank 0.
+    Pivots at or below ``tol`` times the largest absolute cell count as
+    zero, so the empty array has rank 0.
     """
-    _check_tol(tol)
-    dense = to_dense(arr)
-    if not dense.cells:
-        return 0
-    _, pivots = _rref([list(row) for row in dense.cells], tol * _max_abs_cell(dense))
-    return len(pivots)
+    return len(_eliminate(arr, tol)[2])
 
 
 def null_space(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> AssociativeArray:
     """A basis of the right null space, one column per free variable.
 
-    Row keys are the input's column keys; column keys are synthetic names
-    "ns1", "ns2", ... in free-variable order.  Each basis column is scaled
-    to unit 2-norm.  Returns the empty array when the rank equals the
-    column count.
+    Free variables are the columns without a pivot in ``_eliminate``.  Row keys
+    are the input's column keys; column keys are synthetic names "ns1", "ns2",
+    ... in free-variable order, each scaled to unit 2-norm.  Empty when the rank
+    equals the column count, as for the empty array.
     """
-    _check_tol(tol)
-    dense = to_dense(arr)
-    ncols = len(dense.col_order)
-    if ncols == 0:
-        return AssociativeArray()
-    m, pivots = _rref([list(row) for row in dense.cells], tol * _max_abs_cell(dense))
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    cols, m, pivots = _eliminate(arr, tol)
+    ncols = len(cols)
+    free = sorted(set(range(ncols)) - set(pivots))
     rows: dict[str, dict[str, Value]] = {}
     for idx, f in enumerate(free, start=1):
         vec = [0.0] * ncols
@@ -131,7 +120,7 @@ def null_space(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> AssociativeAr
         norm = math.sqrt(sum(x * x for x in vec))
         name = f"ns{idx}"
         for j, x in enumerate(vec):  # the builder drops the zeros
-            rows.setdefault(dense.col_order[j], {})[name] = x / norm
+            rows.setdefault(cols[j], {})[name] = x / norm
     return AssociativeArray._from_clean(rows)
 
 

@@ -155,20 +155,19 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_store(args) -> int:
-    if args.kind == "init":
-        TableStore.open(args.dir).close()
-        return 0
     if args.kind == "select":
         with TableStore.open(args.dir, read_only=True) as t:
             result = t.select(parse_keyspec(args.rows), parse_keyspec(args.cols))
         _emit(result, args.output)
         return 0
-    with TableStore.open(args.dir) as t:
+    # The batch or mask is read first, so a bad file neither creates nor locks the table.
+    arr = _load(args.file) if args.kind in ("insert", "delete") else None
+    with TableStore.open(args.dir) as t:  # init only opens and closes the table
         if args.kind == "insert":
-            print(f"records {t.insert(_load(args.file))}")
+            print(f"records {t.insert(arr)}")
         elif args.kind == "delete":
-            print(f"tombstones {t.delete(_load(args.file))}")
-        else:
+            print(f"tombstones {t.delete(arr)}")
+        elif args.kind == "compact":
             before, after = t.compact()
             print(f"segments {before} -> {after}")
     return 0
@@ -189,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="aakit",
         description="Associative array algebra over triple files.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.required = True
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     p = sub.add_parser("ingest", help="convert a CSV table or triple file to triples")
     p.add_argument("input")
@@ -199,12 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ingest)
 
     p = sub.add_parser("op", help="binary operations on two triple files")
-    p.add_argument("kind", choices=("add", "mult", "prod", "mask", "delete"))
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--semiring", default="arith",
-                   help="semiring for add/mult/prod (default arith)")
-    _add_output(p)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind in ("add", "mult", "prod", "mask", "delete"):
+        k = kinds.add_parser(kind)
+        k.add_argument("a")
+        k.add_argument("b")
+        if kind in ("add", "mult", "prod"):
+            k.add_argument("--semiring", default="arith", help="semiring (default arith)")
+        _add_output(k)
     p.set_defaults(handler=_cmd_op)
 
     p = sub.add_parser("select", help="select by row/column key specs")
@@ -263,30 +263,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_export_dot)
 
     p = sub.add_parser("store", help="persistent table operations")
-    p.add_argument("kind", choices=("init", "insert", "select", "delete", "compact"))
-    p.add_argument("dir")
-    p.add_argument("file", nargs="?",
-                   help="triple file with the batch (insert) or mask (delete)")
-    p.add_argument("--rows", default="all")
-    p.add_argument("--cols", default="all")
-    _add_output(p)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind in ("init", "insert", "select", "delete", "compact"):
+        k = kinds.add_parser(kind)
+        k.add_argument("dir")
+        if kind in ("insert", "delete"):
+            k.add_argument("file", help="triple file with the batch (insert) or mask (delete)")
+        if kind == "select":
+            k.add_argument("--rows", default="all")
+            k.add_argument("--cols", default="all")
+            _add_output(k)
     p.set_defaults(handler=_cmd_store)
 
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "store" and args.kind in ("insert", "delete") and not args.file:
-            parser.error(f"store {args.kind} needs a triple file argument")
         return args.handler(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except Exception as exc:  # CLI boundary: every library error becomes exit 1
         print(f"aakit: {exc}", file=sys.stderr)
         return 1

@@ -92,12 +92,14 @@ def _parse_table(text: str) -> AssociativeArray:
     # newline="" leaves line breaks to csv, which ends rows on CR and LF only;
     # strict refuses text after a closing quote, and a quote left open.
     reader = csv.reader(StringIO(text, newline=""), strict=True)
+    done = 0  # lines of whole records: an error names the next, where its record starts
     try:
         header = next(reader)
     except StopIteration:
         raise FormatError("table has no header row") from None
     except csv.Error as exc:
-        raise FormatError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+        raise FormatError(f"malformed CSV at line {done + 1}: {exc}") from None
+    done = reader.line_num
     col_keys = header[1:]
     try:
         for c in col_keys:
@@ -110,6 +112,7 @@ def _parse_table(text: str) -> AssociativeArray:
     rows: dict[str, dict[str, Value]] = {}
     try:
         for record in reader:
+            done = reader.line_num
             if not record:
                 continue
             row_key = record[0]
@@ -130,7 +133,7 @@ def _parse_table(text: str) -> AssociativeArray:
                 except BadValueError as exc:
                     raise FormatError(f"row {row_key!r}: {exc}") from None
     except csv.Error as exc:
-        raise FormatError(f"malformed CSV at line {reader.line_num}: {exc}") from None
+        raise FormatError(f"malformed CSV at line {done + 1}: {exc}") from None
     return AssociativeArray._from_clean(rows)
 
 

@@ -328,6 +328,20 @@ def test_store_insert_needs_file(tmp_path, capsys):
     assert run(["store", "delete", str(tmp_path / "t")]) == 2
 
 
+def test_store_write_reads_its_file_before_it_opens_the_table(tmp_path, capsys):
+    # A bad input file fails the command before the table is created or locked.
+    table = tmp_path / "newdir"
+    missing = tmp_path / "missing.aat"
+    bad = tmp_path / "bad.aat"
+    bad.write_bytes(b"%aa-triples 1\nr\tc\tq\t2\n")
+    for kind, path in [("insert", missing), ("delete", bad)]:
+        assert run(["store", kind, str(table), str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err
+        assert not table.exists()
+
+
 # -- exit codes ----------------------------------------------------------------
 
 
@@ -337,6 +351,26 @@ def test_usage_errors_are_exit_2(capsys):
     assert run(["op", "xor", "a", "b"]) == 2
     assert run(["bfs", "in.aat", "--steps", "one", "--sources", "a"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["store", "compact", "table", "x.aat"],
+    ["store", "init", "table", "-o", "o.aat"],
+    ["store", "select", "table", "x.aat"],
+    ["store", "insert", "table", "b.aat", "--rows", "all"],
+    ["op", "mask", "a.aat", "b.aat", "--semiring", "arith"],
+    ["op", "delete", "a.aat", "b.aat", "--semiring", "arith"],
+])
+def test_arguments_a_command_does_not_read_are_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.aat", "b.aat", "x.aat"):
+        write_aat(tmp_path / name, aa({("r", "c"): 1.0}))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert not (tmp_path / "table").exists()
+    assert not (tmp_path / "o.aat").exists()
 
 
 def test_help_is_exit_0(capsys):

@@ -127,10 +127,10 @@ def test_read_table_rejects(text):
     ("T,a\tb\nr1,1\n",
      "bad column key in header: key 'a\\tb' contains a forbidden control character"),
     ('T,x\nr1,"a\nb"\n', "row 'r1': text value 'a\\nb' contains a line break"),
-    # quoting that breaks RFC 4180 names the line where csv found the fault
+    # quoting that breaks RFC 4180 names the line where the faulty record starts
     ('T,x\nr1,"1"2\n', "malformed CSV at line 2: ',' expected after '\"'"),
-    ('"T,x\nr1,1\n', "malformed CSV at line 2: unexpected end of data"),  # open in the header
-    ('T,x\nr1,"a\nr2,1\n', "malformed CSV at line 3: unexpected end of data"),  # open in the body
+    ('"T,x\nr1,1\n', "malformed CSV at line 1: unexpected end of data"),  # open in the header
+    ('T,x\nr1,"a\nr2,1\n', "malformed CSV at line 2: unexpected end of data"),  # open in the body
     ('T,x\nr1,1\nr2,"x', "malformed CSV at line 3: unexpected end of data"),  # open at the end
 ])
 def test_read_table_errors_name_the_cause(text, message):
