@@ -25,7 +25,7 @@ import math
 import re
 import threading
 from io import StringIO
-from typing import BinaryIO, Mapping
+from typing import BinaryIO, Callable, Mapping
 
 from .core import (
     LATTICE,
@@ -163,7 +163,8 @@ def record_span(data: bytes, magic: str, *, lenient_tail: bool = False) -> tuple
     return start, end, truncated
 
 
-def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[str, Value | None]]) -> bool:
+def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[str, Value | None]],
+                       cols: Callable[[str], bool] | None = None) -> bool:
     """Fold the LF-framed record lines in ``data[start:end]`` into ``into``: row -> column -> value.
 
     ``start`` and ``end`` are line starts within the bounds ``record_span``
@@ -174,7 +175,8 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
     in ``into``.  Returns whether ``into`` started empty and the records
     strictly ascended by (row, col) with no empty value.  Keys and values
     pass ``check_key`` and ``check_value``; an error names the first faulty
-    line, numbered from the start of ``data``.
+    line, numbered from the start of ``data``.  A line whose column ``cols``
+    (a ``KeySpec.matches``) refuses is split into its four fields, then dropped.
     """
     segment = data.startswith(_SEGMENT_HEAD)
     plus = None if segment else LATTICE.plus
@@ -202,6 +204,8 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
                 row, col, tag, valtext = line.split("\t", 3)
             except ValueError:
                 raise FormatError("expected 4 tab-separated fields") from None
+            if cols is not None and col and not cols(col):  # an empty column fails as a key below
+                continue
             if not row or not col or "\r" in line:
                 check_key(row)
                 check_key(col)

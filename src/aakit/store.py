@@ -23,9 +23,9 @@ up to the last complete line.  That gives readers snapshot isolation at
 manifest granularity even across a concurrent compaction.  Open checks
 only each segment's framing; records are parsed by the command that
 uses them.  A select has ``io`` find the lines of its row spec's key
-intervals in each segment and fold them, by the segment rules, straight
-into one set of row dicts.  Only what that search cannot narrow is then
-filtered by ``matches``: the rows of a spec without intervals, and columns.
+intervals in each segment, drop those of columns the column spec refuses,
+and check and fold the rest by the segment rules into one set of row
+dicts.  Only the rows of a spec without intervals then pass ``matches``.
 """
 
 from __future__ import annotations
@@ -190,20 +190,22 @@ class TableStore:
 
         Each segment is read only on the row spec's key intervals; a row
         spec without intervals reads every line and filters by ``matches``.
+        Only the records of the selected columns are checked and folded.
         """
         self._require_open()
         intervals = rows.intervals()
         read = ALL.intervals() if intervals is None else intervals
+        keep_col = None if isinstance(cols, AllKeys) else cols.matches
         fold: dict[str, dict[str, Value | None]] = {}
         for name, data in self._snapshot.items():
             try:
                 for start, end in row_spans(data, read):
-                    parse_record_lines(data, start, end, fold)
+                    parse_record_lines(data, start, end, fold, keep_col)
             except FormatError as exc:
                 raise StoreError(f"segment {name}: {exc}") from None
-        if intervals is None or not isinstance(cols, AllKeys):
-            keep_row, keep_col = rows.matches, cols.matches
-            fold = {r: {c: v for c, v in row.items() if keep_col(c)} for r, row in fold.items() if keep_row(r)}
+        if intervals is None:
+            keep_row = rows.matches
+            fold = {r: row for r, row in fold.items() if keep_row(r)}
         # The builder drops the tombstones (None) with the empties.
         return AssociativeArray._from_clean(fold)
 
@@ -301,23 +303,60 @@ class TableStore:
         self._snapshot = snapshot
 
 
-def _lock_holder(lock: Path) -> str:
-    """``lock``, the PID its writer wrote into it and whether that PID runs, as read now: an error suffix."""
+def _lock_pid(lock: Path) -> tuple[str, bool]:
+    """The PID written in ``lock`` ("" if none can be read) and whether no process runs it, as read now."""
     try:
         pid = lock.read_text("ascii", "replace").strip()
-    except FileNotFoundError:  # the holder closed since
-        pid = ""
-    state = ""
+    except OSError:  # gone (the holder closed since) or unreadable
+        return "", False
     try:
         if pid.isdigit() and int(pid) > 0:  # 0 would signal a process group
             os.kill(int(pid), 0)
     except (OverflowError, ValueError):
-        pid = ""
+        return "", False
     except ProcessLookupError:
-        state = " (not running)"
+        return pid, True
     except PermissionError:  # alive, and another user's
         pass
-    return f": {str(lock)!r} is held by " + (f"PID {pid}{state}" if pid.isdigit() else "an unknown PID")
+    return pid if pid.isdigit() else "", False
+
+
+def _lock_holder(lock: Path) -> str:
+    """``lock``, the PID its writer wrote into it and whether that PID runs, as read now: an error suffix."""
+    pid, dead = _lock_pid(lock)
+    held = f"PID {pid}{' (not running)' if dead else ''}" if pid else "an unknown PID"
+    return f": {str(lock)!r} is held by {held}"
+
+
+def unlock(path: str | Path) -> int:
+    """Remove the table's LOCK when the PID written in it runs no process; return that PID.
+
+    A running, unknown or unreadable PID, or no LOCK at all, raises
+    StoreError naming the LOCK.  Unlockers take turns under an flock of the
+    table directory, which the kernel drops when its holder exits.  So the
+    LOCK an unlocker checked stays in place until its unlink: the holder is
+    dead, every other unlocker waits, and a writer only creates a LOCK where
+    there is none.  No unlocker can remove a lock taken after its check.
+    """
+    import fcntl  # POSIX only: imported here, so that importing the package does not need it
+
+    path = Path(path)
+    lock = path / LOCK_NAME
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        raise StoreError(f"no table directory at {str(path)!r}") from None
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        if not lock.exists():
+            raise StoreError(f"no lock to remove: {str(lock)!r} does not exist")
+        pid, dead = _lock_pid(lock)
+        if not dead:
+            raise StoreError(f"lock left in place{_lock_holder(lock)}")
+        lock.unlink()
+    finally:
+        os.close(fd)
+    return int(pid)
 
 
 def _read_manifest(manifest: Path) -> list[str]:

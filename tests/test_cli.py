@@ -300,6 +300,37 @@ def test_store_write_under_a_held_lock_names_the_holder(tmp_path, capsys):
     assert str(table / "LOCK") in err and "PID 999999" in err
 
 
+def test_store_unlock_removes_only_a_lock_whose_holder_is_not_running(tmp_path, capsys):
+    table = tmp_path / "table"
+    lock = table / "LOCK"
+    assert run(["store", "init", str(table)]) == 0
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: no process has its PID now
+    # a live holder, no PID yet, no PID at all, a process group, past the platform's PIDs
+    for text in (f"{os.getpid()}\n", "", "abc\n", "0\n", "9" * 30 + "\n"):
+        lock.write_text(text)
+        assert run(["store", "unlock", str(table)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(lock) in captured.err
+        assert lock.read_text() == text
+    lock.unlink()
+    lock.mkdir()  # no PID can be read from it
+    assert run(["store", "unlock", str(table)]) == 1
+    assert str(lock) in capsys.readouterr().err and lock.is_dir()
+    lock.rmdir()
+    assert run(["store", "unlock", str(table)]) == 1  # nothing to remove
+    assert str(lock) in capsys.readouterr().err
+    lock.write_text(f"{child.pid}\n")
+    assert run(["store", "unlock", str(table)]) == 0
+    assert capsys.readouterr().out == f"removed {str(lock)!r} of PID {child.pid} (not running)\n"
+    assert not lock.exists()
+    with aakit.open_store(table) as st:
+        assert not st.read_only
+    assert run(["store", "unlock", str(tmp_path / "typo")]) == 1
+    assert str(tmp_path / "typo") in capsys.readouterr().err
+    assert not (tmp_path / "typo").exists()
+
+
 def test_store_select_missing_table_is_exit_1(tmp_path, capsys):
     missing = tmp_path / "typo"
     assert run(["store", "select", str(missing)]) == 1

@@ -464,11 +464,37 @@ def test_parse_record_lines_tombstone_payload_rejected():
     ("%aa-triples 1\na\tb\tn\t1\nc\td\tn\t\u0661\u0662\n".encode("utf-8"),
      "line 3: unparseable number '\u0661\u0662'"),
     ("%aa-triples 1\na\tb\tn\t\uff13\n".encode("utf-8"), "line 2: unparseable number '\uff13'"),
+    # lines of column "z", which the parse below drops, keep the numbering
+    (b"%aa-triples 1\na\tz\tn\t1\nb\tz\tt\tv\nc\td\tq\t2\n", "line 4: unknown type tag 'q'"),
+    # and a dropped line must still split into four fields and decode
+    (b"%aa-triples 1\na\tb\tn\t1\nc\tz\tn\n", "line 3: expected 4 tab-separated fields"),
+    (b"%aa-triples 1\na\tz\tt\t\xff\nc\td\tn\t2\n", "line 2: not valid UTF-8"),
 ])
 def test_parse_record_lines_errors_name_the_line(data, message):
     with pytest.raises(FormatError) as exc:
         read_triples(io.BytesIO(data))
     assert str(exc.value) == message
+    if data.startswith(b"%aa-triples 1\n"):  # the same error when column "z" is dropped
+        start, end, _ = record_span(data, "%aa-triples 1")
+        with pytest.raises(FormatError) as exc:
+            parse_record_lines(data, start, end, {}, lambda col: col != "z")
+        assert str(exc.value) == message
+
+
+def test_parse_record_lines_drops_refused_columns_unchecked():
+    # The dropped lines of column "z" break the tag, number, tombstone and order
+    # rules; rows "a" and "c" hold only such lines and get no row dict.
+    data = (b"%aa-seg 1\na\tz\tq\t1\nb\tx\tn\t1\nb\tz\tn\tnope\nb\ty\tt\tv\n"
+            b"c\tz\tx\tpayload\nb\tz\tn\t1\nd\tx\tx\t\nd\ty\tn\t2\n")
+    start, end, _ = record_span(data, "%aa-seg 1")
+    into: dict = {"e": {"z": 3.0}}
+    assert parse_record_lines(data, start, end, into, lambda col: col != "z") is False
+    assert into == {"e": {"z": 3.0}, "b": {"x": 1.0, "y": "v"}, "d": {"x": None, "y": 2.0}}
+    into = {}
+    assert parse_record_lines(data, start, end, into, lambda col: col == "y") is True
+    assert into == {"b": {"y": "v"}, "d": {"y": 2.0}}
+    with pytest.raises(FormatError, match="line 2: unknown type tag 'q'"):
+        parse_record_lines(data, start, end, {})
 
 
 def fold_span(data: bytes, start: int, end: int) -> dict:

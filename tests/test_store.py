@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aakit.store
-from aakit import ALL, AssociativeArray, KeyPrefix, KeyRange, KeySet, KeySpec
+from aakit import ALL, AssociativeArray, KeyPrefix, KeyRange, KeySet, KeySpec, cli
 from aakit.store import (
     MANIFEST_NAME,
     ReadOnlyError,
@@ -122,6 +123,10 @@ def test_degraded_writer_names_the_lock_holder(tmp_path):
     with open_store(root, read_only=True) as st, pytest.raises(ReadOnlyError) as info:
         st.compact()
     assert "LOCK" not in str(info.value)
+    lock.unlink()
+    lock.mkdir()  # a LOCK no PID can be read from
+    with open_store(root) as st, pytest.raises(ReadOnlyError, match="unknown PID"):
+        st.delete(aa({("a", "x"): 1.0}))
 
 
 def test_degraded_writer_says_whether_the_lock_holder_runs(tmp_path, monkeypatch):
@@ -150,6 +155,57 @@ def test_degraded_writer_says_whether_the_lock_holder_runs(tmp_path, monkeypatch
     assert holder(f"{child.pid}\n") == f"PID {child.pid}"
     lock.unlink()  # the holder closed between the failed take and the read
     assert aakit.store._lock_holder(lock) == f": {str(lock)!r} is held by an unknown PID"
+
+
+def test_two_unlockers_never_remove_a_lock_a_writer_took_in_between(tmp_path, monkeypatch):
+    root = tmp_path / "t"
+    open_store(root).close()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    (root / "LOCK").write_text(f"{child.pid}\n")
+    check, writers, refusals = aakit.store._lock_pid, [], []
+
+    def other_unlocker_then_writer():
+        try:
+            aakit.store.unlock(root)
+        except StoreError as exc:
+            refusals.append(exc)
+        writers.append(open_store(root))
+
+    other = threading.Thread(target=other_unlocker_then_writer)
+
+    def first_check(lock):
+        # The other unlocker and a new writer get half a second between this
+        # unlocker's check and its unlink.
+        held = check(lock)
+        if not other.is_alive() and not writers:
+            other.start()
+            other.join(0.5)
+        return held
+
+    monkeypatch.setattr(aakit.store, "_lock_pid", first_check)
+    assert aakit.store.unlock(root) == child.pid
+    other.join(10)
+    assert not other.is_alive()
+    assert len(refusals) == 1 and "LOCK" in str(refusals[0])  # one removal, not two
+    [writer] = writers
+    assert not writer.read_only
+    assert (root / "LOCK").read_text() == f"{os.getpid()}\n"  # the writer's lock stands
+    writer.close()
+
+
+def test_unlock_counts_a_pid_it_may_not_signal_as_running(tmp_path, monkeypatch):
+    root = tmp_path / "t"
+    open_store(root).close()
+    (root / "LOCK").write_text("999999\n")
+
+    def denied(pid, sig):
+        raise PermissionError(pid)
+
+    monkeypatch.setattr(os, "kill", denied)  # a process of another user
+    with pytest.raises(StoreError, match=r"LOCK' is held by PID 999999\Z"):
+        aakit.store.unlock(root)
+    assert (root / "LOCK").exists()
 
 
 def test_read_only_flag_skips_lock(tmp_path):
@@ -517,7 +573,7 @@ def test_writer_killed_mid_write_leaves_the_fold_intact(tmp_path, target, n, op)
     assert (root / "LOCK").exists()
     with open_store(root, read_only=True) as st:
         assert dict(st.select().items()) == want
-    (root / "LOCK").unlink()  # the dead writer's; telling it is stale is not done here
+    assert cli.run(["store", "unlock", str(root)]) == 0  # the dead writer's
     with open_store(root) as st:
         assert not st.read_only
         st.compact()
@@ -548,6 +604,9 @@ def test_corrupt_interior_line_is_reported_by_the_command_that_reads_it(tmp_path
         for rows in (KeySet(["c"]), KeyRange("b", "d"), KeyPrefix("c"), ALL):
             with pytest.raises(StoreError, match=message):
                 st.select(rows=rows)
+            with pytest.raises(StoreError, match=message):  # its column is selected
+                st.select(rows, KeySet(["x", "y"]))
+            assert st.select(rows, KeyPrefix("y")) == aa({})  # a dropped line is not checked
         with pytest.raises(StoreError, match=message):
             st.compact()
         assert len(st.segments) == 2  # the failed compaction changed nothing
@@ -637,6 +696,61 @@ def test_interval_edge_cases_select_through_the_store(tmp_path, spec, keys, want
         for _ in range(2):  # an appended segment, then a compacted one
             assert st.select(rows=spec).row_keys == tuple(want)
             st.compact()
+
+
+# Column keys that are prefixes of one another; values whose text holds a
+# TAB-framed column key, as the start of a record line of that column would.
+COLUMN_KEYS = ["c0", "c01", "c011", "c02", "c1", "d"]
+COLUMN_TEXTS = ["t", "x\tc01\ty", "\tc0\t", "c0\tc01\t"]
+
+
+class EndsInOne(KeySpec):
+    """A user spec that defines only ``matches``."""
+
+    def matches(self, key):
+        return key.endswith("1")
+
+
+@pytest.mark.parametrize("rows,keep_row", [
+    pytest.param(ALL, lambda r: True, id="rows-all"),
+    pytest.param(KeyRange("r1", "r3"), lambda r: "r1" <= r <= "r3", id="rows-range"),
+])
+@pytest.mark.parametrize("cols,keep_col", [
+    pytest.param(ALL, lambda c: True, id="all"),
+    pytest.param(KeySet(["c01"]), lambda c: c == "c01", id="set-one"),
+    pytest.param(KeySet(["c0", "c011", "d"]), lambda c: c in ("c0", "c011", "d"), id="set-three"),
+    pytest.param(KeyRange("c01", "c02"), lambda c: "c01" <= c <= "c02", id="range"),
+    pytest.param(KeyPrefix("c01"), lambda c: c[:3] == "c01", id="prefix"),
+    pytest.param(KeyPrefix("c0"), lambda c: c[:2] == "c0", id="prefix-short"),
+    pytest.param(EndsInOne(), lambda c: c[-1:] == "1", id="custom"),
+])
+def test_column_selects_match_fold_oracle(tmp_path, rows, keep_row, cols, keep_col):
+    rng = random.Random(14)
+    root = tmp_path / "t"
+    row_keys = [f"r{i}" for i in range(5)]
+    ops = []
+    with open_store(root) as live:
+        # Each batch supersedes or deletes cells of the ones before it, in every column.
+        for kind in ("insert", "insert", "delete", "insert", "delete", "insert"):
+            cells = {(rng.choice(row_keys), rng.choice(COLUMN_KEYS)):
+                     rng.choice([float(rng.randint(1, 9)), rng.choice(COLUMN_TEXTS)])
+                     for _ in range(12)}
+            if len(ops) == 5:  # every column's newest value in one row holds a TAB
+                cells.update({(row_keys[i % 5], c): COLUMN_TEXTS[1 + i % 3] for i, c in enumerate(COLUMN_KEYS)})
+            batch = aa(cells)
+            ops.append((kind, batch))
+            live.insert(batch) if kind == "insert" else live.delete(batch)
+        assert len(live.segments) == 6
+        fold = store_fold_oracle(ops)
+        want = {(r, c): v for (r, c), v in fold.items() if keep_row(r) and keep_col(c)}
+        assert want and any("\t" in v for v in want.values() if isinstance(v, str))
+        with open_store(root, read_only=True) as reopened:
+            for handle in (live, reopened):
+                got = handle.select(rows, cols)
+                check_invariants(got)
+                assert dict(got.items()) == want
+        live.compact()
+        assert dict(live.select(rows, cols).items()) == want
 
 
 class Vowel(KeySpec):
