@@ -140,4 +140,4 @@ def perm_select(t: AssociativeArray, keys: Iterable[str], axis: Axis) -> Associa
     deduplicated; unknown keys simply select nothing.
     """
     spec = KeySet(dict.fromkeys(keys))
-    return t.subarray(spec, ALL) if axis is Axis.ROW else t.subarray(ALL, spec)
+    return t.subarray(spec, ALL) if Axis(axis) is Axis.ROW else t.subarray(ALL, spec)

@@ -113,11 +113,15 @@ def _refuse_text(arr: AssociativeArray, prefix: str) -> None:
     """Raise DomainError("``prefix`` at (row, col)") for ``arr``'s first text cell, if any.
 
     The one text screen: numeric-only kernels and dense projections call it.
+    A scan that finds no text marks the array, which no later call scans; text is never remembered.
     """
+    if arr._numeric:
+        return
     for r, row in arr._rows.items():
         for c, v in row.items():
             if isinstance(v, str):
                 raise DomainError(f"{prefix} at ({r!r}, {c!r})")
+    arr._numeric = True
 
 
 def _lattice_plus(a: Value, b: Value) -> Value:
@@ -170,6 +174,7 @@ def get_semiring(name: str) -> Semiring:
 
 
 class Axis(Enum):
+    """An array axis; every call that takes one also takes its value, "row" or "column"."""
     ROW = "row"
     COLUMN = "column"
 
@@ -293,11 +298,12 @@ class AssociativeArray:
     iterate in ascending (row, col) order.
     """
 
-    __slots__ = ("_rows", "_cols")
+    __slots__ = ("_rows", "_cols", "_numeric")
 
     def __init__(self, entries: Mapping[tuple[str, str], Value] = {}):
         self._rows = from_triples(((r, c, v) for (r, c), v in entries.items()), LATTICE)._rows
         self._cols: tuple[str, ...] | None = None
+        self._numeric = False  # True once known to hold no text (see _refuse_text)
 
     @classmethod
     def _from_clean(
@@ -319,7 +325,7 @@ class AssociativeArray:
         return cls._from_sorted(out)
 
     @classmethod
-    def _from_sorted(cls, rows: dict[str, dict[str, Value]]) -> "AssociativeArray":
+    def _from_sorted(cls, rows: dict[str, dict[str, Value]], numeric: bool = False) -> "AssociativeArray":
         """Wrap ``rows`` (row key -> column key -> value) as an array, unchecked and uncopied.
 
         The caller guarantees the array invariants: every key passed
@@ -329,10 +335,12 @@ class AssociativeArray:
         Nothing is sorted or screened here.  ``rows`` and its row dicts
         become the array's storage and are never changed again, so other
         arrays may share them: a kernel copies a row it changes.
+        ``numeric`` True vouches that no value is text (``_refuse_text`` skips its scan).
         """
         arr = cls.__new__(cls)
         arr._rows = rows
         arr._cols = None
+        arr._numeric = numeric
         return arr
 
     # -- plain queries ----------------------------------------------------
@@ -353,7 +361,7 @@ class AssociativeArray:
 
     def keys(self, axis: Axis) -> tuple[str, ...]:
         """Sorted keys with at least one entry on the given axis."""
-        return self.row_keys if axis is Axis.ROW else self.col_keys
+        return self.row_keys if Axis(axis) is Axis.ROW else self.col_keys
 
     def get(self, row: str, col: str, default=None):
         """Value at (row, col), or ``default`` when the cell is empty."""
@@ -386,7 +394,7 @@ class AssociativeArray:
                 for r, row in picked.items()
                 if not wanted.isdisjoint(row)  # build only rows that keep a cell
             }
-        return AssociativeArray._from_sorted(picked)
+        return AssociativeArray._from_sorted(picked, self._numeric)
 
     def transpose(self) -> "AssociativeArray":
         # Rows arrive ascending, so each column's new row fills in order and
@@ -395,12 +403,12 @@ class AssociativeArray:
         for r, row in self._rows.items():
             for c, v in row.items():
                 out.setdefault(c, {})[r] = v
-        return AssociativeArray._from_sorted({c: out[c] for c in sorted(out)})
+        return AssociativeArray._from_sorted({c: out[c] for c in sorted(out)}, self._numeric)
 
     def logical(self) -> "AssociativeArray":
         """Same support, every value replaced by 1.0."""
         return AssociativeArray._from_sorted(
-            {r: dict.fromkeys(row, 1.0) for r, row in self._rows.items()}
+            {r: dict.fromkeys(row, 1.0) for r, row in self._rows.items()}, True
         )
 
     # -- dunder support ---------------------------------------------------

@@ -7,6 +7,7 @@ under a pass-through semiring.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain
 from typing import Iterable
@@ -17,7 +18,7 @@ from .core import ARITH, MAXMIN, AssociativeArray, Axis
 
 def degree(arr: AssociativeArray, axis: Axis) -> AssociativeArray:
     """Entry counts per key on an axis, as a single-column array under "deg"."""
-    if axis is Axis.ROW:
+    if Axis(axis) is Axis.ROW:
         counts = {r: len(row) for r, row in arr._rows.items()}
     else:
         counts = Counter(chain.from_iterable(arr._rows.values()))
@@ -45,14 +46,16 @@ def bfs(arr: AssociativeArray, sources: Iterable[str], steps: int) -> Associativ
 
     Returns a single-row frontier under the row key "front" with value 1.0
     per reachable column key.  Step zero is the sources themselves,
-    restricted to keys present in the array on either axis.  Each step is
+    restricted to keys present in the array on either axis: a row key, or a
+    column key found by bisecting the cached ``col_keys``.  Each step is
     ``arrayprod`` of the frontier with the array under a pass-through
     semiring (text values pass unchanged), followed by logical().
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps!r}")
-    present = set(arr.row_keys) | set(arr.col_keys)
-    frontier = AssociativeArray._from_clean({"front": {s: 1.0 for s in sources if s in present}})
+    rows, cols = arr._rows, arr.col_keys
+    frontier = AssociativeArray._from_clean({"front": {s: 1.0 for s in sources if s in rows or (
+        isinstance(s, str) and bisect_left(cols, s) < bisect_right(cols, s))}})
     for _ in range(steps):
         frontier = arrayprod(frontier, arr, _SECOND).logical()
     return frontier

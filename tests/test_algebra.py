@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -24,10 +26,19 @@ from aakit import (
     identity_from_keys,
     mask_select,
     perm_select,
+    rank,
+    to_dense,
 )
 from aakit.algebra import _SECOND
 
-from helpers import NONZERO, POSITIVE, check_invariants, random_mixed_array, random_numeric_array
+from helpers import (
+    KEY_POOL,
+    NONZERO,
+    POSITIVE,
+    check_invariants,
+    random_mixed_array,
+    random_numeric_array,
+)
 from oracles import elmult_oracle, eladd_oracle, product_oracle, transpose_oracle
 
 EVERY_SEMIRING = [ARITH, MAXPLUS, MINPLUS, MAXMIN, LATTICE]
@@ -382,3 +393,114 @@ def test_pass_through_product_keeps_the_smallest_k():
     rows = arrayprod(selector, t, _SECOND)
     assert rows.triples() == want
     check_invariants(rows)
+
+
+# -- the text scan and the text-free mark ------------------------------------
+
+NUMERIC_ONLY = [ARITH, MAXPLUS, MINPLUS, MAXMIN]
+KERNELS = [eladd, elmult, arrayprod]
+
+
+def first_text_cell(arr):
+    """The (row, col) of arr's first text value in (row, col) order, by sorting its triples."""
+    return min(((r, c) for r, c, v in arr.triples() if isinstance(v, str)), default=None)
+
+
+def text_refusals(arr, nums):
+    """Each numeric-only call on arr as (call, the DomainError text it must raise)."""
+    cell = first_text_cell(arr)
+    kernel_text = "semiring {!r} is numeric-only but {} operand holds text at {!r}"
+    calls = [(lambda k=k, sr=sr: k(arr, nums, sr), kernel_text.format(sr.name, "left", cell))
+             for k in KERNELS for sr in NUMERIC_ONLY]
+    calls += [(lambda k=k, sr=sr: k(nums, arr, sr), kernel_text.format(sr.name, "right", cell))
+              for k in KERNELS for sr in NUMERIC_ONLY]
+    dense_text = f"dense projection needs numbers, found text at {cell!r}"
+    return calls + [(lambda: to_dense(arr), dense_text), (lambda: rank(arr), dense_text)]
+
+
+def test_a_text_array_is_refused_naming_its_first_text_cell_on_every_call():
+    text = aa({("a", "b"): 1.0, ("b", "a"): "t", ("b", "b"): "u", ("c", "a"): 2.0})
+    nums = aa({("a", "a"): 1.0, ("b", "b"): 2.0})
+    derived = [
+        text,
+        text.transpose(),                          # first text cell ('a', 'b')
+        text.subarray(KeySet(["b", "c"]), ALL),    # ('b', 'a')
+        text.subarray(ALL, KeySet(["b"])),         # ('b', 'b')
+        text.subarray(ALL, KeySet(["a", "b"])).transpose(),
+    ]
+    for arr in derived:
+        assert first_text_cell(arr) is not None
+        for call, message in text_refusals(arr, nums):
+            for _ in range(2):
+                with pytest.raises(DomainError) as exc:
+                    call()
+                assert str(exc.value) == message
+        assert not arr._numeric  # holding text is never remembered
+
+
+def test_derived_arrays_without_text_are_accepted():
+    text = aa({("a", "b"): 1.0, ("b", "a"): "t", ("b", "b"): "u", ("c", "a"): 2.0})
+    nums = aa({("a", "a"): 1.0, ("b", "b"): 2.0})
+    flat = text.logical()
+    assert flat._numeric
+    assert eladd(flat, flat, ARITH) == aa(dict.fromkeys(text.support(), 2.0))
+    assert to_dense(flat) == to_dense(aa(dict.fromkeys(text.support(), 1.0)))
+    picked = text.subarray(KeySet(["a", "c"]), ALL)  # a text array's rows that hold none
+    for sr in NUMERIC_ONLY:
+        for kernel in KERNELS:
+            assert kernel(picked, nums, sr) == kernel(aa(dict(picked.items())), nums, sr)
+
+
+def test_pickle_and_deepcopy_keep_results_and_refusals():
+    nums = aa({("a", "a"): 1.0, ("a", "b"): -2.0, ("b", "b"): 3.0})
+    checked = aa({("a", "b"): 4.0, ("b", "a"): 5.0})
+    eladd(checked, checked, ARITH)  # marks it
+    text = aa({("a", "b"): 1.0, ("b", "a"): "t"})
+    with pytest.raises(DomainError):
+        eladd(text, text, ARITH)
+    for arr in (nums, checked, text, text.logical()):
+        marked = arr._numeric
+        for clone in (pickle.loads(pickle.dumps(arr)), copy.deepcopy(arr)):
+            assert clone == arr
+            assert clone._numeric == marked
+            for sr in EVERY_SEMIRING:
+                for kernel in KERNELS:
+                    try:
+                        want = kernel(arr, nums, sr)
+                    except DomainError as exc:
+                        with pytest.raises(DomainError) as got:
+                            kernel(clone, nums, sr)
+                        assert str(got.value) == str(exc)
+                    else:
+                        assert kernel(clone, nums, sr) == want
+
+
+def test_checked_operands_give_the_results_of_fresh_ones():
+    rng = random.Random(1515)
+    for _ in range(120):
+        a = random_numeric_array(rng, NONZERO, 6, 6, density=rng.random())
+        b = random_numeric_array(rng, NONZERO, 6, 6, density=rng.random())
+        mixed = random_mixed_array(rng)
+        sr = rng.choice(NUMERIC_ONLY)
+        rows = KeySet(rng.sample(KEY_POOL, rng.randint(0, len(KEY_POOL))))
+        # operands that were scanned (or derived from scanned arrays) before
+        for arr in (a, b, mixed):
+            for kernel in KERNELS:
+                try:
+                    kernel(arr, arr, sr)
+                except DomainError:
+                    pass
+        assert a._numeric and b._numeric  # a scan that found no text marked them
+        operands = [a, b, a.transpose(), b.subarray(rows, ALL), mixed, mixed.logical(),
+                    mixed.subarray(rows, ALL), mixed.transpose()]
+        x, y = rng.choice(operands), rng.choice(operands)
+        fresh_x, fresh_y = (from_triples(arr.triples(), LATTICE) for arr in (x, y))
+        for kernel in KERNELS:
+            try:
+                want = kernel(fresh_x, fresh_y, sr)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    kernel(x, y, sr)
+                assert str(got.value) == str(exc)
+            else:
+                assert kernel(x, y, sr) == want

@@ -419,6 +419,21 @@ def test_keys_are_sorted_and_derived(songs):
     assert AssociativeArray().keys(Axis.ROW) == ()
 
 
+def test_axis_takes_its_value_text_and_refuses_anything_else(songs):
+    # "row" is Axis.ROW's value: it must never fall through to the column axis.
+    calls = (
+        lambda axis: songs.keys(axis),
+        lambda axis: degree(songs, axis),
+        lambda axis: perm_select(songs, ["053013ktnA1", "Genre"], axis),
+    )
+    for call in calls:
+        assert call("row") == call(Axis.ROW) != call(Axis.COLUMN)
+        assert call("column") == call(Axis.COLUMN)
+        for bad in ("col", "ROW", None, 0):
+            with pytest.raises(ValueError):
+                call(bad)
+
+
 def test_subarray_range_selects_late_rows(songs):
     sub = songs.subarray(KeyRange("06", "09"), ALL)
     assert sub.row_keys == ("063012ktnA1", "082812ktnA1")

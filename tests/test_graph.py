@@ -157,3 +157,26 @@ def test_bfs_matches_set_oracle():
             hit = bfs(graph, starts, k)
             check_invariants(hit)
             assert {c for (_, c), _ in hit.items()} == bfs_oracle(graph_edges, starts, k)
+
+
+def test_bfs_sources_of_every_kind_match_the_key_set_rule():
+    # The old rule built set(row_keys) | set(col_keys) and kept the sources in it.
+    rng = random.Random(1516)
+    invalid = ["", "a\tb", "a\nb", "zz-absent", "k0", "k99"]
+    for _ in range(150):
+        arr = random_numeric_array(rng, NONZERO, 6, 6, density=rng.random()).logical()
+        rows, cols = set(arr.row_keys), set(arr.col_keys)
+        kinds = [sorted(rows - cols), sorted(cols - rows), sorted(rows & cols), invalid]
+        sources = [rng.choice(pool) for pool in kinds if pool for _ in range(rng.randint(0, 3))]
+        sources += rng.sample(sources, min(len(sources), 2))  # repeats
+        rng.shuffle(sources)
+        start = {s for s in sources if s in rows | cols}
+        assert {c for _, c, _ in bfs(arr, sources, 0)} == start
+        edges = {(r, c) for r, c, _ in arr}
+        k = rng.randint(1, 3)
+        assert {c for _, c, _ in bfs(arr, sources, k)} == bfs_oracle(edges, sources, k)
+
+
+def test_bfs_drops_sources_that_are_not_text(genre_artist):
+    assert bfs(genre_artist, [7, None, ("Pop",), "Pop"], 0).triples() == [("front", "Pop", 1.0)]
+    assert bfs(AssociativeArray(), [7, "", "Pop"], 1) == AssociativeArray()
