@@ -10,7 +10,11 @@ Arrays are immutable; every operation returns a new array.
 An array holds its cells once, as row dicts (row key -> column key ->
 value): rows ascend by key, each row's columns ascend, and no row is
 empty.  No row dict changes once an array holds it, so a result shares
-the rows it leaves unchanged with its operands.
+the rows it leaves unchanged with its operands.  An array's first column
+select filters its rows; its second builds the transpose and keeps it, so
+that later column selects over all rows are row selects on it.  The kept
+transpose holds no reference to its source, and pickles and copies hold
+only the rows and the text mark.
 """
 
 from __future__ import annotations
@@ -122,6 +126,15 @@ def _refuse_text(arr: AssociativeArray, prefix: str) -> None:
             if isinstance(v, str):
                 raise DomainError(f"{prefix} at ({r!r}, {c!r})")
     arr._numeric = True
+
+
+def _transposed(rows: Mapping[str, dict[str, Value]]) -> dict[str, dict[str, Value]]:
+    """``rows`` with its axes swapped; rows arrive ascending, so only the column keys need sorting."""
+    out: dict[str, dict[str, Value]] = {}
+    for r, row in rows.items():
+        for c, v in row.items():
+            out.setdefault(c, {})[r] = v
+    return {c: out[c] for c in sorted(out)}
 
 
 def _lattice_plus(a: Value, b: Value) -> Value:
@@ -298,12 +311,14 @@ class AssociativeArray:
     iterate in ascending (row, col) order.
     """
 
-    __slots__ = ("_rows", "_cols", "_numeric")
+    __slots__ = ("_rows", "_cols", "_numeric", "_t")
 
     def __init__(self, entries: Mapping[tuple[str, str], Value] = {}):
         self._rows = from_triples(((r, c, v) for (r, c), v in entries.items()), LATTICE)._rows
         self._cols: tuple[str, ...] | None = None
         self._numeric = False  # True once known to hold no text (see _refuse_text)
+        # None until a column select, False after one, then the transpose (see subarray).
+        self._t: AssociativeArray | bool | None = None
 
     @classmethod
     def _from_clean(
@@ -341,7 +356,18 @@ class AssociativeArray:
         arr._rows = rows
         arr._cols = None
         arr._numeric = numeric
+        arr._t = None
         return arr
+
+    def __reduce__(self):
+        # Only the rows and the text mark: caches never enter a pickle or a copy.
+        return (AssociativeArray._from_sorted, (self._rows, self._numeric))
+
+    def __setstate__(self, state):
+        """Load a pickle of an array's slot values, ``(None, {slot: value})``, as older arrays wrote."""
+        slots = state[1]
+        self._rows, self._cols, self._t = slots["_rows"], None, None
+        self._numeric = slots.get("_numeric", False)
 
     # -- plain queries ----------------------------------------------------
 
@@ -383,11 +409,23 @@ class AssociativeArray:
 
         Surviving entries keep their original keys.  Specs are resolved
         against the sorted keys; a row select shares the selected rows.
+        An array's first column select filters.  From its second on, one
+        over all rows takes the kept transpose's rows for the selected
+        columns and transposes only those cells back; with a row spec as
+        well, rows are selected first and then filtered.
         """
         picked = self._rows
         if not isinstance(rows, AllKeys):
             picked = {r: picked[r] for r in rows.select(self.row_keys)}
+        elif not isinstance(cols, AllKeys) and self._t is not None:
+            if self._t is False:
+                self._t = self.transpose()
+            t_rows = self._t._rows
+            picked = {c: t_rows[c] for c in cols.select(self.col_keys)}
+            return AssociativeArray._from_sorted(_transposed(picked), self._numeric)
         if not isinstance(cols, AllKeys):
+            if self._t is None:
+                self._t = False
             wanted = set(cols.select(self.col_keys))
             picked = {
                 r: {c: v for c, v in row.items() if c in wanted}
@@ -397,13 +435,10 @@ class AssociativeArray:
         return AssociativeArray._from_sorted(picked, self._numeric)
 
     def transpose(self) -> "AssociativeArray":
-        # Rows arrive ascending, so each column's new row fills in order and
-        # only the column keys need sorting.
-        out: dict[str, dict[str, Value]] = {}
-        for r, row in self._rows.items():
-            for c, v in row.items():
-                out.setdefault(c, {})[r] = v
-        return AssociativeArray._from_sorted({c: out[c] for c in sorted(out)}, self._numeric)
+        if isinstance(self._t, AssociativeArray):
+            self._t._numeric |= self._numeric  # the source may have been scanned since
+            return self._t
+        return AssociativeArray._from_sorted(_transposed(self._rows), self._numeric)
 
     def logical(self) -> "AssociativeArray":
         """Same support, every value replaced by 1.0."""

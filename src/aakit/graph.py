@@ -20,6 +20,8 @@ def degree(arr: AssociativeArray, axis: Axis) -> AssociativeArray:
     """Entry counts per key on an axis, as a single-column array under "deg"."""
     if Axis(axis) is Axis.ROW:
         counts = {r: len(row) for r, row in arr._rows.items()}
+    elif isinstance(arr._t, AssociativeArray):  # a column select kept the transpose
+        counts = {c: len(row) for c, row in arr._t._rows.items()}
     else:
         counts = Counter(chain.from_iterable(arr._rows.values()))
     return AssociativeArray._from_sorted({k: {"deg": float(counts[k])} for k in sorted(counts)})

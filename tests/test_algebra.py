@@ -16,9 +16,11 @@ from aakit import (
     BadKeyError,
     BadValueError,
     DomainError,
+    KeyRange,
     KeySet,
     Semiring,
     arrayprod,
+    degree,
     delete_entries,
     eladd,
     elmult,
@@ -27,9 +29,12 @@ from aakit import (
     mask_select,
     perm_select,
     rank,
+    read_triples,
     to_dense,
 )
 from aakit.algebra import _SECOND
+
+from conftest import DATA_DIR, GOLDEN_DIR
 
 from helpers import (
     KEY_POOL,
@@ -473,6 +478,48 @@ def test_pickle_and_deepcopy_keep_results_and_refusals():
                         assert str(got.value) == str(exc)
                     else:
                         assert kernel(clone, nums, sr) == want
+
+
+def test_array_pickled_by_its_slots_loads_selects_and_computes_as_a_fresh_one():
+    """The fixture holds arrays pickled as slot values, ``(None, {slot: value})``.
+
+    An array read from ``golden/songs.aat`` (text, no cache filled) and one
+    read from ``genre_artist.aat`` (column keys cached, marked text-free),
+    pickled with protocol 4 by the code before arrays pickled by their rows.
+    """
+    with open(DATA_DIR / "arrays_pickled_by_slot.pickle", "rb") as f:
+        loaded = pickle.load(f)
+    for name, path in (("songs", GOLDEN_DIR / "songs.aat"), ("genre_artist", DATA_DIR / "genre_artist.aat")):
+        with open(path, "rb") as f:
+            fresh = read_triples(f)
+        old = loaded[name]
+        assert old == fresh
+        assert old._numeric == (name == "genre_artist")
+        for spec in (KeyRange(*fresh.col_keys[:2]), KeySet(fresh.col_keys[-1:])):  # filter, then transpose
+            assert old.subarray(ALL, spec).triples() == fresh.subarray(ALL, spec).triples()
+        assert isinstance(old._t, AssociativeArray)
+        nums = aa({(fresh.row_keys[0], fresh.col_keys[0]): 2.0, ("b", "b"): 3.0})
+        pairs = [(old, nums, fresh, nums), (nums, old, nums, fresh),
+                 (old, old.transpose(), fresh, fresh.transpose())]
+        for sr in EVERY_SEMIRING:
+            for kernel in KERNELS:
+                for x, y, fresh_x, fresh_y in pairs:
+                    try:
+                        want = kernel(fresh_x, fresh_y, sr)
+                    except DomainError as exc:
+                        with pytest.raises(DomainError) as got:
+                            kernel(x, y, sr)
+                        assert str(got.value) == str(exc)
+                    else:
+                        assert kernel(x, y, sr) == want
+        for unary in (lambda a: degree(a, Axis.ROW), lambda a: degree(a, Axis.COLUMN), AssociativeArray.logical,
+                      lambda a: perm_select(a, fresh.col_keys[1:], Axis.COLUMN), lambda a: mask_select(a, nums)):
+            assert unary(old) == unary(fresh)
+        if name == "songs":
+            for call, message in text_refusals(old, nums):
+                with pytest.raises(DomainError) as got:
+                    call()
+                assert str(got.value) == message
 
 
 def test_checked_operands_give_the_results_of_fresh_ones():

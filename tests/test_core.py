@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import random
 from bisect import bisect_left
 
@@ -39,7 +42,14 @@ from aakit import (
 )
 from aakit.core import check_key, check_value
 
-from helpers import INTERVAL_EDGE_CASES, check_invariants
+from helpers import (
+    INTERVAL_EDGE_CASES,
+    KEY_POOL,
+    NONZERO,
+    check_invariants,
+    random_mixed_array,
+    random_numeric_array,
+)
 
 
 # -- keys and values ---------------------------------------------------------
@@ -460,6 +470,77 @@ def test_transpose_involution(songs):
     assert songs.transpose().transpose() == songs
     assert songs.transpose().row_keys == songs.col_keys
     assert songs.transpose().get("Genre", "082812ktnA1") == "Pop"
+
+
+def test_one_column_select_keeps_no_transpose_and_the_second_keeps_one(songs):
+    fresh = from_triples(songs.triples(), LATTICE)
+    songs.subarray(KeyPrefix("0530"), ALL)
+    songs.subarray(ALL, KeySet(["Genre"]))
+    assert degree(songs, Axis.COLUMN) == degree(fresh, Axis.COLUMN)  # counted, nothing built
+    assert not isinstance(songs._t, AssociativeArray)
+    songs.subarray(ALL, KeyPrefix("D"))
+    kept = songs._t
+    assert isinstance(kept, AssociativeArray)
+    assert songs.transpose() is kept and kept == fresh.transpose()
+    assert degree(songs, Axis.COLUMN) == degree(fresh, Axis.COLUMN)
+    both = (KeyPrefix("0530"), KeySet(["Genre", "Date"]))  # a row spec as well: rows first, then a filter
+    assert songs.subarray(*both) == fresh.subarray(*both) and songs._t is kept
+    nums = from_triples([("a", "x", 1.0), ("b", "y", 2.0)], LATTICE)
+    for col in ("x", "y"):  # the second keeps a transpose before any text scan
+        nums.subarray(ALL, KeySet([col]))
+    eladd(nums, nums, ARITH)  # the scan marks nums text-free
+    assert nums.transpose() is nums._t and nums.transpose()._numeric
+    # Nothing the kept transpose holds leads back to its source.
+    seen, todo = set(), [kept]
+    while todo:
+        obj = todo.pop()
+        assert obj is not songs
+        for ref in gc.get_referents(obj):
+            if isinstance(ref, (dict, tuple, AssociativeArray)) and id(ref) not in seen:
+                seen.add(id(ref))
+                todo.append(ref)
+
+
+def _random_spec(rng, keys, kind):
+    """A spec of the given kind (0 all, 1 set, 2 range, 3 prefix, 4 user) over ``keys`` and absent keys."""
+    pool = list(keys) + rng.sample(KEY_POOL, 3)
+    if kind == 0:
+        return ALL
+    if kind == 1:
+        return KeySet(set(rng.sample(pool, rng.randint(0, len(pool)))))
+    if kind == 2:
+        return KeyRange(*sorted(rng.choice(pool) for _ in range(2)))
+    if kind == 3:
+        return KeyPrefix(rng.choice(pool)[:rng.randint(1, 2)])
+    return _EvenCodeSum()
+
+
+def test_column_selects_on_a_kept_transpose_match_a_fresh_arrays_filter():
+    rng = random.Random(1616)
+    for _ in range(150):
+        if rng.random() < 0.5:
+            arr = random_mixed_array(rng)
+        else:
+            arr = random_numeric_array(rng, NONZERO, density=rng.random())
+            if rng.random() < 0.5:
+                eladd(arr, arr, ARITH)  # marks it text-free
+        for clone in (arr, pickle.loads(pickle.dumps(arr)), copy.deepcopy(arr)):
+            assert clone == arr and clone._numeric == arr._numeric
+            assert clone is arr or clone._t is None  # no cache is pickled or copied
+            for _ in range(2):  # the second column select keeps the transpose
+                clone.subarray(ALL, _random_spec(rng, arr.col_keys, 1))
+            assert isinstance(clone._t, AssociativeArray)
+            for kind in range(1, 5):
+                for rows in (ALL, _random_spec(rng, arr.row_keys, rng.randrange(1, 5))):
+                    cols = _random_spec(rng, arr.col_keys, kind)
+                    fresh = from_triples(arr.triples(), LATTICE)  # its first column select filters
+                    got, want = clone.subarray(rows, cols), fresh.subarray(rows, cols)
+                    assert got == want
+                    assert got.triples() == want.triples()
+                    assert got.row_keys == want.row_keys and got.col_keys == want.col_keys
+                    assert got._numeric == arr._numeric
+                    check_invariants(got)
+            assert degree(clone, Axis.COLUMN) == degree(from_triples(arr.triples(), LATTICE), Axis.COLUMN)
 
 
 def test_logical_flattens_values(songs):
