@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import algebra, analysis, graph, patterns
@@ -26,7 +25,7 @@ from .core import (
     KeySpec,
     get_semiring,
 )
-from .store import LOCK_NAME, TableStore, unlock
+from .store import TableStore
 
 
 def parse_keyspec(text: str) -> KeySpec:
@@ -161,10 +160,6 @@ def _cmd_store(args) -> int:
             result = t.select(parse_keyspec(args.rows), parse_keyspec(args.cols))
         _emit(result, args.output)
         return 0
-    if args.kind == "unlock":
-        pid = unlock(args.dir)
-        print(f"removed {os.path.join(args.dir, LOCK_NAME)!r} of PID {pid} (not running)")
-        return 0
     # The batch or mask is read first, so a bad file neither creates nor locks the table.
     arr = _load(args.file) if args.kind in ("insert", "delete") else None
     with TableStore.open(args.dir) as t:  # init only opens and closes the table
@@ -269,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("store", help="persistent table operations")
     kinds = p.add_subparsers(dest="kind", required=True)
-    for kind in ("init", "insert", "select", "delete", "compact", "unlock"):
+    for kind in ("init", "insert", "select", "delete", "compact"):
         k = kinds.add_parser(kind)
         k.add_argument("dir")
         if kind in ("insert", "delete"):

@@ -314,9 +314,12 @@ class AssociativeArray:
     __slots__ = ("_rows", "_cols", "_numeric", "_t")
 
     def __init__(self, entries: Mapping[tuple[str, str], Value] = {}):
-        self._rows = from_triples(((r, c, v) for (r, c), v in entries.items()), LATTICE)._rows
+        self._set_slots(from_triples(((r, c, v) for (r, c), v in entries.items()), LATTICE)._rows)
+
+    def _set_slots(self, rows: dict[str, dict[str, Value]], numeric: bool = False) -> None:
+        self._rows = rows
         self._cols: tuple[str, ...] | None = None
-        self._numeric = False  # True once known to hold no text (see _refuse_text)
+        self._numeric = numeric  # True once known to hold no text (see _refuse_text)
         # None until a column select, False after one, then the transpose (see subarray).
         self._t: AssociativeArray | bool | None = None
 
@@ -353,10 +356,7 @@ class AssociativeArray:
         ``numeric`` True vouches that no value is text (``_refuse_text`` skips its scan).
         """
         arr = cls.__new__(cls)
-        arr._rows = rows
-        arr._cols = None
-        arr._numeric = numeric
-        arr._t = None
+        arr._set_slots(rows, numeric)
         return arr
 
     def __reduce__(self):
@@ -365,9 +365,7 @@ class AssociativeArray:
 
     def __setstate__(self, state):
         """Load a pickle of an array's slot values, ``(None, {slot: value})``, as older arrays wrote."""
-        slots = state[1]
-        self._rows, self._cols, self._t = slots["_rows"], None, None
-        self._numeric = slots.get("_numeric", False)
+        self._set_slots(state[1]["_rows"], state[1].get("_numeric", False))
 
     # -- plain queries ----------------------------------------------------
 

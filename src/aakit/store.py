@@ -4,13 +4,19 @@ On-disk layout inside the table directory::
 
     MANIFEST            %aa-manifest 1, then segment names, oldest first
     seg-00000001.aat    %aa-seg 1, then sorted records (tag x = tombstone)
-    LOCK                present while a writer holds the table
+    LOCK                present while a writer holds the table: its flock and PID
 
 Content is the oldest-to-newest fold of the listed segments: the latest
 record for a cell (value or tombstone) supersedes earlier ones.  Each
 insert or delete batch becomes one new immutable segment; the MANIFEST
 is replaced atomically (write-temp, fsync, rename), so a reader sees
 either the old or the new segment list, never a mix.
+
+The writer lock is an exclusive ``flock(2)`` of LOCK, which the kernel
+releases when its holder closes it, exits or dies, so a LOCK that a dead
+writer left blocks no later writer; the store thus needs a file system
+with ``flock``.  A writer unlinks LOCK before it releases the flock, and
+an opener whose flock lands on a file the path no longer names degrades.
 
 This module owns the files, the LOCK, the MANIFEST's list of segment
 names, each handle's snapshot and the fold.  ``io`` owns the bytes: it
@@ -78,8 +84,8 @@ def _write_file_atomic(path: Path, payload: bytes) -> None:
 class TableStore:
     """Handle to one on-disk table.
 
-    At most one writer holds a table at a time (via the LOCK file); an
-    open that finds the lock taken comes back with ``read_only`` set.
+    At most one writer holds a table at a time (via an flock of the LOCK
+    file); an open that finds the lock taken comes back with ``read_only`` set.
     A handle's view of the table is fixed at open time plus its own
     writes; other processes' later writes need a fresh handle.
     """
@@ -106,24 +112,36 @@ class TableStore:
         elif not path.is_dir():
             raise StoreError(f"no table directory at {str(path)!r}")
 
-        holds_lock, holder = False, ""
-        if not read_only:
-            try:
-                fd = os.open(path / LOCK_NAME, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-                os.close(fd)
-                holds_lock = True
-            except FileExistsError:  # another writer; degrade to read-only
-                holder = _lock_holder(path / LOCK_NAME)
-
         self = cls.__new__(cls)
         self.path = path
-        self.read_only = not holds_lock
-        self._holder = holder
+        self.read_only = True
+        self._holder = ""
         self._closed = False
+        if not read_only:
+            import fcntl  # POSIX only: imported here, so that importing the package does not need it
+
+            lock = path / LOCK_NAME
+            fd = os.open(lock, os.O_CREAT | os.O_WRONLY, 0o666)  # the mode open() gives
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                taken = os.fstat(fd)
+                # A holder unlinks LOCK before it releases the flock, so a flock of a
+                # file the path no longer names was just released by a closing holder.
+                if os.path.samestat(taken, os.stat(lock)):
+                    if taken.st_size:  # the PID of a writer that died
+                        os.ftruncate(fd, 0)
+                    os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+                    self.read_only, self._lock_fd = False, fd
+            except (BlockingIOError, FileNotFoundError):  # another writer holds the table
+                pass
+            finally:
+                if self.read_only:
+                    os.close(fd)
+            if self.read_only:
+                self._holder = _lock_holder(lock)
         try:
             if not (path / MANIFEST_NAME).exists():
-                if not holds_lock:
+                if self.read_only:
                     raise StoreError(f"no table at {str(path)!r}: {MANIFEST_NAME} is missing")
                 self._commit({})
             else:
@@ -259,7 +277,10 @@ class TableStore:
             return
         self._closed = True
         if not self.read_only:
-            (self.path / LOCK_NAME).unlink(missing_ok=True)
+            try:
+                (self.path / LOCK_NAME).unlink(missing_ok=True)
+            finally:
+                os.close(self._lock_fd)  # releases the flock
 
     def __enter__(self) -> "TableStore":
         return self
@@ -303,60 +324,13 @@ class TableStore:
         self._snapshot = snapshot
 
 
-def _lock_pid(lock: Path) -> tuple[str, bool]:
-    """The PID written in ``lock`` ("" if none can be read) and whether no process runs it, as read now."""
+def _lock_holder(lock: Path) -> str:
+    """``lock`` and the PID its writer wrote into it, as read now: an error suffix."""
     try:
         pid = lock.read_text("ascii", "replace").strip()
     except OSError:  # gone (the holder closed since) or unreadable
-        return "", False
-    try:
-        if pid.isdigit() and int(pid) > 0:  # 0 would signal a process group
-            os.kill(int(pid), 0)
-    except (OverflowError, ValueError):
-        return "", False
-    except ProcessLookupError:
-        return pid, True
-    except PermissionError:  # alive, and another user's
-        pass
-    return pid if pid.isdigit() else "", False
-
-
-def _lock_holder(lock: Path) -> str:
-    """``lock``, the PID its writer wrote into it and whether that PID runs, as read now: an error suffix."""
-    pid, dead = _lock_pid(lock)
-    held = f"PID {pid}{' (not running)' if dead else ''}" if pid else "an unknown PID"
-    return f": {str(lock)!r} is held by {held}"
-
-
-def unlock(path: str | Path) -> int:
-    """Remove the table's LOCK when the PID written in it runs no process; return that PID.
-
-    A running, unknown or unreadable PID, or no LOCK at all, raises
-    StoreError naming the LOCK.  Unlockers take turns under an flock of the
-    table directory, which the kernel drops when its holder exits.  So the
-    LOCK an unlocker checked stays in place until its unlink: the holder is
-    dead, every other unlocker waits, and a writer only creates a LOCK where
-    there is none.  No unlocker can remove a lock taken after its check.
-    """
-    import fcntl  # POSIX only: imported here, so that importing the package does not need it
-
-    path = Path(path)
-    lock = path / LOCK_NAME
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except FileNotFoundError:
-        raise StoreError(f"no table directory at {str(path)!r}") from None
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        if not lock.exists():
-            raise StoreError(f"no lock to remove: {str(lock)!r} does not exist")
-        pid, dead = _lock_pid(lock)
-        if not dead:
-            raise StoreError(f"lock left in place{_lock_holder(lock)}")
-        lock.unlink()
-    finally:
-        os.close(fd)
-    return int(pid)
+        pid = ""
+    return f": {str(lock)!r} is held by {f'PID {pid}' if pid.isdigit() else 'an unknown PID'}"
 
 
 def _read_manifest(manifest: Path) -> list[str]:

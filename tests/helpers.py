@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
+import aakit
 from aakit import AssociativeArray, KeyPrefix, KeyRange, KeySet, is_empty_value
 
 KEY_POOL = [f"k{i:02d}" for i in range(12)] + ["édge", "中key", "a b", 'q"uote']
@@ -79,3 +82,10 @@ def random_mixed_array(rng: random.Random, max_rows: int = 6, max_cols: int = 6)
 
 NONZERO = [i for i in range(-9, 10) if i != 0]
 POSITIVE = list(range(1, 10))
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this aakit."""
+    src = str(Path(aakit.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))

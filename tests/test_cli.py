@@ -1,17 +1,17 @@
+import fcntl
 import io
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import aakit
 from aakit import ALL, AssociativeArray, KeyPrefix, KeyRange, KeySet
 from aakit.cli import parse_keyspec, run
 from aakit.io import read_triples, write_triples
 
 from conftest import DATA_DIR
+from helpers import child_env
 
 
 def write_aat(path, arr):
@@ -291,44 +291,33 @@ def test_store_lifecycle(tmp_path, capsys):
 
 def test_store_write_under_a_held_lock_names_the_holder(tmp_path, capsys):
     table = tmp_path / "table"
+    lock = table / "LOCK"
     batch = write_aat(tmp_path / "b.aat", aa({("a", "x"): 1.0}))
     assert run(["store", "init", str(table)]) == 0
-    (table / "LOCK").write_text("999999\n")
-    assert run(["store", "insert", str(table), batch]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("aakit: ") and err.count("\n") == 1
-    assert str(table / "LOCK") in err and "PID 999999" in err
-
-
-def test_store_unlock_removes_only_a_lock_whose_holder_is_not_running(tmp_path, capsys):
-    table = tmp_path / "table"
-    lock = table / "LOCK"
-    assert run(["store", "init", str(table)]) == 0
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()  # reaped: no process has its PID now
-    # a live holder, no PID yet, no PID at all, a process group, past the platform's PIDs
-    for text in (f"{os.getpid()}\n", "", "abc\n", "0\n", "9" * 30 + "\n"):
-        lock.write_text(text)
-        assert run(["store", "unlock", str(table)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and str(lock) in captured.err
-        assert lock.read_text() == text
-    lock.unlink()
-    lock.mkdir()  # no PID can be read from it
-    assert run(["store", "unlock", str(table)]) == 1
-    assert str(lock) in capsys.readouterr().err and lock.is_dir()
-    lock.rmdir()
-    assert run(["store", "unlock", str(table)]) == 1  # nothing to remove
-    assert str(lock) in capsys.readouterr().err
-    lock.write_text(f"{child.pid}\n")
-    assert run(["store", "unlock", str(table)]) == 0
-    assert capsys.readouterr().out == f"removed {str(lock)!r} of PID {child.pid} (not running)\n"
+    fd = os.open(lock, os.O_CREAT | os.O_WRONLY)  # a writer, as the store takes one
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        os.write(fd, b"4242\n")
+        assert run(["store", "insert", str(table), batch]) == 1
+        err = capsys.readouterr().err
+        assert err == f"aakit: table {str(table)!r} is open read-only: {str(lock)!r} is held by PID 4242\n"
+    finally:
+        os.close(fd)
+    # The flock went with the descriptor; the LOCK file left behind blocks nobody.
+    assert lock.read_text() == "4242\n"
+    assert run(["store", "insert", str(table), batch]) == 0
+    assert capsys.readouterr().out == "records 1\n"
     assert not lock.exists()
-    with aakit.open_store(table) as st:
-        assert not st.read_only
-    assert run(["store", "unlock", str(tmp_path / "typo")]) == 1
-    assert str(tmp_path / "typo") in capsys.readouterr().err
-    assert not (tmp_path / "typo").exists()
+
+
+def test_store_unlock_is_a_usage_error(tmp_path, capsys):
+    table = tmp_path / "table"
+    assert run(["store", "init", str(table)]) == 0
+    (table / "LOCK").write_text("4242\n")
+    assert run(["store", "unlock", str(table)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'unlock'" in captured.err
+    assert (table / "LOCK").read_text() == "4242\n"
 
 
 def test_store_select_missing_table_is_exit_1(tmp_path, capsys):
@@ -411,11 +400,8 @@ def test_help_is_exit_0(capsys):
 
 def run_fresh(module, *argv, **kwargs):
     """Run the CLI as ``python -m module`` in a new interpreter."""
-    src = str(Path(aakit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", module, *argv],
-                          capture_output=True, env=env, timeout=60, **kwargs)
+                          capture_output=True, env=child_env(), timeout=60, **kwargs)
 
 
 @pytest.mark.parametrize("module", ["aakit", "aakit.cli"])

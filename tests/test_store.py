@@ -1,10 +1,13 @@
+import errno
+import fcntl
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
-import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 import aakit.store
 from aakit import ALL, AssociativeArray, KeyPrefix, KeyRange, KeySet, KeySpec, cli
+from aakit.io import write_triples
 from aakit.store import (
     MANIFEST_NAME,
     ReadOnlyError,
@@ -22,7 +26,7 @@ from aakit.store import (
     open_store,
 )
 
-from helpers import INTERVAL_EDGE_CASES, KEY_POOL, check_invariants
+from helpers import INTERVAL_EDGE_CASES, KEY_POOL, check_invariants, child_env
 from oracles import store_fold_oracle
 
 
@@ -35,6 +39,7 @@ def test_open_creates_layout(tmp_path):
         assert not st.read_only
         assert (tmp_path / "t" / MANIFEST_NAME).read_bytes() == b"%aa-manifest 1\n"
         assert (tmp_path / "t" / "LOCK").exists()
+        assert (tmp_path / "t" / "LOCK").stat().st_mode & 0o111 == 0  # not executable
         assert st.select() == AssociativeArray()
     assert not (tmp_path / "t" / "LOCK").exists()
 
@@ -105,107 +110,160 @@ def test_repr_names_path_mode_and_segments(tmp_path):
             assert repr(ro) == f"TableStore({str(root)!r}, read-only, 1 segments)"
 
 
+# The child opens the table, reports whether it is the writer over its stdout
+# pipe, and holds the table until it is killed or its stdin closes.
+_HOLDER_CHILD = """
+import sys
+from aakit import open_store
+
+st = open_store(sys.argv[1])
+print("read-only" if st.read_only else "writer", flush=True)
+sys.stdin.read()
+"""
+
+
 def test_degraded_writer_names_the_lock_holder(tmp_path):
     root = tmp_path / "t"
-    open_store(root).close()
     lock = root / "LOCK"
-    lock.write_text("999999\n")  # a writer that may be gone
     with open_store(root) as st:
-        assert st.read_only
-        with pytest.raises(ReadOnlyError) as info:
-            st.insert(aa({("a", "x"): 1.0}))
-    assert str(lock) in str(info.value) and "PID 999999" in str(info.value)
-    assert lock.read_text() == "999999\n"  # left as it was
-    lock.write_text("")  # a writer that died before writing its PID
-    with open_store(root) as st, pytest.raises(ReadOnlyError, match="unknown PID"):
-        st.delete(aa({("a", "x"): 1.0}))
-    # a handle opened read-only on purpose has no lock holder to name
-    with open_store(root, read_only=True) as st, pytest.raises(ReadOnlyError) as info:
-        st.compact()
-    assert "LOCK" not in str(info.value)
-    lock.unlink()
-    lock.mkdir()  # a LOCK no PID can be read from
-    with open_store(root) as st, pytest.raises(ReadOnlyError, match="unknown PID"):
-        st.delete(aa({("a", "x"): 1.0}))
-
-
-def test_degraded_writer_says_whether_the_lock_holder_runs(tmp_path, monkeypatch):
-    root = tmp_path / "t"
-    open_store(root).close()
-    lock = root / "LOCK"
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()  # reaped: no process has its PID now
-
-    def holder(text):
-        lock.write_text(text)
-        with open_store(root) as st, pytest.raises(ReadOnlyError) as info:
-            st.insert(aa({("a", "x"): 1.0}))
-        assert lock.read_text() == text  # never taken or removed
-        return str(info.value).split(" is held by ")[1]
-
-    assert holder(f"{child.pid}\n") == f"PID {child.pid} (not running)"
-    assert holder(f"{os.getpid()}\n") == f"PID {os.getpid()}"
-    assert holder("0\n") == "PID 0"  # not checked: kill(0) signals a process group
-    assert holder("9" * 30 + "\n") == "an unknown PID"  # past the platform's PIDs
-
-    def denied(pid, sig):
-        raise PermissionError(pid)
-
-    monkeypatch.setattr(os, "kill", denied)  # a process of another user
-    assert holder(f"{child.pid}\n") == f"PID {child.pid}"
-    lock.unlink()  # the holder closed between the failed take and the read
-    assert aakit.store._lock_holder(lock) == f": {str(lock)!r} is held by an unknown PID"
-
-
-def test_two_unlockers_never_remove_a_lock_a_writer_took_in_between(tmp_path, monkeypatch):
-    root = tmp_path / "t"
-    open_store(root).close()
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    (root / "LOCK").write_text(f"{child.pid}\n")
-    check, writers, refusals = aakit.store._lock_pid, [], []
-
-    def other_unlocker_then_writer():
+        st.insert(aa({("a", "x"): 1.0}))
+    with subprocess.Popen([sys.executable, "-c", _HOLDER_CHILD, str(root)], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, text=True, env=child_env()) as holder:
         try:
-            aakit.store.unlock(root)
-        except StoreError as exc:
-            refusals.append(exc)
-        writers.append(open_store(root))
+            assert holder.stdout.readline() == "writer\n"
+            with open_store(root) as st:
+                assert st.read_only
+                assert st.select() == aa({("a", "x"): 1.0})
+                held = f"table {str(root)!r} is open read-only: {str(lock)!r} is held by PID {holder.pid}"
+                for write in (lambda: st.insert(aa({("b", "y"): 2.0})),
+                              lambda: st.delete(aa({("a", "x"): 1.0})), st.compact):
+                    with pytest.raises(ReadOnlyError) as info:
+                        write()
+                    assert str(info.value) == held
+            # a handle opened read-only on purpose has no lock holder to name
+            with open_store(root, read_only=True) as st, pytest.raises(ReadOnlyError) as info:
+                st.compact()
+            assert "LOCK" not in str(info.value)
+        finally:
+            holder.kill()  # SIGKILL: the holder closes nothing
+    assert holder.returncode == -signal.SIGKILL
+    assert lock.read_text() == f"{holder.pid}\n"  # the dead writer's LOCK stays
+    with open_store(root) as st:  # but its flock went with the process
+        assert not st.read_only
+        assert lock.read_text() == f"{os.getpid()}\n"
+        st.insert(aa({("b", "y"): 2.0}))
+    assert not lock.exists()
+    with open_store(root, read_only=True) as st:
+        assert st.select() == aa({("a", "x"): 1.0, ("b", "y"): 2.0})
 
-    other = threading.Thread(target=other_unlocker_then_writer)
 
-    def first_check(lock):
-        # The other unlocker and a new writer get half a second between this
-        # unlocker's check and its unlink.
-        held = check(lock)
-        if not other.is_alive() and not writers:
-            other.start()
-            other.join(0.5)
-        return held
+@pytest.mark.parametrize("dead", ["empty", "reaped-pid"])
+def test_a_lock_a_dead_writer_left_blocks_no_writer(tmp_path, monkeypatch, capsys, dead):
+    root = tmp_path / "t"
+    lock = root / "LOCK"
+    batch = tmp_path / "b.aat"
+    with open(batch, "wb") as f:
+        write_triples(aa({("a", "x"): 1.0}), f)
+    open_store(root).close()
+    if dead == "empty":  # a writer killed between creating LOCK and writing its PID
+        text = ""
+    else:
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: no process has its PID now
+        text = f"{child.pid}\n"
+    truncations = []
+    ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, n: truncations.append(n) or ftruncate(fd, n))
+    lock.write_text(text)
+    with open_store(root) as st:
+        assert not st.read_only
+        assert lock.read_text() == f"{os.getpid()}\n"
+    assert truncations == ([0] if text else [])  # only a LOCK holding bytes is truncated
+    assert not lock.exists()
+    lock.write_text(text)
+    assert cli.run(["store", "insert", str(root), str(batch)]) == 0
+    assert capsys.readouterr().out == "records 1\n"
+    assert not lock.exists()
 
-    monkeypatch.setattr(aakit.store, "_lock_pid", first_check)
-    assert aakit.store.unlock(root) == child.pid
-    other.join(10)
-    assert not other.is_alive()
-    assert len(refusals) == 1 and "LOCK" in str(refusals[0])  # one removal, not two
-    [writer] = writers
-    assert not writer.read_only
-    assert (root / "LOCK").read_text() == f"{os.getpid()}\n"  # the writer's lock stands
-    writer.close()
+
+@pytest.mark.parametrize("new_writer", [False, True], ids=["lock-gone", "lock-renewed"])
+def test_a_writer_closing_as_another_opens_leaves_one_writer(tmp_path, monkeypatch, new_writer):
+    root = tmp_path / "t"
+    lock = root / "LOCK"
+    holder = open_store(root)
+    flock, between = fcntl.flock, []
+
+    def holder_closes_first(fd, operation):
+        # The second opener has opened the holder's LOCK and not yet locked it.
+        if not between:
+            between.append(holder.close())
+            if new_writer:  # a third opener creates and takes a new LOCK
+                between.append(open_store(root))
+        return flock(fd, operation)
+
+    monkeypatch.setattr(fcntl, "flock", holder_closes_first)
+    second = open_store(root)
+    third = between.pop() if new_writer else open_store(root)
+    assert between == [None]
+    assert second.read_only and not third.read_only
+    holder_pid = f"PID {os.getpid()}" if new_writer else "an unknown PID"
+    with pytest.raises(ReadOnlyError, match=f"is held by {holder_pid}\\Z"):
+        second.insert(aa({("a", "x"): 1.0}))
+    assert open_store(root).read_only  # third holds the table
+    third.insert(aa({("b", "y"): 2.0}))
+    assert lock.read_text() == f"{os.getpid()}\n"
+    second.close()
+    assert lock.exists()
+    third.close()
+    assert not lock.exists()
+    with open_store(root) as st:
+        assert not st.read_only
+        assert st.select() == aa({("b", "y"): 2.0})
 
 
-def test_unlock_counts_a_pid_it_may_not_signal_as_running(tmp_path, monkeypatch):
+def test_a_lock_that_cannot_be_opened_is_an_error_naming_it(tmp_path, capsys):
     root = tmp_path / "t"
     open_store(root).close()
-    (root / "LOCK").write_text("999999\n")
+    (root / "LOCK").mkdir()
+    with pytest.raises(OSError, match="LOCK"):
+        open_store(root)
+    assert cli.run(["store", "compact", str(root)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(root / "LOCK") in captured.err
+    (root / "LOCK").rmdir()
+    assert cli.run(["store", "compact", str(root)]) == 0
 
-    def denied(pid, sig):
-        raise PermissionError(pid)
 
-    monkeypatch.setattr(os, "kill", denied)  # a process of another user
-    with pytest.raises(StoreError, match=r"LOCK' is held by PID 999999\Z"):
-        aakit.store.unlock(root)
-    assert (root / "LOCK").exists()
+def _next_descriptor():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+@pytest.mark.parametrize("owner,name", [
+    ("fcntl", "flock"),  # e.g. ENOLCK, or a file system without flock
+    ("os", "fstat"),
+    ("os", "ftruncate"),  # LOCK holds a dead writer's PID
+    ("os", "write"),
+    ("store", "_read_manifest"),  # the lock is taken
+])
+def test_a_failed_open_holds_no_descriptor_and_no_lock(tmp_path, monkeypatch, owner, name):
+    root = tmp_path / "t"
+    open_store(root).close()
+    (root / "LOCK").write_text("4242\n")
+    module = {"fcntl": fcntl, "os": os, "store": aakit.store}[owner]
+
+    def fail(*args):
+        raise OSError(errno.EIO, f"{name} failed")
+
+    monkeypatch.setattr(module, name, fail)
+    before = _next_descriptor()
+    with pytest.raises(OSError, match=f"{name} failed"):
+        open_store(root)
+    monkeypatch.undo()
+    assert _next_descriptor() == before
+    with open_store(root) as st:
+        assert not st.read_only
 
 
 def test_read_only_flag_skips_lock(tmp_path):
@@ -247,10 +305,15 @@ def test_read_only_open_of_directory_without_manifest_is_an_error(tmp_path):
 def test_degraded_writer_open_without_manifest_is_an_error(tmp_path):
     bare = tmp_path / "bare"
     bare.mkdir()
-    (bare / "LOCK").write_text("12345\n")  # held by a writer that never wrote MANIFEST
-    with pytest.raises(StoreError, match="MANIFEST is missing"):
-        open_store(bare)
-    assert sorted(p.name for p in bare.iterdir()) == ["LOCK"]
+    # held by a writer that has not written MANIFEST yet
+    fd = os.open(bare / "LOCK", os.O_CREAT | os.O_WRONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(StoreError, match="MANIFEST is missing"):
+            open_store(bare)
+        assert sorted(p.name for p in bare.iterdir()) == ["LOCK"]
+    finally:
+        os.close(fd)
 
 
 def test_compact_merges_and_drops_tombstones(tmp_path):
@@ -562,23 +625,125 @@ def test_writer_killed_mid_write_leaves_the_fold_intact(tmp_path, target, n, op)
         batch = aa({cell: 5.5 for cell in [("a", "x"), ("b", "y"), *want][:6]})
         assert store_fold_oracle([*ops, (op, batch)]) != want  # a landed batch would show
         cells = batch.triples()
-    src = str(Path(aakit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     child = subprocess.run(
         [sys.executable, "-c", _KILL_CHILD, str(root), target, str(n), op, json.dumps(cells)],
-        capture_output=True, env=env, timeout=60,
+        capture_output=True, env=child_env(), timeout=60,
     )
     assert child.returncode == 77, child.stderr  # the kill point was reached
     assert (root / "LOCK").exists()
     with open_store(root, read_only=True) as st:
         assert dict(st.select().items()) == want
-    assert cli.run(["store", "unlock", str(root)]) == 0  # the dead writer's
     with open_store(root) as st:
         assert not st.read_only
         st.compact()
         listed = st.segments
         assert dict(st.select().items()) == want
+    assert sorted(p.name for p in root.iterdir()) == sorted([MANIFEST_NAME, *listed])
+
+
+# One child of the kill-anywhere schedule.  A writer or compaction that finds
+# the table held exits with 3.  Every other child prints which prefixes of the
+# planned steps the table holds, by the fold of each prefix; a writer then
+# commits the next steps, one batch each, printing a line before each, and a
+# compaction compacts.
+_SCHEDULE_CHILD = """
+import json, sys
+from aakit import AssociativeArray, open_store
+
+root, role, plan, count = sys.argv[1:]
+with open(plan) as f:
+    steps, folds = json.load(f)
+with open_store(root, read_only=role == "read") as st:
+    if st.read_only and role != "read":
+        sys.exit(3)
+    seen = [list(t) for t in st.select().triples()]
+    done = [k for k, fold in enumerate(folds) if fold == seen]
+    print(json.dumps(done), flush=True)
+    if role == "compact":
+        st.compact()
+    elif role == "write":
+        for kind, cells in steps[done[-1]:done[-1] + int(count)]:
+            print(kind, flush=True)
+            batch = AssociativeArray({(r, c): v for r, c, v in cells})
+            st.insert(batch) if kind == "insert" else st.delete(batch)
+"""
+
+_SCHEDULE_SPECS = [ALL, KeyRange("k03", "k08"), KeyPrefix("k1"), KeySet(["k00", "édge", "~"])]
+
+
+def test_kill_anywhere_schedule_leaves_a_prefix_fold_and_a_free_lock(tmp_path):
+    rng = random.Random(17)
+    root = tmp_path / "t"
+    # Each insert adds a cell of its own to row "~", which no delete masks, so
+    # no two prefixes of the plan fold to the same content.
+    ops, fold = [], {}
+    for i in range(60):
+        if fold and rng.random() < 0.3:
+            cells = dict.fromkeys(rng.sample(sorted(c for c in fold if c[0] != "~"), 2), 1.0)
+            ops.append(("delete", aa(cells)))
+        else:
+            cells = {(rng.choice(KEY_POOL), rng.choice(KEY_POOL)): float(rng.randint(1, 9)) for _ in range(4)}
+            cells[("~", f"{i:02d}")] = 1.0
+            ops.append(("insert", aa(cells)))
+        fold = store_fold_oracle(ops)
+    steps = [[kind, arr.triples()] for kind, arr in ops]
+    folds = [[[r, c, v] for (r, c), v in sorted(store_fold_oracle(ops[:k]).items())]
+             for k in range(len(ops) + 1)]
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([steps, folds]))
+    open_store(root).close()
+
+    def finish(child, role, out=""):
+        more, err = child.communicate(timeout=60)
+        out += more
+        if child.returncode == -signal.SIGKILL:
+            return
+        assert child.returncode == 0 or (child.returncode == 3 and role != "read"), err
+        assert child.returncode == 3 or json.loads(out.split("\n")[0]), (role, out)  # some prefix
+
+    committed, kills, stale = 0, 0, 0
+    running = []
+    for _ in range(48):
+        role = rng.choice(["write", "write", "write", "read", "compact"])
+        count = rng.randint(1, 3) if role == "write" else 0
+        if len(running) == 4:
+            finish(*running.pop(0))
+        child = subprocess.Popen(
+            [sys.executable, "-c", _SCHEDULE_CHILD, str(root), role, str(plan), str(count)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env())
+        if role == "read" or rng.random() < 0.5:
+            running.append((child, role))
+            continue
+        # Kill a writer or compaction at a random point after its open: after
+        # it reports its open and a random number of its steps.
+        out = "".join(child.stdout.readline() for _ in range(1 + rng.randint(0, count)))
+        time.sleep(rng.uniform(0, 0.003))
+        child.kill()
+        for other in running:
+            finish(*other)
+        finish(child, role, out)
+        running = []
+        kills += 1
+        stale += (root / "LOCK").exists()
+        with open_store(root, read_only=True) as st:
+            seen = [list(t) for t in st.select().triples()]
+            done = [k for k, fold in enumerate(folds) if fold == seen]
+            assert done and done[0] >= committed  # a prefix, and nothing committed lost
+            committed = done[0]
+            want = store_fold_oracle(ops[:committed])
+            for rows in _SCHEDULE_SPECS:
+                for cols in _SCHEDULE_SPECS:
+                    assert dict(st.select(rows, cols).items()) == _fold_select(want, rows, cols)
+        with open_store(root) as st:
+            assert not st.read_only
+    for other in running:
+        finish(*other)
+    assert kills >= 8 and stale >= 4, (kills, stale)  # writers died holding the table
+    with open_store(root) as st:
+        assert not st.read_only
+        st.compact()
+        assert dict(st.select().items()) in [store_fold_oracle(ops[:k]) for k in range(committed, len(ops) + 1)]
+        listed = st.segments
     assert sorted(p.name for p in root.iterdir()) == sorted([MANIFEST_NAME, *listed])
 
 
