@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import LATTICE, AssociativeArray, Value, _refuse_text, from_triples
+from .core import LATTICE, AssociativeArray, _refuse_text, from_triples
 
 DEFAULT_TOL = 1e-10
 
@@ -111,17 +111,15 @@ def null_space(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> AssociativeAr
     cols, m, pivots = _eliminate(arr, tol)
     ncols = len(cols)
     free = sorted(set(range(ncols)) - set(pivots))
-    rows: dict[str, dict[str, Value]] = {}
+    triples: list[tuple[str, str, float]] = []
     for idx, f in enumerate(free, start=1):
         vec = [0.0] * ncols
         vec[f] = 1.0
         for row_i, pc in enumerate(pivots):
             vec[pc] = -m[row_i][f]
         norm = math.sqrt(sum(x * x for x in vec))
-        name = f"ns{idx}"
-        for j, x in enumerate(vec):  # the builder drops the zeros
-            rows.setdefault(cols[j], {})[name] = x / norm
-    return AssociativeArray._from_clean(rows)
+        triples += ((c, f"ns{idx}", x / norm) for c, x in zip(cols, vec))  # from_triples drops the zeros
+    return from_triples(triples, LATTICE)
 
 
 def products_unique(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> bool:
@@ -165,7 +163,7 @@ def _matvec(cells, v):
 
 
 def _vector_array(order, v) -> AssociativeArray:
-    return AssociativeArray._from_clean({k: {"v1": x} for k, x in zip(order, v)})
+    return from_triples(((k, "v1", x) for k, x in zip(order, v)), LATTICE)
 
 
 def dominant_eigenpair(

@@ -104,7 +104,7 @@ def _kept(row: str, col: str, v: Value, zero: float | None = None) -> bool:
 
     False for a canonical empty or the semiring's ``zero`` (the value is
     dropped), BadValueError naming the cell for a non-finite number, else
-    True.  Every operation result passes through here exactly once.
+    True.  Only computed values pass here: kernel results and ``from_triples``' combines.
     """
     if not v or v == zero:
         return False
@@ -327,17 +327,17 @@ class AssociativeArray:
     def _from_clean(
         cls, rows: dict[str, dict[str, Value]], zero: float | None = None
     ) -> "AssociativeArray":
-        """Sort ``rows`` and each row's columns, screen each value with ``_kept``, and wrap them.
+        """Sort ``rows`` and each row's columns, drop the empty cells and rows, and wrap them.
 
-        For internal callers whose keys are already valid (they came out of
-        existing arrays or passed ``check_key``) but whose values are
-        computed and may be empty, ``zero``, None or non-finite.  Rows left
-        empty are dropped; the dicts passed in are not kept.
+        Checks nothing: its callers checked every key and value where it
+        entered or was computed.  Cells whose value is empty, ``zero`` or
+        None (a tombstone) are dropped, and so are rows left empty; the
+        dicts passed in are not kept.
         """
         out: dict[str, dict[str, Value]] = {}
         for r in sorted(rows):
             row = rows[r]
-            kept = {c: row[c] for c in sorted(row) if _kept(r, c, row[c], zero)}
+            kept = {c: v for c in sorted(row) if (v := row[c]) and v != zero}
             if kept:
                 out[r] = kept
         return cls._from_sorted(out)
@@ -477,7 +477,8 @@ def from_triples(
     Triples land in sequence order, so a non-commutative fold would be
     order-sensitive; all built-in semirings have commutative plus.  A
     numeric-only combiner raises DomainError only when text is actually
-    asked to combine (a lone text triple is fine).
+    asked to combine (a lone text triple is fine).  A combine that gives a
+    non-finite number raises BadValueError naming its cell at once.
     """
     acc: dict[str, dict[str, Value]] = {}
     for r, c, v in triples:
@@ -491,7 +492,8 @@ def from_triples(
                 raise DomainError(
                     f"semiring {combiner.name!r} cannot combine text at cell {(r, c)!r}"
                 )
-            row[c] = combiner.plus(a, v)
+            row[c] = s = combiner.plus(a, v)
+            _kept(r, c, s)  # only raises: the builder drops empties
         else:
             row[c] = v
     return AssociativeArray._from_clean(acc, combiner.zero)

@@ -220,7 +220,7 @@ class TableStore:
         if intervals is None:
             keep_row = rows.matches
             fold = {r: row for r, row in fold.items() if keep_row(r)}
-        # The builder drops the tombstones (None) with the empties.
+        # The parser checked each value; the builder only sorts and drops tombstones (None) and empties.
         return AssociativeArray._from_clean(fold)
 
     @property
@@ -320,7 +320,7 @@ def _lock_holder(lock: Path) -> str:
     """``lock`` and the PID its writer wrote into it, as read now: an error suffix."""
     try:
         pid = lock.read_text("ascii", "replace").strip()
-    except OSError:  # gone (the holder closed since) or unreadable
+    except OSError:  # unreadable, or deleted by hand: the store never removes it
         pid = ""
     return f": {str(lock)!r} is held by {f'PID {pid}' if pid.isdigit() else 'an unknown PID'}"
 
@@ -333,9 +333,13 @@ def _read_manifest(manifest: Path) -> list[str]:
         raise StoreError(f"{MANIFEST_NAME}: {exc}") from None
     # A non-ASCII byte decodes to U+FFFD, which no segment name holds.
     names = str(data[start:end], "ascii", "replace").split("\n")[:-1]
+    seen: set[str] = set()
     for name in names:
         if not _SEGMENT_RE.match(name):
             raise StoreError(f"manifest lists invalid segment name {name!r}")
+        if name in seen:  # the store never lists a name twice, so only damage does
+            raise StoreError(f"{MANIFEST_NAME} lists segment {name!r} twice")
+        seen.add(name)
     return names
 
 

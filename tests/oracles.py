@@ -149,6 +149,20 @@ def store_fold_oracle(batches: list[tuple[str, AssociativeArray]]) -> dict:
     return content
 
 
+def triples_fold_oracle(records: list[tuple[str, str, object]]) -> dict:
+    """A triple file's content from its records, in file order.
+
+    A repeated cell keeps the lattice max of its values, where every
+    number sorts below every text; cells whose max is 0.0 or "" are left out.
+    """
+    folded: dict = {}
+    for r, c, v in records:
+        old = folded.get((r, c))
+        if old is None or (isinstance(old, str), old) < (isinstance(v, str), v):
+            folded[(r, c)] = v
+    return {cell: v for cell, v in folded.items() if v != 0.0 and v != ""}
+
+
 def filter_keys_oracle(keys, predicate) -> set[str]:
     """Brute-force key filtering (for key spec equivalences)."""
     return {k for k in keys if predicate(k)}

@@ -371,6 +371,9 @@ def test_from_triples_numeric_only_collision_is_an_error():
 def test_from_triples_overflow_names_the_cell():
     with pytest.raises(BadValueError, match=r"non-finite number at \('r', 'c'\)"):
         from_triples([("r", "c", 1e308), ("r", "x", 1.0), ("r", "c", 1e308)], ARITH)
+    # The overflow is raised at its combine, before a later bad key is read.
+    with pytest.raises(BadValueError, match=r"non-finite number at \('r', 'c'\)"):
+        from_triples([("r", "c", 1e308), ("r", "c", 1e308), ("r", "", 1.0)], ARITH)
 
 
 raw_keys = st.one_of(keys_strategy, st.sampled_from(["", "a\tb", "a\rb", "bad\ud800", 7, None]))

@@ -463,6 +463,23 @@ def test_corrupt_manifest_is_an_error(tmp_path):
         open_store(tmp_path / "t")
 
 
+def test_manifest_that_lists_a_segment_twice_is_an_error(tmp_path):
+    root = tmp_path / "t"
+    with open_store(root) as st:
+        st.insert(aa({("a", "x"): 1.0}))
+        st.insert(aa({("a", "x"): 2.0}))
+        first, second = st.segments
+    (root / MANIFEST_NAME).write_bytes(f"%aa-manifest 1\n{first}\n{second}\n{first}\n".encode())
+    manifest = (root / MANIFEST_NAME).read_bytes()
+    for read_only in (True, False):
+        with pytest.raises(StoreError, match=rf"^MANIFEST lists segment '{first}' twice$"):
+            open_store(root, read_only=read_only)
+    # no open rewrote the damaged MANIFEST, and the failed writer open kept no flock
+    assert (root / MANIFEST_NAME).read_bytes() == manifest
+    with open(root / "LOCK", "rb") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+
 def test_closed_handle_refuses_everything(tmp_path):
     st = open_store(tmp_path / "t")
     st.close()
