@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import ALL, AssociativeArray, Axis, KeySet, Semiring, Value, _kept, _refuse_text
+from .core import ALL, AssociativeArray, Axis, KeySet, Semiring, Value, _kept, _not_str, _refuse_text
 
 
 def _require_numeric(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> None:
@@ -132,7 +132,7 @@ def delete_entries(t: AssociativeArray, mask: AssociativeArray) -> AssociativeAr
 
 
 def perm_select(t: AssociativeArray, keys: Iterable[str], axis: Axis) -> AssociativeArray:
-    """Select whole rows (or columns) of t by key list.
+    """Select whole rows (or columns) of t by an iterable of keys (a bare str is a TypeError).
 
     This is the paper's product with an identity permutation array on
     ``keys`` (``selector @ t`` for rows, ``t @ selector`` for columns),
@@ -140,5 +140,5 @@ def perm_select(t: AssociativeArray, keys: Iterable[str], axis: Axis) -> Associa
     the column-side analogue, text values included.  Duplicate keys are
     deduplicated; unknown keys simply select nothing.
     """
-    spec = KeySet(dict.fromkeys(keys))
+    spec = KeySet(dict.fromkeys(_not_str(keys, "keys")))
     return t.subarray(spec, ALL) if Axis(axis) is Axis.ROW else t.subarray(ALL, spec)

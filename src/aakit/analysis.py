@@ -9,24 +9,20 @@ of behavior matters more than speed.  Text values are refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import LATTICE, AssociativeArray, _refuse_text, from_triples
+from .core import LATTICE, AssociativeArray, _Record, _refuse_text, from_triples
 
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DenseProjection:
+class DenseProjection(_Record):
     """An array flattened to a dense grid.
 
     ``cells[i][j]`` is the value at (row_order[i], col_order[j]); absent
-    cells read 0.0.  Key orders are ascending.
+    cells read 0.0.  Key orders are ascending.  An immutable ``_Record``, not a dataclass.
     """
 
-    row_order: tuple[str, ...]
-    col_order: tuple[str, ...]
-    cells: tuple[tuple[float, ...], ...]
+    __match_args__ = ("row_order", "col_order", "cells")  # tuple[str, ...] twice, tuple[tuple[float, ...], ...]
 
     def to_array(self) -> AssociativeArray:
         """Round back to the sparse form; exact zeros disappear again.
@@ -127,19 +123,15 @@ def products_unique(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> bool:
     return null_space(arr, tol).nnz == 0
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(_Record):
     """Converged (or best-so-far) dominant eigenpair estimate.
 
     ``eigenvector`` is a single-column array under the column key "v1",
     scaled to unit 2-norm.  ``residual`` is the infinity norm of
-    A v - lambda v at the reported pair.
+    A v - lambda v at the reported pair.  An immutable ``_Record``, not a dataclass.
     """
 
-    eigenvalue: float
-    eigenvector: AssociativeArray
-    iterations: int
-    residual: float
+    __match_args__ = ("eigenvalue", "eigenvector", "iterations", "residual")  # float, AssociativeArray, int, float
 
 
 class IterationError(RuntimeError):

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 Value = float | str
 Triple = tuple[str, str, Value]
@@ -58,6 +57,13 @@ def check_key(key: str) -> str:
     except UnicodeEncodeError as exc:
         raise BadKeyError(f"key {key!r} is not encodable as UTF-8") from exc
     return key
+
+
+def _not_str(keys, name: str):
+    """``keys`` unchanged; TypeError naming ``name`` if it is a bare str, which iterates as characters."""
+    if isinstance(keys, str):
+        raise TypeError(f"{name} must be an iterable of keys, not a str: {keys!r}")
+    return keys
 
 
 def check_value(value) -> Value:
@@ -145,22 +151,49 @@ def _lattice_times(a: Value, b: Value) -> Value:
     return a if value_sort_key(a) < value_sort_key(b) else b
 
 
-@dataclass(frozen=True)
-class Semiring:
+class _Record:
+    """An immutable value built, compared, hashed and shown by the fields ``__match_args__`` names.
+
+    Not a dataclass: ``dataclasses.fields``, ``replace`` and ``is_dataclass`` do not apply.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        values = args + tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {names}, each once")
+        self.__dict__.update(zip(names, values))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r} of an immutable {type(self).__qualname__}")
+
+    __delattr__ = __setattr__
+
+
+class Semiring(_Record):
     """A named (plus, times) pair over values.
 
     ``zero`` and ``one`` record the identities where they are representable
     as stored values; ``None`` means the identity exists only as absence of
     an entry.  A computed result equal to ``zero`` is not stored.
-    ``numeric_only`` semirings refuse text operands.
+    ``numeric_only`` semirings refuse text operands.  An immutable ``_Record``, not a dataclass.
     """
 
-    name: str
-    plus: Callable[[Value, Value], Value]
-    times: Callable[[Value, Value], Value]
-    zero: float | None
-    one: float | None
-    numeric_only: bool
+    __match_args__ = ("name", "plus", "times", "zero", "one", "numeric_only")
 
     def __repr__(self):
         return f"Semiring({self.name!r})"
@@ -202,7 +235,7 @@ def _prefix_end(prefix: str) -> str | None:
 
 
 class KeySpec:
-    """Selects a subset of keys along one axis."""
+    """Selects a subset of keys along one axis; the built-in specs are immutable ``_Record``s, not dataclasses."""
 
     def matches(self, key: str) -> bool:
         raise NotImplementedError
@@ -232,8 +265,7 @@ class KeySpec:
         return picked
 
 
-@dataclass(frozen=True)
-class AllKeys(KeySpec):
+class AllKeys(KeySpec, _Record):
     def matches(self, key: str) -> bool:
         return True
 
@@ -244,18 +276,17 @@ class AllKeys(KeySpec):
 ALL = AllKeys()
 
 
-@dataclass(frozen=True, init=False)
-class KeySet(KeySpec):
-    """An explicit, duplicate-free set of keys."""
+class KeySet(KeySpec, _Record):
+    """An explicit, duplicate-free set of keys; a bare str is refused (TypeError), not split."""
 
-    keys: tuple[str, ...]
+    __match_args__ = ("keys",)
 
     def __init__(self, keys: Iterable[str]):
-        ks = tuple(check_key(k) for k in keys)
+        ks = tuple(check_key(k) for k in _not_str(keys, "keys"))
         if len(set(ks)) != len(ks):
             raise ValueError("key set contains duplicates")
-        object.__setattr__(self, "keys", tuple(sorted(ks)))
-        # Not a dataclass field, so equality and repr still see only ``keys``.
+        super().__init__(tuple(sorted(ks)))
+        # Not a field, so equality and repr still see only ``keys``.
         object.__setattr__(self, "_members", frozenset(ks))
 
     def matches(self, key: str) -> bool:
@@ -265,18 +296,15 @@ class KeySet(KeySpec):
         return [(k, k + "\x00") for k in self.keys]
 
 
-@dataclass(frozen=True)
-class KeyRange(KeySpec):
+class KeyRange(KeySpec, _Record):
     """All keys k with lo <= k <= hi, inclusive both ends, bytewise."""
 
-    lo: str
-    hi: str
+    __match_args__ = ("lo", "hi")
 
-    def __post_init__(self):
-        check_key(self.lo)
-        check_key(self.hi)
-        if self.lo > self.hi:
-            raise ValueError(f"malformed range: {self.lo!r} > {self.hi!r}")
+    def __init__(self, lo: str, hi: str):
+        if check_key(lo) > check_key(hi):
+            raise ValueError(f"malformed range: {lo!r} > {hi!r}")
+        super().__init__(lo, hi)
 
     def matches(self, key: str) -> bool:
         return self.lo <= key <= self.hi
@@ -286,14 +314,13 @@ class KeyRange(KeySpec):
         return [(self.lo, self.hi + "\x00")]
 
 
-@dataclass(frozen=True)
-class KeyPrefix(KeySpec):
+class KeyPrefix(KeySpec, _Record):
     """All keys whose UTF-8 encoding starts with the prefix's encoding."""
 
-    prefix: str
+    __match_args__ = ("prefix",)
 
-    def __post_init__(self):
-        check_key(self.prefix)
+    def __init__(self, prefix: str):
+        super().__init__(check_key(prefix))
 
     def matches(self, key: str) -> bool:
         return key.startswith(self.prefix)

@@ -13,7 +13,7 @@ from itertools import chain
 from typing import Iterable
 
 from .algebra import _SECOND, arrayprod, eladd
-from .core import ARITH, MAXMIN, AssociativeArray, Axis
+from .core import ARITH, MAXMIN, AssociativeArray, Axis, _not_str
 
 
 def degree(arr: AssociativeArray, axis: Axis) -> AssociativeArray:
@@ -45,7 +45,7 @@ def symmetrize(arr: AssociativeArray) -> AssociativeArray:
 
 
 def bfs(arr: AssociativeArray, sources: Iterable[str], steps: int) -> AssociativeArray:
-    """Vertices reachable in exactly ``steps`` hops from ``sources``.
+    """Vertices reachable in exactly ``steps`` hops from ``sources``, keys (a bare str is a TypeError).
 
     Returns a single-row frontier under the row key "front" with value 1.0
     per reachable column key.  Step zero is the sources themselves,
@@ -56,7 +56,7 @@ def bfs(arr: AssociativeArray, sources: Iterable[str], steps: int) -> Associativ
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps!r}")
-    rows, cols = arr._rows, arr.col_keys
+    rows, cols, sources = arr._rows, arr.col_keys, _not_str(sources, "sources")
     frontier = AssociativeArray._from_clean({"front": {s: 1.0 for s in sources if s in rows or (
         isinstance(s, str) and bisect_left(cols, s) < bisect_right(cols, s))}})
     for _ in range(steps):

@@ -374,6 +374,15 @@ def test_perm_select_rejects_bad_keys(songs, axis, bad):
         perm_select(songs, ["Genre", bad], axis)
 
 
+@pytest.mark.parametrize("axis", [Axis.ROW, Axis.COLUMN])
+def test_perm_select_refuses_a_bare_str_of_keys(axis):
+    # Iterated, "v1" would select the keys "v" and "1".
+    arr = AssociativeArray({("v1", "v1"): 1.0, ("v", "v"): 2.0})
+    with pytest.raises(TypeError, match="^keys must be an iterable of keys, not a str"):
+        perm_select(arr, "v1", axis)
+    assert perm_select(arr, ["v1"], axis).triples() == [("v1", "v1", 1.0)]
+
+
 def test_perm_select_duality_fuzz():
     rng = random.Random(808)
     for _ in range(150):

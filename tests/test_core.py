@@ -160,6 +160,14 @@ def test_keyset_rejects_duplicates_and_sorts():
     assert KeySet(["b", "a"]).keys == ("a", "b")
 
 
+@pytest.mark.parametrize("keys", ["ab", "a", ""])
+def test_keyset_refuses_a_bare_str(keys):
+    # A str iterates as its characters: KeySet("ab") would select "a" and "b".
+    with pytest.raises(TypeError, match="^keys must be an iterable of keys, not a str"):
+        KeySet(keys)
+    assert KeySet([keys] if keys else []).keys == ((keys,) if keys else ())
+
+
 def test_keyrange_inclusive_and_ordered():
     r = KeyRange("b", "d")
     assert r.matches("b") and r.matches("d") and r.matches("c")

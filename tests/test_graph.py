@@ -177,6 +177,15 @@ def test_bfs_sources_of_every_kind_match_the_key_set_rule():
         assert {c for _, c, _ in bfs(arr, sources, k)} == bfs_oracle(edges, sources, k)
 
 
+def test_bfs_refuses_a_bare_str_of_sources():
+    # Iterated, "v1" would start from "v" and "1" and reach "b" through "v".
+    arr = AssociativeArray({("v1", "a"): 1.0, ("v", "b"): 2.0})
+    for steps in (0, 1):
+        with pytest.raises(TypeError, match="^sources must be an iterable of keys, not a str"):
+            bfs(arr, "v1", steps)
+    assert bfs(arr, ["v1"], 1).triples() == [("front", "a", 1.0)]
+
+
 def test_bfs_drops_sources_that_are_not_text(genre_artist):
     assert bfs(genre_artist, [7, None, ("Pop",), "Pop"], 0).triples() == [("front", "Pop", 1.0)]
     assert bfs(AssociativeArray(), [7, "", "Pop"], 1) == AssociativeArray()

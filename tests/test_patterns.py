@@ -27,6 +27,8 @@ def test_identity_from_keys():
     for bad in ("a\tb", ""):
         with pytest.raises(BadKeyError):
             identity_from_keys(["a", bad])
+    with pytest.raises(TypeError, match="^keys must be an iterable of keys, not a str"):
+        identity_from_keys("ab")
 
 
 def test_perm_from_pairs_builds_ones():
