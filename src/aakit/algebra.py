@@ -8,6 +8,7 @@ no-empty-rows/columns property true by construction.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from .core import ALL, AssociativeArray, Axis, KeySet, Semiring, Value, _kept, _not_str, _refuse_text
@@ -85,7 +86,8 @@ def arrayprod(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associa
 
     k runs over the shared middle keys, i.e. a's column keys intersected
     with b's row keys, in ascending key order.  Cells whose fold lands on
-    the semiring's zero (or a canonical empty) are not stored.
+    the semiring's zero (or a canonical empty) are not stored; a non-finite
+    fold raises BadValueError naming its row's first such cell.
 
     The product is built one row of a at a time (Gustavson's row-wise
     scheme): each (k, a(i,k)) of row i scales b's row k into a dict keyed
@@ -102,8 +104,15 @@ def arrayprod(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associa
             for j, bv in b_rows.get(k, {}).items():
                 term = times(av, bv)
                 acc[j] = plus(acc[j], term) if j in acc else term
-        row = {j: acc[j] for j in sorted(acc) if _kept(i, j, acc[j], zero)}
+        row = {j: v for j in sorted(acc) if (v := acc[j]) and v != zero}
         if row:
+            try:  # one sum proves a numeric row finite; a row that is not, or holds text, is scanned
+                finite = math.isfinite(sum(row.values()))
+            except TypeError:
+                finite = False
+            if not finite:
+                for j, v in row.items():
+                    _kept(i, j, v)  # raises at the first non-finite cell in column order
             out[i] = row
     return AssociativeArray._from_sorted(out)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from pathlib import Path
 
 from . import algebra, analysis, graph, patterns
 from . import io as aio
@@ -25,7 +26,7 @@ from .core import (
     KeySpec,
     get_semiring,
 )
-from .store import TableStore
+from .store import MANIFEST_NAME, StoreError, TableStore
 
 
 def parse_keyspec(text: str) -> KeySpec:
@@ -162,7 +163,10 @@ def _cmd_store(args) -> int:
         return 0
     # The batch or mask is read first, so a bad file neither creates nor locks the table.
     arr = _load(args.file) if args.kind in ("insert", "delete") else None
-    with TableStore.open(args.dir) as t:  # init only opens and closes the table
+    path = Path(args.dir)
+    if args.kind != "init" and not (path / MANIFEST_NAME).exists():  # only init creates a table
+        raise StoreError(f"no table at {str(path)!r}: {MANIFEST_NAME} is missing")
+    with TableStore.open(path) as t:  # init only opens and closes the table
         if args.kind == "insert":
             print(f"records {t.insert(arr)}")
         elif args.kind == "delete":

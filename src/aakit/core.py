@@ -20,6 +20,7 @@ only the rows and the text mark.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from enum import Enum
 from itertools import islice
@@ -199,9 +200,9 @@ class Semiring(_Record):
         return f"Semiring({self.name!r})"
 
 
-ARITH = Semiring("arith", lambda a, b: a + b, lambda a, b: a * b, 0.0, 1.0, True)
-MAXPLUS = Semiring("maxplus", max, lambda a, b: a + b, None, 0.0, True)
-MINPLUS = Semiring("minplus", min, lambda a, b: a + b, None, 0.0, True)
+ARITH = Semiring("arith", operator.add, operator.mul, 0.0, 1.0, True)
+MAXPLUS = Semiring("maxplus", max, operator.add, None, 0.0, True)
+MINPLUS = Semiring("minplus", min, operator.add, None, 0.0, True)
 MAXMIN = Semiring("maxmin", max, min, None, None, True)
 LATTICE = Semiring("lattice", _lattice_plus, _lattice_times, None, None, False)
 

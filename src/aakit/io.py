@@ -48,7 +48,7 @@ _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z", re.A
 # one, or any other quote, which is bare.  Seldom used, so re compiles it on first use.
 _CSV_QUOTE = r'(?<![^,\r\n])"[^"]*(?:""[^"]*)*"|\r\n?|\n|"'
 _CSV_FIELD_LIMIT_LOCK = threading.Lock()  # read_table raises csv's process-wide limit
-_CACHE_SIZE = 1024  # a call drops a value cache this full: so many distinct values seldom repeat
+_CACHE_SIZE = 1024  # a value cache holds no more: the parser drops a full one, a writer stops adding
 
 
 class FormatError(ValueError):
@@ -338,23 +338,19 @@ def encode_records(magic: str, rows: Mapping[str, Mapping[str, Value | None]]) -
     """``magic``, then a line per cell of ``rows`` (row -> column -> value; None: tombstone)."""
     lines = [magic]
     append = lines.append
-    numbers: dict[float, str] | None = {}  # an array holds no -0.0 to take 0.0's text
+    tails: dict[Value | None, str] = {None: "\tx\t"}  # tag and value text of tombstones and numbers
     for r, row in rows.items():
         head = r + "\t"
         for c, v in row.items():
-            if v is None:
-                append(f"{head}{c}\tx\t")
-            elif isinstance(v, str):
-                append(f"{head}{c}\tt\t{v}")
-            else:
-                text = None if numbers is None else numbers.get(v)
-                if text is None:
-                    text = format_number(v)
-                    if numbers is not None:
-                        numbers[v] = text
-                        if len(numbers) == _CACHE_SIZE:
-                            numbers = None
-                append(f"{head}{c}\tn\t{text}")
+            tail = tails.get(v)
+            if tail is None:
+                if isinstance(v, str):
+                    append(f"{head}{c}\tt\t{v}")
+                    continue
+                tail = "\tn\t" + format_number(v)  # an array holds no -0.0 to take 0.0's text
+                if len(tails) <= _CACHE_SIZE:
+                    tails[v] = tail
+            append(f"{head}{c}{tail}")
     return encode_lines(lines)
 
 
@@ -377,20 +373,20 @@ def export_dot(arr: AssociativeArray, sink: BinaryIO) -> int:
     render identically.
     """
     nodes = {k: _dot_quote(k) for k in sorted(set(arr.row_keys) | set(arr.col_keys))}
-    tails: dict[Value, str] | None = {}
+    tails: dict[Value, str] = {}
+    cached = tails.get
+
+    def tail(v: Value) -> str:
+        text = f" [label={_dot_quote(v if isinstance(v, str) else format_number(v))}];"
+        if len(tails) < _CACHE_SIZE:
+            tails[v] = text
+        return text
+
     lines = ["digraph aa {"]
     lines.extend(f"  {q};" for q in nodes.values())
     for r, row in arr._rows.items():
         head = f"  {nodes[r]} -> "
-        for c, v in row.items():
-            tail = None if tails is None else tails.get(v)
-            if tail is None:
-                tail = f" [label={_dot_quote(v if isinstance(v, str) else format_number(v))}];"
-                if tails is not None:
-                    tails[v] = tail
-                    if len(tails) == _CACHE_SIZE:
-                        tails = None
-            lines.append(f"{head}{nodes[c]}{tail}")
+        lines.append(head + ("\n" + head).join([nodes[c] + (cached(v) or tail(v)) for c, v in row.items()]))
     lines.append("}")
     payload = encode_lines(lines)
     sink.write(payload)

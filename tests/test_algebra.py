@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 
@@ -20,6 +21,7 @@ from aakit import (
     KeySet,
     Semiring,
     arrayprod,
+    bfs,
     degree,
     delete_entries,
     eladd,
@@ -44,7 +46,7 @@ from helpers import (
     random_mixed_array,
     random_numeric_array,
 )
-from oracles import elmult_oracle, eladd_oracle, product_oracle, transpose_oracle
+from oracles import bfs_oracle, elmult_oracle, eladd_oracle, product_oracle, transpose_oracle
 
 EVERY_SEMIRING = [ARITH, MAXPLUS, MINPLUS, MAXMIN, LATTICE]
 
@@ -313,6 +315,43 @@ def test_arrayprod_overflow_names_its_cell():
     b = aa({("k", "j"): 10.0})
     with pytest.raises(BadValueError, match=r"non-finite number at \('i', 'j'\)"):
         arrayprod(a, b, ARITH)
+
+
+def test_arrayprod_keeps_a_row_whose_finite_cells_sum_past_the_float_range():
+    # Each cell is finite; only the row's sum overflows, so the row is scanned and kept whole.
+    a = aa({("i", "k"): 1e308, ("h", "k"): 1.0})
+    b = aa({("k", "j1"): 1.0, ("k", "j2"): 1.0})
+    got = arrayprod(a, b, ARITH)
+    assert dict(got.items()) == product_oracle(a, b)
+    assert got.get("i", "j1") == got.get("i", "j2") == 1e308
+    check_invariants(got)
+
+
+def test_arrayprod_names_the_first_non_finite_cell_in_column_order():
+    # Row i's terms reach j3 (nan: inf + -inf) before j2 (inf); the error names j2.
+    a = aa({("h", "k1"): 1.0, ("i", "k1"): 1e308, ("i", "k2"): 1e308})
+    b = aa({("k1", "j3"): 10.0, ("k2", "j1"): 1.0, ("k2", "j2"): 10.0, ("k2", "j3"): -10.0})
+    want = product_oracle(a, b)
+    assert [c for (r, c), v in sorted(want.items()) if r == "i" and not math.isfinite(v)] == ["j2", "j3"]
+    with pytest.raises(BadValueError, match=r"non-finite number at \('i', 'j2'\)\Z"):
+        arrayprod(a, b, ARITH)
+
+
+def test_arrayprod_keeps_text_rows():
+    # A text cell makes the row's sum a TypeError; the scan finds nothing to refuse.
+    a = aa({("i", "k1"): "pear", ("i", "k2"): 4.0, ("h", "k2"): "fig"})
+    b = aa({("k1", "j"): "plum", ("k2", "j"): "apple", ("k2", "m"): 7.0})
+    got = arrayprod(a, b, LATTICE)
+    assert dict(got.items()) == product_oracle(a, b, LATTICE)
+    assert got.get("i", "j") == "pear"
+    check_invariants(got)
+    edges = {("a", "b"): "x", ("a", "c"): 2.0, ("b", "c"): "y", ("c", "a"): "z", ("c", "d"): 1.0}
+    arr, frontier = aa(edges), aa({("front", "a"): 1.0, ("front", "c"): 1.0})
+    step = arrayprod(frontier, arr, _SECOND)
+    assert dict(step.items()) == product_oracle(frontier, arr, _SECOND)
+    assert step.get("front", "c") == 2.0 and step.get("front", "b") == "x"
+    for steps in range(4):
+        assert set(bfs(arr, ["a"], steps).col_keys) == bfs_oracle(set(edges), ["a"], steps)
 
 
 def test_arrayprod_identity_roundtrip():

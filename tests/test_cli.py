@@ -344,6 +344,24 @@ def test_store_select_directory_without_manifest_is_exit_1(tmp_path, capsys):
     assert capsys.readouterr().out == "%aa-triples 1\n"
 
 
+@pytest.mark.parametrize("kind", ["insert", "delete", "compact"])
+@pytest.mark.parametrize("where", ["tlb", "nosuch/deep/dir", "bare"])
+def test_store_write_to_a_path_with_no_table_is_exit_1_and_creates_nothing(tmp_path, capsys, kind, where):
+    # A typo for a table, a missing deep path, and a directory without MANIFEST.
+    batch = write_aat(tmp_path / "b.aat", aa({("a", "x"): 1.0}))
+    path = tmp_path / where
+    if where == "bare":
+        path.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert run(["store", kind, str(path), *([batch] if kind != "compact" else [])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"aakit: no table at {str(path)!r}: MANIFEST is missing\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert run(["store", "init", str(path)]) == 0
+    assert run(["store", kind, str(path), *([batch] if kind != "compact" else [])]) == 0
+
+
 def test_store_insert_needs_file(tmp_path, capsys):
     assert run(["store", "insert", str(tmp_path / "t")]) == 2
     assert run(["store", "delete", str(tmp_path / "t")]) == 2
@@ -416,6 +434,7 @@ def test_shared_parser_survives_error_exits(tmp_path, capsysbinary):
     # The parser is built once per process; exits 2 and 1 must leave it as new.
     table = str(tmp_path / "table")
     batch = write_aat(tmp_path / "b.aat", aa({("a", "x"): 1.0, ("b", "y"): "two"}))
+    assert run(["store", "init", table]) == 0
     assert run(["store", "insert", table, batch]) == 0
     fresh = run_fresh("aakit", "store", "select", table)
     capsysbinary.readouterr()

@@ -352,6 +352,42 @@ def test_value_caches_past_their_size_match_the_format_oracles(monkeypatch, cach
             (r, c, v) for (r, c), v in cells.items())
 
 
+@pytest.mark.parametrize("cache_size", [None, 0, 1])
+def test_writers_match_the_format_oracles_on_store_shaped_rows(monkeypatch, cache_size):
+    # Rows as store batches hold them: one cell, tombstones only, text only, and
+    # mixed, with more distinct texts and numbers than a value cache holds.
+    shipped = aakit.io._CACHE_SIZE
+    if cache_size is not None:
+        monkeypatch.setattr(aakit.io, "_CACHE_SIZE", cache_size)
+    rng = random.Random(21)
+    values = ORACLE_VALUES + [float(rng.randint(1, 999)) for _ in range(200)]
+    cells: dict = {}
+    for i in range(shipped + 100):
+        cells[(f"one{i:05d}", f"c{i % 20:02d}")] = f"text {i}"
+    for i in range(300):
+        cells[(f"num{i:03d}", f"c{i % 20:02d}")] = rng.choice(values)
+    for i in range(40):
+        for j in rng.sample(range(20), rng.randint(1, 6)):
+            cells[(f"tomb{i:03d}", f"c{j:02d}")] = None
+    for i in range(40):
+        for j in rng.sample(range(20), rng.randint(1, 20)):
+            cells[(f"text{i:03d}", f"c{j:02d}")] = f"t {rng.randrange(3000)}"
+    for i in range(40):
+        for j in rng.sample(range(20), rng.randint(1, 20)):
+            cells[(f"mix{i:03d}", f"c{j:02d}")] = rng.choice(values + [None, f"m {i}"])
+    assert len({v for v in cells.values() if isinstance(v, str)}) > shipped
+    rows: dict = {}
+    for (r, c), v in sorted(cells.items()):
+        rows.setdefault(r, {})[c] = v
+    assert encode_records("%aa-seg 1", rows) == triples_bytes_oracle(cells, "%aa-seg 1")
+    live = {cell: v for cell, v in cells.items() if v is not None}
+    arr = AssociativeArray(live)
+    for render, oracle in ((write_triples, triples_bytes_oracle), (export_dot, dot_bytes_oracle)):
+        sink = io.BytesIO()
+        assert render(arr, sink) == len(sink.getvalue())
+        assert sink.getvalue() == oracle(live)
+
+
 @pytest.mark.parametrize("cache_size,checks", [(None, 2), (1, 4)])
 def test_value_caches_convert_a_number_once_until_full(monkeypatch, cache_size, checks):
     # Values 1, 2, 2, 2: with room, each distinct number is converted once;

@@ -25,6 +25,7 @@ from aakit import (
     KeyRange,
     KeySet,
     Semiring,
+    arrayprod,
 )
 
 _VEC = AssociativeArray({("a", "v1"): 1.0})
@@ -173,14 +174,16 @@ def test_key_set_members_stay_out_of_equality_and_repr():
 
 
 def test_analysis_records_pickle_and_every_record_deepcopies():
-    # A built-in semiring holds lambdas, which do not pickle; a deep copy shares functions.
     for one, *_ in CASES:
-        clones = [copy.deepcopy(one)]
-        if not isinstance(one, Semiring):
-            clones.append(pickle.loads(pickle.dumps(one)))
-        for clone in clones:
+        for clone in (copy.deepcopy(one), pickle.loads(pickle.dumps(one))):
             assert type(clone) is type(one) and clone == one and repr(clone) == repr(one)
-    assert copy.deepcopy(aakit.MAXPLUS) == aakit.MAXPLUS
+    # The built-in semirings' operations are module-level functions, which pickle by name.
+    a = AssociativeArray({("h", "k1"): -1.0, ("i", "k1"): 2.0, ("i", "k2"): 3.0})
+    b = AssociativeArray({("k1", "j"): 5.0, ("k2", "j"): 7.0, ("k2", "m"): 1.5})
+    for sr in aakit.SEMIRINGS.values():
+        for clone in (copy.deepcopy(sr), pickle.loads(pickle.dumps(sr))):
+            assert clone == sr and repr(clone) == repr(sr)
+            assert arrayprod(a, b, clone) == arrayprod(a, b, sr)
 
 
 def test_package_import_loads_neither_dataclasses_nor_inspect():
