@@ -20,12 +20,9 @@ bisects sorted record lines for rows in key intervals.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
-import threading
-from io import StringIO
-from typing import BinaryIO, Callable, Mapping
+from typing import BinaryIO, Callable, Iterator, Mapping
 
 from .core import (
     LATTICE,
@@ -44,11 +41,14 @@ _SEGMENT_HEAD = (SEGMENT_MAGIC + "\n").encode("ascii")
 
 # ASCII digits only: float() also reads other scripts' digits, which stay text.
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
-# RFC 4180 quotes only around a field: a quoted field whole, a line break outside
-# one, or any other quote, which is bare.  Seldom used, so re compiles it on first use.
-_CSV_QUOTE = r'(?<![^,\r\n])"[^"]*(?:""[^"]*)*"|\r\n?|\n|"'
-_CSV_FIELD_LIMIT_LOCK = threading.Lock()  # read_table raises csv's process-wide limit
-_CACHE_SIZE = 1024  # a value cache holds no more: the parser drops a full one, a writer stops adding
+# One RFC 4180 record and its line break (CR, LF, CRLF, or none at the end of the text):
+# a field holds no quote, or is quoted whole with "" for a quote.  Where no record
+# matches, before the end of the text, the empty alternative does: a faulty record.
+_QUOTED_TEXT = r'[^"]*(?:""[^"]*)*'  # a quoted field's text: it ends before the first lone quote
+_FIELD = rf'(?:[^",\r\n]*|"{_QUOTED_TEXT}")'
+_RECORD = re.compile(rf"(?!\Z)(?:({_FIELD}(?:,{_FIELD})*)(?:\r\n?|\n|\Z)|)")
+_QUOTED_RECORD_FIELDS = re.compile(rf',(?:"({_QUOTED_TEXT})"|([^,]*))')  # on "," + record
+_CACHE_SIZE = 1024  # a value cache stops adding once it holds this many
 
 
 class FormatError(ValueError):
@@ -77,35 +77,21 @@ def read_table(source: BinaryIO) -> AssociativeArray:
     header cells are column keys.  Each body row starts with its row key.
     Empty cells stay unstored.  Duplicate row or column keys, forbidden
     key characters, ragged long rows and quotes inside unquoted fields
-    are rejected.
+    are rejected; an error names the first faulty record.
     """
     try:
         text = source.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"table is not valid UTF-8: {exc}") from None
-    # csv's process-wide field limit is not the format's: raise it past any field, never lower it.
-    with _CSV_FIELD_LIMIT_LOCK:
-        saved = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
-        try:
-            return _parse_table(text)
-        finally:
-            csv.field_size_limit(saved)
+    return _parse_table(text)
 
 
 def _parse_table(text: str) -> AssociativeArray:
-    # newline="" leaves line breaks to csv, which ends rows on CR and LF only;
-    # strict refuses text after a closing quote, and a quote left open.
-    reader = csv.reader(StringIO(text, newline=""), strict=True)
-    done = 0  # lines of whole records: an error names the next, where its record starts
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("table has no header row") from None
-    except csv.Error as exc:
-        raise FormatError(f"malformed CSV at line {done + 1}: {exc}") from None
-    done = reader.line_num
-    quoted = '"' in "".join(header)  # a "" escape or a bare quote: csv reads both as '"'
-    col_keys = header[1:]
+    records = _records(text)
+    header = next(records, None)
+    if header is None:
+        raise FormatError("table has no header row")
+    col_keys = _fields(header)[1:]
     try:
         for c in col_keys:
             check_key(c)
@@ -115,45 +101,59 @@ def _parse_table(text: str) -> AssociativeArray:
         raise FormatError("duplicate column key in header")
 
     rows: dict[str, dict[str, Value]] = {}
-    try:
-        for record in reader:
-            done = reader.line_num
-            if not record:
-                continue
-            row_key = record[0]
+    for record in records:
+        if not record:
+            continue
+        fields = _fields(record)
+        row_key = fields[0]
+        try:
+            check_key(row_key)
+        except BadKeyError as exc:
+            raise FormatError(f"bad row key: {exc}") from None
+        if row_key in rows:
+            raise FormatError(f"duplicate row key {row_key!r}")
+        if len(fields) - 1 > len(col_keys):
+            raise FormatError(f"row {row_key!r} has more cells than the header")
+        if "\n" in record or "\r" in record:  # only a quoted cell holds one: check_value names it
             try:
-                check_key(row_key)
-            except BadKeyError as exc:
-                raise FormatError(f"bad row key: {exc}") from None
-            if row_key in rows:
-                raise FormatError(f"duplicate row key {row_key!r}")
-            if len(record) - 1 > len(col_keys):
-                raise FormatError(f"row {row_key!r} has more cells than the header")
-            quoted = quoted or '"' in "".join(record)
-            row = rows[row_key] = {}
-            for j, cell in enumerate(record[1:]):
-                if cell == "":
-                    continue
-                try:
-                    row[col_keys[j]] = check_value(parse_cell(cell))
-                except BadValueError as exc:
-                    raise FormatError(f"row {row_key!r}: {exc}") from None
-    except csv.Error as exc:
-        raise FormatError(f"malformed CSV at line {done + 1}: {exc}") from None
-    if quoted:
-        _refuse_bare_quote(text)
+                for cell in fields[1:]:
+                    check_value(cell)
+            except BadValueError as exc:
+                raise FormatError(f"row {row_key!r}: {exc}") from None
+        # Text from a strict UTF-8 decode encodes, and parse_cell's numbers are finite.
+        row = rows[row_key] = {}
+        for col, cell in zip(col_keys, fields[1:]):
+            if cell:
+                row[col] = parse_cell(cell)
     return AssociativeArray._from_clean(rows)
 
 
-def _refuse_bare_quote(text: str) -> None:
-    """Raise FormatError at the record of the first quote in an unquoted field: csv reads it as text."""
-    start = 0  # where the current record starts
-    for m in re.finditer(_CSV_QUOTE, text):
-        if m.group() == '"':
-            line = sum(1 for _ in StringIO(text[:start], newline="")) + 1
-            raise FormatError(f"malformed CSV at line {line}: '\"' in an unquoted field")
-        if m.group()[0] != '"':
-            start = m.end()
+def _records(text: str) -> Iterator[str]:
+    """Each record of ``text`` without its line break, "" for a blank line; FormatError at a faulty one."""
+    for m in _RECORD.finditer(text):
+        if m[1] is None:
+            raise _malformed(text, m.start())
+        yield m[1]
+
+
+def _fields(record: str) -> list[str]:
+    """The fields of a record that ``_RECORD`` matched, unquoted."""
+    if '"' not in record:
+        return record.split(",")
+    return [q.replace('""', '"') if q else u for q, u in _QUOTED_RECORD_FIELDS.findall("," + record)]
+
+
+def _malformed(text: str, pos: int) -> FormatError:
+    """The error for the record at ``pos`` that ``_RECORD`` refused, naming its first fault."""
+    line = 1 + text.count("\n", 0, pos) + text.count("\r", 0, pos) - text.count("\r\n", 0, pos)
+    pos = re.compile(rf"(?:{_FIELD},)*").match(text, pos).end()  # past the whole fields, to the faulty one
+    if text[pos] != '"':  # unquoted, so it stopped at a bare quote
+        fault = "'\"' in an unquoted field"
+    elif re.compile(rf'"{_QUOTED_TEXT}').match(text, pos).end() == len(text):  # still open
+        fault = "unexpected end of data"
+    else:  # text after its closing quote
+        fault = "',' expected after '\"'"
+    return FormatError(f"malformed CSV at line {line}: {fault}")
 
 
 def record_span(data: bytes, magic: str, *, lenient_tail: bool = False) -> tuple[int, int, bool]:
@@ -215,7 +215,7 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
 
     # A field that came from strict UTF-8 split on LF and TAB can break the
     # key and text rules only by being empty (keys) or by holding a CR.
-    numbers: dict[str, float] | None = {}  # number texts that passed both checks
+    numbers: dict[str, float] = {}  # number texts that passed both checks
     ordered, last_row, last_col = not into, "", ""  # "" is below every key: keys are non-empty
     try:
         for i, line in enumerate(lines):
@@ -230,17 +230,15 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
                 check_key(col)
             value: Value | None
             if tag == "n":
-                value = None if numbers is None else numbers.get(valtext)
+                value = numbers.get(valtext)
                 if value is None:
                     if not _NUMBER_RE.match(valtext):
                         raise FormatError(f"unparseable number {valtext!r}")
                     value = float(valtext)
                     if not math.isfinite(value):
                         raise FormatError(f"number {valtext!r} is not finite")
-                    if numbers is not None:
+                    if len(numbers) < _CACHE_SIZE:
                         numbers[valtext] = value
-                        if len(numbers) == _CACHE_SIZE:
-                            numbers = None
             elif tag == "t":
                 if "\r" in valtext:
                     check_value(valtext)

@@ -214,3 +214,110 @@ def dot_bytes_oracle(cells: dict) -> bytes:
         out.append(f"  {_dot_id(r)} -> {_dot_id(c)} [label={_dot_id(label)}];\n")
     out.append("}\n")
     return "".join(out).encode("utf-8")
+
+
+def _csv_records(text: str):
+    """Each RFC 4180 record of ``text`` as its fields, read one character at a time.
+
+    A blank line gives [].  A quoting fault raises ValueError naming the line
+    where its record starts, where CR, LF and CRLF each end a line.
+    """
+    i, n = 0, len(text)
+    while i < n:
+        line = 1 + sum(1 for k in range(i) if text[k] == "\r" or (text[k] == "\n" and text[k - 1 : k] != "\r"))
+        where = f"malformed CSV at line {line}"
+        if text[i] in "\r\n":
+            i += 2 if text[i : i + 2] == "\r\n" else 1
+            yield []
+            continue
+        fields, field, state = [], [], "start"  # start of a field, plain, quoted, closed
+        while True:
+            ch = text[i] if i < n else ""  # "" is the end of the text
+            i += 1
+            if state == "quoted":
+                if ch == "":
+                    raise ValueError(f"{where}: unexpected end of data")
+                if ch == '"':
+                    state = "closed"  # or the first quote of an escaped pair
+                else:
+                    field.append(ch)
+            elif ch == '"':
+                if state == "plain":
+                    raise ValueError(f"{where}: '\"' in an unquoted field")
+                if state == "closed":
+                    field.append('"')
+                state = "quoted"
+            elif ch not in (",", "\r", "\n", ""):
+                if state == "closed":
+                    raise ValueError(f"{where}: ',' expected after '\"'")
+                field.append(ch)
+                state = "plain"
+            else:
+                fields.append("".join(field))
+                field, state = [], "start"
+                if ch != ",":
+                    if ch == "\r" and text[i : i + 1] == "\n":
+                        i += 1
+                    break
+        yield fields
+
+
+def _csv_key_fault(key: str) -> str | None:
+    if not key:
+        return "key must be non-empty"
+    if "\t" in key or "\n" in key or "\r" in key:
+        return f"key {key!r} contains a forbidden control character"
+    return None
+
+
+def _csv_value(cell: str):
+    """A finite decimal in ASCII digits is a number; anything else is text."""
+    if set(cell) <= set("0123456789+-.eE"):
+        try:
+            x = float(cell)
+        except ValueError:
+            return cell
+        if math.isfinite(x):
+            return x
+    return cell
+
+
+def csv_table_oracle(text: str) -> dict:
+    """A dense CSV table's stored cells {(row, col): value}, by RFC 4180 and the table rules.
+
+    The first header cell is ignored and the others are column keys; each
+    body row leads with its row key; blank lines are skipped; empty cells and
+    zeros are not stored.  A fault raises ValueError with ``read_table``'s
+    message for the first faulty record in file order; within a record,
+    quoting comes before keys and cells.
+    """
+    records = _csv_records(text)
+    header = next(records, None)
+    if header is None:
+        raise ValueError("table has no header row")
+    col_keys = header[1:]
+    for c in col_keys:
+        if _csv_key_fault(c):
+            raise ValueError(f"bad column key in header: {_csv_key_fault(c)}")
+    if len(set(col_keys)) != len(col_keys):
+        raise ValueError("duplicate column key in header")
+    cells: dict = {}
+    seen: set[str] = set()
+    for fields in records:
+        if not fields:
+            continue
+        row = fields[0]
+        if _csv_key_fault(row):
+            raise ValueError(f"bad row key: {_csv_key_fault(row)}")
+        if row in seen:
+            raise ValueError(f"duplicate row key {row!r}")
+        seen.add(row)
+        if len(fields) - 1 > len(col_keys):
+            raise ValueError(f"row {row!r} has more cells than the header")
+        for col, cell in zip(col_keys, fields[1:]):
+            if "\r" in cell or "\n" in cell:
+                raise ValueError(f"row {row!r}: text value {cell!r} contains a line break")
+            value = _csv_value(cell)
+            if value != "" and value != 0.0:
+                cells[(row, col)] = value
+    return cells

@@ -3,6 +3,7 @@ import io
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from aakit.io import (
 )
 
 from helpers import check_invariants, random_mixed_array
-from oracles import dot_bytes_oracle, triples_bytes_oracle, triples_fold_oracle
+from oracles import csv_table_oracle, dot_bytes_oracle, triples_bytes_oracle, triples_fold_oracle
 
 
 def buf(text: str) -> io.BytesIO:
@@ -129,13 +130,16 @@ def test_read_table_rejects(text):
     ("T,a\tb\nr1,1\n",
      "bad column key in header: key 'a\\tb' contains a forbidden control character"),
     ('T,x\nr1,"a\nb"\n', "row 'r1': text value 'a\\nb' contains a line break"),
+    ('T,x,y\nr1,2,"a\rb"\n', "row 'r1': text value 'a\\rb' contains a line break"),
+    ('T,x,y\nr1,2,"a\r\nb"\n', "row 'r1': text value 'a\\r\\nb' contains a line break"),
     # quoting that breaks RFC 4180 names the line where the faulty record starts
     ('T,x\nr1,"1"2\n', "malformed CSV at line 2: ',' expected after '\"'"),
     ('"T,x\nr1,1\n', "malformed CSV at line 1: unexpected end of data"),  # open in the header
     ('T,x\nr1,"a\nr2,1\n', "malformed CSV at line 2: unexpected end of data"),  # open in the body
     ('T,x\nr1,1\nr2,"x', "malformed CSV at line 3: unexpected end of data"),  # open at the end
-    # a quote inside an unquoted field, which csv reads as text
+    # a quote inside an unquoted field
     ('T,x\nr1,a"b\n', "malformed CSV at line 2: '\"' in an unquoted field"),
+    ('T,x\nr1,a"b\nr1,2\n', "malformed CSV at line 2: '\"' in an unquoted field"),  # before a later key error
     ('T,x\nr1,"a""b"\nr2,a""\n', "malformed CSV at line 3: '\"' in an unquoted field"),  # beside an escape
     ('T,x\r\nr1, "a"\r\n', "malformed CSV at line 2: '\"' in an unquoted field"),  # after a space
     ('T"1,x\nr1,1\n', "malformed CSV at line 1: '\"' in an unquoted field"),  # in the ignored header cell
@@ -146,6 +150,45 @@ def test_read_table_errors_name_the_cause(text, message):
     with pytest.raises(FormatError) as exc:
         read_table(buf(text))
     assert str(exc.value) == message
+
+
+def test_read_table_reads_nul_as_text():
+    arr = read_table(buf("T,x\x00y\nr\x001,a\x00b\n"))
+    assert arr.triples() == [("r\x001", "x\x00y", "a\x00b")]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("T,x\nr1," + "a," * 100_000 + 'a"\n', "'\"' in an unquoted field"),
+    ("T,x\nr1," + "a" * 200_000 + '"\n', "'\"' in an unquoted field"),
+    ('T,x\nr1,"' + '""' * 50_000 + '"x\n', "',' expected after '\"'"),
+    ("T,x\nr1," + '"a",' * 100_000 + '"a"x\n', "',' expected after '\"'"),
+    ('T,x\nr1,"a\n' + "r,1\n" * 20_000, "unexpected end of data"),
+], ids=["many-fields", "long-cell", "many-escapes", "many-quoted-fields", "open-above-many-lines"])
+def test_read_table_refuses_long_faulty_records_in_linear_time(text, message):
+    # A grammar that backtracks quadratically takes minutes on these.
+    start = time.perf_counter()
+    with pytest.raises(FormatError) as exc:
+        read_table(buf(text))
+    assert time.perf_counter() - start < 2
+    assert str(exc.value) == f"malformed CSV at line 2: {message}"
+
+
+# Pieces of tables, among them every character the CSV grammar reads specially.
+CSV_PIECES = [",", '"', "\r", "\n", "\r\n", " ", "\x00", "\u2028", "0", "1", "2", "a", "b", "T"]
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(["", "T,x,y\n", "T,x,y\r\n"]), st.lists(st.sampled_from(CSV_PIECES), max_size=16))
+def test_read_table_matches_the_csv_oracle(header, pieces):
+    text = header + "".join(pieces)
+    try:
+        want = csv_table_oracle(text)
+    except ValueError as fault:
+        with pytest.raises(FormatError) as exc:
+            read_table(buf(text))
+        assert str(exc.value) == str(fault)
+    else:
+        assert read_table(buf(text)).triples() == sorted((r, c, v) for (r, c), v in want.items())
 
 
 def test_read_table_skips_blank_lines():
@@ -388,10 +431,10 @@ def test_writers_match_the_format_oracles_on_store_shaped_rows(monkeypatch, cach
         assert sink.getvalue() == oracle(live)
 
 
-@pytest.mark.parametrize("cache_size,checks", [(None, 2), (1, 4)])
+@pytest.mark.parametrize("cache_size,checks", [(None, 2), (1, 4), (0, 4)])
 def test_value_caches_convert_a_number_once_until_full(monkeypatch, cache_size, checks):
     # Values 1, 2, 2, 2: with room, each distinct number is converted once;
-    # a cache that fills is dropped, and every later number is converted.
+    # a full cache stops adding, and every number it lacks is converted.
     if cache_size is not None:
         monkeypatch.setattr(aakit.io, "_CACHE_SIZE", cache_size)
     calls = []

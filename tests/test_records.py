@@ -186,7 +186,7 @@ def test_analysis_records_pickle_and_every_record_deepcopies():
             assert arrayprod(a, b, clone) == arrayprod(a, b, sr)
 
 
-def test_package_import_loads_neither_dataclasses_nor_inspect():
+def test_package_import_loads_neither_dataclasses_inspect_nor_csv():
     """A fresh isolated interpreter imports the package and its CLI without them.
 
     Only modules the import adds count, so a ``site`` that preloads either
@@ -206,4 +206,4 @@ def test_package_import_loads_neither_dataclasses_nor_inspect():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "aakit.cli" in added
-    assert not added & {"dataclasses", "inspect"}, sorted(added)
+    assert not added & {"dataclasses", "inspect", "csv"}, sorted(added)
