@@ -156,18 +156,15 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_store(args) -> int:
-    if args.kind == "select":
-        with TableStore.open(args.dir, read_only=True) as t:
-            result = t.select(parse_keyspec(args.rows), parse_keyspec(args.cols))
-        _emit(result, args.output)
-        return 0
     # The batch or mask is read first, so a bad file neither creates nor locks the table.
     arr = _load(args.file) if args.kind in ("insert", "delete") else None
     path = Path(args.dir)
-    if args.kind != "init" and not (path / MANIFEST_NAME).exists():  # only init creates a table
+    if args.kind not in ("init", "select") and not (path / MANIFEST_NAME).exists():  # a writer open creates it
         raise StoreError(f"no table at {str(path)!r}: {MANIFEST_NAME} is missing")
-    with TableStore.open(path) as t:  # init only opens and closes the table
-        if args.kind == "insert":
+    with TableStore.open(path, read_only=args.kind == "select") as t:  # init only opens and closes the table
+        if args.kind == "select":
+            _emit(t.select(parse_keyspec(args.rows), parse_keyspec(args.cols)), args.output)
+        elif args.kind == "insert":
             print(f"records {t.insert(arr)}")
         elif args.kind == "delete":
             print(f"tombstones {t.delete(arr)}")

@@ -83,10 +83,6 @@ def read_table(source: BinaryIO) -> AssociativeArray:
         text = source.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"table is not valid UTF-8: {exc}") from None
-    return _parse_table(text)
-
-
-def _parse_table(text: str) -> AssociativeArray:
     records = _records(text)
     header = next(records, None)
     if header is None:

@@ -99,20 +99,15 @@ class TableStore:
         """Open the table directory at ``path``, creating it for a writer.
 
         Pass ``read_only=True`` to skip taking the writer lock; such an
-        open creates nothing and raises StoreError when the directory is
-        missing.  When the lock is already held elsewhere, the handle
-        silently degrades to read-only; check the ``read_only`` attribute.
-        Its writes then raise ReadOnlyError naming the LOCK file and the
-        PID written in it.
-        Only the lock holder writes a missing MANIFEST; any other open of
-        a directory without one raises StoreError.
+        open creates nothing.  When the lock is already held elsewhere, the
+        handle silently degrades to read-only; check the ``read_only``
+        attribute.  Its writes then raise ReadOnlyError naming the LOCK
+        file and the PID written in it.
+        Only the lock holder writes a missing MANIFEST; any other open
+        that finds none, be the directory missing, without a MANIFEST or
+        not a directory at all, raises StoreError.
         """
         path = Path(path)
-        if not read_only:
-            path.mkdir(parents=True, exist_ok=True)
-        elif not path.is_dir():
-            raise StoreError(f"no table directory at {str(path)!r}")
-
         self = cls.__new__(cls)
         self.path = path
         self.read_only = True
@@ -121,6 +116,7 @@ class TableStore:
         if not read_only:
             import fcntl  # POSIX only: imported here, so that importing the package does not need it
 
+            path.mkdir(parents=True, exist_ok=True)
             lock = path / LOCK_NAME
             fd = os.open(lock, os.O_CREAT | os.O_WRONLY, 0o666)  # the mode open() gives
             try:
@@ -129,19 +125,12 @@ class TableStore:
                 os.write(fd, f"{os.getpid()}\n".encode("ascii"))
                 self.read_only, self._lock_fd = False, fd
             except BlockingIOError:  # another writer holds the table
-                pass
+                self._holder = _lock_holder(lock)
             finally:
                 if self.read_only:
                     os.close(fd)
-            if self.read_only:
-                self._holder = _lock_holder(lock)
         try:
-            if not (path / MANIFEST_NAME).exists():
-                if self.read_only:
-                    raise StoreError(f"no table at {str(path)!r}: {MANIFEST_NAME} is missing")
-                self._commit({})
-            else:
-                self._snapshot = self._read_snapshot()
+            self._snapshot = self._read_snapshot()
         except BaseException:
             self.close()
             raise
@@ -150,28 +139,32 @@ class TableStore:
     def _read_snapshot(self) -> dict[str, bytes]:
         """Map each listed segment's name, oldest first, to its framed bytes.
 
-        A segment can vanish between the MANIFEST read and its own read
-        when a compaction swaps the MANIFEST in between; the open then
+        The first MANIFEST read is the one test of whether a table is
+        there.  A segment can vanish between the MANIFEST read and its own
+        read when a compaction swaps the MANIFEST in between; the open then
         starts over from the new MANIFEST.
         """
         manifest = self.path / MANIFEST_NAME
-        names = _read_manifest(manifest)
+        try:
+            names = _read_manifest(manifest)
+        except (FileNotFoundError, NotADirectoryError):  # no MANIFEST, no directory, or a file for one
+            if self.read_only:
+                raise StoreError(f"no table at {str(self.path)!r}: {MANIFEST_NAME} is missing") from None
+            self._commit({})
+            return self._snapshot
         for _ in range(_OPEN_ATTEMPTS):
-            blobs: list[bytes] = []
+            snapshot: dict[str, bytes] = {}
             for name in names:
                 try:
-                    blobs.append((self.path / name).read_bytes())
+                    data = (self.path / name).read_bytes()
                 except FileNotFoundError:
                     break
+                snapshot[name] = self._frame(name, data, name == names[-1])
             else:
-                last = len(names) - 1
-                return {
-                    name: self._frame(name, data, i == last)
-                    for i, (name, data) in enumerate(zip(names, blobs))
-                }
+                return snapshot
             current = _read_manifest(manifest)
             if current == names:
-                raise StoreError(f"manifest names missing segment {names[len(blobs)]!r}")
+                raise StoreError(f"manifest names missing segment {name!r}")
             names = current
         raise StoreError(f"MANIFEST changed {_OPEN_ATTEMPTS} times during open; try again")
 
@@ -194,6 +187,8 @@ class TableStore:
                 action = "cut truncated final line from the file"
             else:
                 action = "ignoring truncated final line"
+            # Four frames up (_frame, _read_snapshot, open) is open's caller; before Python 3.12 a
+            # comprehension is a frame of its own, so _read_snapshot calls this from a plain loop.
             warnings.warn(f"segment {name}: {action}", RuntimeWarning, stacklevel=4)
         return data
 
@@ -272,7 +267,7 @@ class TableStore:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        if getattr(self, "_closed", True):
+        if self._closed:
             return
         self._closed = True
         if not self.read_only:

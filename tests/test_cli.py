@@ -362,6 +362,21 @@ def test_store_write_to_a_path_with_no_table_is_exit_1_and_creates_nothing(tmp_p
     assert run(["store", kind, str(path), *([batch] if kind != "compact" else [])]) == 0
 
 
+@pytest.mark.parametrize("where", ["tlb", "nosuch/deep/dir", "bare", "afile"])
+def test_store_select_on_a_path_with_no_table_prints_what_a_write_prints(tmp_path, capsys, where):
+    (tmp_path / "bare").mkdir()
+    (tmp_path / "afile").write_bytes(b"")
+    path = tmp_path / where
+    before = sorted(tmp_path.rglob("*"))
+    assert run(["store", "select", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"aakit: no table at {str(path)!r}: MANIFEST is missing\n"
+    assert run(["store", "compact", str(path)]) == 1
+    assert capsys.readouterr().err == captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_store_insert_needs_file(tmp_path, capsys):
     assert run(["store", "insert", str(tmp_path / "t")]) == 2
     assert run(["store", "delete", str(tmp_path / "t")]) == 2

@@ -1,8 +1,5 @@
-import csv
 import io
 import random
-import sys
-import threading
 import time
 
 import pytest
@@ -200,65 +197,10 @@ def test_read_table_cells_have_no_length_cap(quoted):
     # 131,072 is the csv module's default field_size_limit, not the format's.
     long = "a" * 131_073
     cell = f'"{long}"' if quoted else long
-    before = csv.field_size_limit()
     assert read_table(buf(f"T,x,{long}\nr1,{cell},1\n")).triples() == [
         ("r1", long, 1.0), ("r1", "x", long)]
-    assert csv.field_size_limit() == before
     with pytest.raises(FormatError, match="duplicate row key"):
         read_table(buf(f"T,x\nr1,{cell}\nr1,1\n"))
-    assert csv.field_size_limit() == before
-
-
-def test_read_table_leaves_a_custom_field_size_limit_alone():
-    before = csv.field_size_limit(10)
-    try:
-        assert read_table(buf("T,x\nr1,abcdefghijklmnop\n")).get("r1", "x") == "abcdefghijklmnop"
-        assert csv.field_size_limit() == 10
-    finally:
-        csv.field_size_limit(before)
-
-
-def test_read_table_never_lowers_the_field_size_limit(monkeypatch):
-    # Another reader of the process, here one that runs in the middle of the
-    # parse, may meet a field longer than the table being read.
-    parse = aakit.io._parse_table
-    field = "b" * 1000
-
-    def parse_beside_another_reader(text):
-        assert next(csv.reader([field])) == [field]
-        return parse(text)
-
-    monkeypatch.setattr(aakit.io, "_parse_table", parse_beside_another_reader)
-    before = csv.field_size_limit()
-    assert read_table(buf("T,x\nr1,1\n")).get("r1", "x") == 1.0
-    assert csv.field_size_limit() == before
-
-
-def test_read_table_threads_restore_the_field_size_limit():
-    data = ("T,x\nr1," + "a" * 131_073 + "\n").encode("utf-8")
-    errors = []
-
-    def work():
-        try:
-            for _ in range(20):
-                read_table(io.BytesIO(data))
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    before = csv.field_size_limit()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert csv.field_size_limit() == before
 
 
 def test_read_table_not_utf8():

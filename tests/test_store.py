@@ -1,6 +1,7 @@
 import errno
 import fcntl
 import json
+import linecache
 import os
 import random
 import signal
@@ -294,6 +295,17 @@ def test_read_only_open_of_missing_table_is_an_error(tmp_path):
     assert (missing / MANIFEST_NAME).exists()
 
 
+@pytest.mark.parametrize("where", ["typo", "typo/deep", "afile", "afile/deep"])
+def test_read_only_open_of_no_directory_names_the_missing_manifest(tmp_path, where):
+    # The writes' error, never a bare OSError, also where the path is a file.
+    (tmp_path / "afile").write_bytes(b"")
+    path = tmp_path / where
+    with pytest.raises(StoreError) as exc:
+        open_store(path, read_only=True)
+    assert str(exc.value) == f"no table at {str(path)!r}: MANIFEST is missing"
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "afile"]
+
+
 def test_read_only_open_of_directory_without_manifest_is_an_error(tmp_path):
     bare = tmp_path / "bare"
     bare.mkdir()
@@ -446,6 +458,23 @@ def test_missing_segment_is_an_error(tmp_path):
     _assert_next_open_writes(tmp_path / "t")
 
 
+def test_open_reports_each_segment_as_it_reads_it(tmp_path):
+    root = tmp_path / "t"
+    with open_store(root) as st:
+        st.insert(aa({("a", "x"): 1.0}))
+        st.insert(aa({("b", "y"): 2.0}))
+        first, second = st.segments
+    data = (root / first).read_bytes()
+    (root / first).write_bytes(data[:-1])  # torn, but not the newest
+    (root / second).unlink()
+    for read_only in (True, False):
+        with pytest.raises(StoreError, match=rf"^segment {first}: "):
+            open_store(root, read_only=read_only)
+    (root / first).write_bytes(data)
+    with pytest.raises(StoreError, match=rf"^manifest names missing segment '{second}'$"):
+        open_store(root, read_only=True)
+
+
 def test_corrupt_manifest_is_an_error(tmp_path):
     with open_store(tmp_path / "t"):
         pass
@@ -539,6 +568,20 @@ def test_write_after_torn_tail_recovery_keeps_table_readable(tmp_path):
             assert st.select() == want
 
 
+def test_torn_tail_warning_names_the_caller_of_open(tmp_path):
+    root = tmp_path / "t"
+    with open_store(root) as st:
+        st.insert(aa({("a", "x"): 1.0}))
+        newest = root / st.segments[-1]
+    newest.write_bytes(newest.read_bytes()[:-2])
+    for read_only in (True, False):  # the reader leaves the torn line for the writer to cut
+        with pytest.warns(RuntimeWarning, match="truncated") as record:
+            TableStore.open(root, read_only=read_only).close()
+        assert record[0].filename == __file__
+        assert linecache.getline(__file__, record[0].lineno).strip() == (
+            "TableStore.open(root, read_only=read_only).close()")
+
+
 def test_read_only_open_leaves_torn_tail_on_disk(tmp_path):
     root = tmp_path / "t"
     with open_store(root) as st:
@@ -626,6 +669,60 @@ def test_compact_deletes_orphan_segments_and_temp_files(tmp_path):
     assert sorted(p.name for p in root.iterdir()) == sorted([MANIFEST_NAME, "LOCK", stray, *listed])
     with open_store(root, read_only=True) as st:
         assert st.select() == aa({("a", "x"): 1.0})
+
+
+# -- the order of durable operations ------------------------------------------
+
+
+def test_every_write_is_durable_before_the_manifest_names_it(tmp_path, monkeypatch):
+    # Records the store's file-system calls in order, in the manner of ALICE
+    # (Pillai et al., OSDI 2014), and checks them without replaying crashes.
+    root = tmp_path / "t"
+    calls, names = [], {}
+    real_open, real_os_open, real_fsync, real_replace, real_unlink = (
+        open, os.open, os.fsync, os.replace, Path.unlink)
+
+    def record_open(path, mode="r", *args):
+        f = real_open(path, mode, *args)
+        names[f.fileno()] = Path(path).name
+        calls.append(("open", Path(path).name, mode))
+        return f
+
+    def record_os_open(path, *args):
+        fd = real_os_open(path, *args)
+        names[fd] = "<dir>" if Path(path) == root else Path(path).name
+        return fd
+
+    monkeypatch.setattr(aakit.store, "open", record_open, raising=False)
+    monkeypatch.setattr(os, "open", record_os_open)
+    monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(("fsync", names[fd])), real_fsync(fd))[1])
+    monkeypatch.setattr(os, "replace", lambda src, dst: (
+        calls.append(("replace", Path(src).name, Path(dst).name)), real_replace(src, dst))[1])
+    monkeypatch.setattr(Path, "unlink", lambda p, missing_ok=False: (
+        calls.append(("unlink", p.name)), real_unlink(p, missing_ok))[1])
+
+    def written(*files):
+        return [call for name in files for call in (
+            ("open", f"{name}.tmp", "wb"), ("fsync", f"{name}.tmp"),
+            ("replace", f"{name}.tmp", name), ("fsync", "<dir>"))]
+
+    def done(want):
+        assert calls == want
+        calls.clear()
+
+    st = open_store(root)
+    done(written(MANIFEST_NAME))
+    st.insert(aa({("a", "x"): 1.0, ("b", "y"): 2.0}))
+    done(written("seg-00000001.aat", MANIFEST_NAME))
+    st.delete(aa({("b", "y"): 1.0}))
+    done(written("seg-00000002.aat", MANIFEST_NAME))
+    st.compact()
+    calls[8:] = sorted(calls[8:])  # the directory lists the old segments in any order
+    done(written("seg-00000003.aat", MANIFEST_NAME) + [("unlink", "seg-00000001.aat"), ("unlink", "seg-00000002.aat")])
+    st.close()
+    open_store(root, read_only=True).close()
+    open_store(root).close()
+    done([])
 
 
 # -- a writer killed at each step of a write -----------------------------------
