@@ -9,8 +9,10 @@ LF-framed, one record per line::
 
 Numbers are rendered in their shortest round-trip decimal form, records
 sort by (row, col), so equal arrays serialize to identical bytes.  Writers
-walk row dicts; the record parser folds into them and reports sorted input.
-A call converts each distinct number once until ``_CACHE_SIZE`` are cached.
+walk row dicts and encode pieces of about ``_PIECE`` bytes cut at row ends;
+the record parser decodes pieces cut after an LF, folds them into row dicts
+and reports sorted input.  A call converts each distinct number once until
+``_CACHE_SIZE`` are cached.
 
 The store's segment and MANIFEST bytes are this module's too.  The magic
 line picks ``parse_record_lines``' rules: a segment's tag "x" marks a
@@ -49,6 +51,7 @@ _FIELD = rf'(?:[^",\r\n]*|"{_QUOTED_TEXT}")'
 _RECORD = re.compile(rf"(?!\Z)(?:({_FIELD}(?:,{_FIELD})*)(?:\r\n?|\n|\Z)|)")
 _QUOTED_RECORD_FIELDS = re.compile(rf',(?:"({_QUOTED_TEXT})"|([^,]*))')  # on "," + record
 _CACHE_SIZE = 1024  # a value cache stops adding once it holds this many
+_PIECE = 1 << 16  # about the bytes a reader decodes, or a writer encodes, at once
 
 
 class FormatError(ValueError):
@@ -192,70 +195,69 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
     pass ``check_key`` and ``check_value``; an error names the first faulty
     line, numbered from the start of ``data``.  A line whose column ``cols``
     (a ``KeySpec.matches``) refuses is split into its four fields, then dropped.
+    The span is decoded a piece of about ``_PIECE`` bytes at a time.
     """
     segment = data.startswith(_SEGMENT_HEAD)
     plus = None if segment else LATTICE.plus
-    # Decode the span at once.  On a decoding error, parse the lines before
-    # the bad one (an earlier error wins) and then report it; LF never
-    # occurs inside a UTF-8 sequence, so the first bad byte lies on the
-    # first line that does not decode by itself.
-    bad_at = None
-    try:
-        text = str(memoryview(data)[start:end], "utf-8")
-    except UnicodeDecodeError as exc:
-        bad_at = data.rfind(b"\n", 0, start + exc.start) + 1
-        text = str(memoryview(data)[start:bad_at], "utf-8")
-    lines = text.split("\n")
-    del text
-    lines.pop()  # the piece after the final LF
-
     # A field that came from strict UTF-8 split on LF and TAB can break the
     # key and text rules only by being empty (keys) or by holding a CR.
     numbers: dict[str, float] = {}  # number texts that passed both checks
     ordered, last_row, last_col = not into, "", ""  # "" is below every key: keys are non-empty
+    # A piece ends just after an LF, which never occurs inside a UTF-8 sequence.  On a
+    # decoding error, parse the piece's lines before the bad one (an earlier error wins).
+    view, bad_at = memoryview(data), None
     try:
-        for i, line in enumerate(lines):
+        while bad_at is None and start < end:  # ``start``: the first line not yet parsed
+            cut = data.find(b"\n", min(start + _PIECE, end) - 1) + 1
             try:
-                row, col, tag, valtext = line.split("\t", 3)
-            except ValueError:
-                raise FormatError("expected 4 tab-separated fields") from None
-            if cols is not None and col and not cols(col):  # an empty column fails as a key below
-                continue
-            if not row or not col or "\r" in line:
-                check_key(row)
-                check_key(col)
-            value: Value | None
-            if tag == "n":
-                value = numbers.get(valtext)
-                if value is None:
-                    if not _NUMBER_RE.match(valtext):
-                        raise FormatError(f"unparseable number {valtext!r}")
-                    value = float(valtext)
-                    if not math.isfinite(value):
-                        raise FormatError(f"number {valtext!r} is not finite")
-                    if len(numbers) < _CACHE_SIZE:
-                        numbers[valtext] = value
-            elif tag == "t":
-                if "\r" in valtext:
-                    check_value(valtext)
-                value = valtext
-            elif tag == "x" and segment:
-                if valtext != "":
-                    raise FormatError("tombstone carries a payload")
-                value = None
-            else:
-                raise FormatError(f"unknown type tag {tag!r}")
-            if row != last_row:
-                ascends, cells, last_row = row > last_row, into.setdefault(row, {}), row
-            else:
-                ascends = col > last_col
-            last_col = col
-            if not (ascends and value):
-                if segment and not ascends:
-                    raise FormatError("record out of (row, col) order")
-                ordered = False
-            # While ordered, the cell is new: every record so far ascended into an empty ``into``.
-            cells[col] = plus(cells[col], value) if not ordered and plus and col in cells else value
+                lines = str(view[start:cut], "utf-8").split("\n")
+            except UnicodeDecodeError as exc:
+                bad_at = cut = data.rfind(b"\n", 0, start + exc.start) + 1
+                lines = str(view[start:cut], "utf-8").split("\n")
+            lines.pop()  # the empty text after the piece's final LF
+            for i, line in enumerate(lines):
+                try:
+                    row, col, tag, valtext = line.split("\t", 3)
+                except ValueError:
+                    raise FormatError("expected 4 tab-separated fields") from None
+                if cols is not None and col and not cols(col):  # an empty column fails as a key below
+                    continue
+                if not row or not col or "\r" in line:
+                    check_key(row)
+                    check_key(col)
+                value: Value | None
+                if tag == "n":
+                    value = numbers.get(valtext)
+                    if value is None:
+                        if not _NUMBER_RE.match(valtext):
+                            raise FormatError(f"unparseable number {valtext!r}")
+                        value = float(valtext)
+                        if not math.isfinite(value):
+                            raise FormatError(f"number {valtext!r} is not finite")
+                        if len(numbers) < _CACHE_SIZE:
+                            numbers[valtext] = value
+                elif tag == "t":
+                    if "\r" in valtext:
+                        check_value(valtext)
+                    value = valtext
+                elif tag == "x" and segment:
+                    if valtext != "":
+                        raise FormatError("tombstone carries a payload")
+                    value = None
+                else:
+                    raise FormatError(f"unknown type tag {tag!r}")
+                if row != last_row:
+                    ascends, cells, last_row = row > last_row, into.setdefault(row, {}), row
+                else:
+                    ascends = col > last_col
+                last_col = col
+                if not (ascends and value):
+                    if segment and not ascends:
+                        raise FormatError("record out of (row, col) order")
+                    ordered = False
+                # While ordered, the cell is new: every record so far ascended into an empty ``into``.
+                cells[col] = plus(cells[col], value) if not ordered and plus and col in cells else value
+            start = cut
     except (FormatError, BadKeyError, BadValueError) as exc:
         raise FormatError(f"line {line_number(data, start) + i}: {exc}") from None
     if bad_at is not None:
@@ -330,6 +332,11 @@ def encode_lines(lines: list[str]) -> bytes:
 
 def encode_records(magic: str, rows: Mapping[str, Mapping[str, Value | None]]) -> bytes:
     """``magic``, then a line per cell of ``rows`` (row -> column -> value; None: tombstone)."""
+    return b"".join(_record_pieces(magic, rows))
+
+
+def _record_pieces(magic: str, rows: Mapping[str, Mapping[str, Value | None]]) -> Iterator[bytes]:
+    """``encode_records``' bytes in pieces, cut after a row that takes a piece past ``_PIECE // 32`` cells."""
     lines = [magic]
     append = lines.append
     tails: dict[Value | None, str] = {None: "\tx\t"}  # tag and value text of tombstones and numbers
@@ -345,14 +352,25 @@ def encode_records(magic: str, rows: Mapping[str, Mapping[str, Value | None]]) -
                 if len(tails) <= _CACHE_SIZE:
                     tails[v] = tail
             append(f"{head}{c}{tail}")
-    return encode_lines(lines)
+        if len(lines) > _PIECE // 32:
+            yield encode_lines(lines)
+            lines.clear()
+    if lines:
+        yield encode_lines(lines)
+
+
+def _write_pieces(pieces: Iterator[bytes], sink: BinaryIO) -> int:
+    """Write each piece to ``sink`` as it is made; returns the byte count written."""
+    n = 0
+    for piece in pieces:
+        sink.write(piece)
+        n += len(piece)
+    return n
 
 
 def write_triples(arr: AssociativeArray, sink: BinaryIO) -> int:
     """Write the canonical triple form; returns the byte count written."""
-    payload = encode_records(TRIPLES_MAGIC, arr._rows)
-    sink.write(payload)
-    return len(payload)
+    return _write_pieces(_record_pieces(TRIPLES_MAGIC, arr._rows), sink)
 
 
 def _dot_quote(s: str) -> str:
@@ -366,6 +384,11 @@ def export_dot(arr: AssociativeArray, sink: BinaryIO) -> int:
     edge labeled with its value.  Output order is sorted, so equal arrays
     render identically.
     """
+    return _write_pieces(_dot_pieces(arr), sink)
+
+
+def _dot_pieces(arr: AssociativeArray) -> Iterator[bytes]:
+    """``export_dot``'s bytes in pieces, cut after a row that takes a piece past ``_PIECE // 32`` edges."""
     nodes = {k: _dot_quote(k) for k in sorted(set(arr.row_keys) | set(arr.col_keys))}
     tails: dict[Value, str] = {}
     cached = tails.get
@@ -378,10 +401,14 @@ def export_dot(arr: AssociativeArray, sink: BinaryIO) -> int:
 
     lines = ["digraph aa {"]
     lines.extend(f"  {q};" for q in nodes.values())
+    edges = 0
     for r, row in arr._rows.items():
         head = f"  {nodes[r]} -> "
         lines.append(head + ("\n" + head).join([nodes[c] + (cached(v) or tail(v)) for c, v in row.items()]))
+        edges += len(row)
+        if edges > _PIECE // 32:
+            yield encode_lines(lines)
+            lines.clear()
+            edges = 0
     lines.append("}")
-    payload = encode_lines(lines)
-    sink.write(payload)
-    return len(payload)
+    yield encode_lines(lines)

@@ -104,8 +104,8 @@ class TableStore:
         attribute.  Its writes then raise ReadOnlyError naming the LOCK
         file and the PID written in it.
         Only the lock holder writes a missing MANIFEST; any other open
-        that finds none, be the directory missing, without a MANIFEST or
-        not a directory at all, raises StoreError.
+        that finds none, be the directory missing or without a MANIFEST,
+        raises StoreError, as does any open of a file or a path under one.
         """
         path = Path(path)
         self = cls.__new__(cls)
@@ -116,7 +116,10 @@ class TableStore:
         if not read_only:
             import fcntl  # POSIX only: imported here, so that importing the package does not need it
 
-            path.mkdir(parents=True, exist_ok=True)
+            try:
+                path.mkdir(parents=True, exist_ok=True)
+            except (FileExistsError, NotADirectoryError):  # a file, or a path under one
+                raise StoreError(f"no table at {str(path)!r}: not a directory") from None
             lock = path / LOCK_NAME
             fd = os.open(lock, os.O_CREAT | os.O_WRONLY, 0o666)  # the mode open() gives
             try:

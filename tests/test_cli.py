@@ -377,6 +377,17 @@ def test_store_select_on_a_path_with_no_table_prints_what_a_write_prints(tmp_pat
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("where", ["afile", "afile/sub"])
+def test_store_init_on_a_file_is_exit_1_and_creates_nothing(tmp_path, capsys, where):
+    (tmp_path / "afile").write_bytes(b"")
+    path = tmp_path / where
+    assert run(["store", "init", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"aakit: no table at {str(path)!r}: not a directory\n"
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "afile"]
+
+
 def test_store_insert_needs_file(tmp_path, capsys):
     assert run(["store", "insert", str(tmp_path / "t")]) == 2
     assert run(["store", "delete", str(tmp_path / "t")]) == 2

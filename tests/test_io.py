@@ -1,6 +1,7 @@
 import io
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,19 @@ from oracles import csv_table_oracle, dot_bytes_oracle, triples_bytes_oracle, tr
 
 def buf(text: str) -> io.BytesIO:
     return io.BytesIO(text.encode("utf-8"))
+
+
+def each_piece_size():
+    """Set ``aakit.io._PIECE`` to the shipped size, then to 1 byte, yielding after each.
+
+    At 1 byte the reader decodes each line, and a writer encodes each row,
+    as a piece of its own.  The shipped size is back when the loop ends.
+    """
+    shipped = aakit.io._PIECE
+    with pytest.MonkeyPatch.context() as mp:
+        for size in (shipped, 1):
+            mp.setattr(aakit.io, "_PIECE", size)
+            yield size
 
 
 # -- number formatting -------------------------------------------------------
@@ -288,11 +302,12 @@ def mixed_cells(values=ORACLE_VALUES):
 @given(cells=mixed_cells())
 def test_write_triples_matches_the_format_oracle(cells):
     arr = AssociativeArray(cells)
-    sink = io.BytesIO()
-    n = write_triples(arr, sink)
-    assert sink.getvalue() == triples_bytes_oracle(cells)
-    assert n == len(sink.getvalue())
-    assert read_triples(io.BytesIO(sink.getvalue())) == arr
+    for _ in each_piece_size():
+        sink = io.BytesIO()
+        n = write_triples(arr, sink)
+        assert sink.getvalue() == triples_bytes_oracle(cells)
+        assert n == len(sink.getvalue())
+        assert read_triples(io.BytesIO(sink.getvalue())) == arr
 
 
 @settings(max_examples=200)
@@ -301,7 +316,8 @@ def test_encode_records_with_tombstones_matches_the_format_oracle(cells):
     rows: dict = {}
     for (r, c), v in sorted(cells.items()):
         rows.setdefault(r, {})[c] = v
-    assert encode_records("%aa-seg 1", rows) == triples_bytes_oracle(cells, "%aa-seg 1")
+    for _ in each_piece_size():
+        assert encode_records("%aa-seg 1", rows) == triples_bytes_oracle(cells, "%aa-seg 1")
 
 
 @pytest.mark.parametrize("cache_size", [None, 0, 2])
@@ -364,13 +380,14 @@ def test_writers_match_the_format_oracles_on_store_shaped_rows(monkeypatch, cach
     rows: dict = {}
     for (r, c), v in sorted(cells.items()):
         rows.setdefault(r, {})[c] = v
-    assert encode_records("%aa-seg 1", rows) == triples_bytes_oracle(cells, "%aa-seg 1")
     live = {cell: v for cell, v in cells.items() if v is not None}
     arr = AssociativeArray(live)
-    for render, oracle in ((write_triples, triples_bytes_oracle), (export_dot, dot_bytes_oracle)):
-        sink = io.BytesIO()
-        assert render(arr, sink) == len(sink.getvalue())
-        assert sink.getvalue() == oracle(live)
+    for _ in each_piece_size():
+        assert encode_records("%aa-seg 1", rows) == triples_bytes_oracle(cells, "%aa-seg 1")
+        for render, oracle in ((write_triples, triples_bytes_oracle), (export_dot, dot_bytes_oracle)):
+            sink = io.BytesIO()
+            assert render(arr, sink) == len(sink.getvalue())
+            assert sink.getvalue() == oracle(live)
 
 
 @pytest.mark.parametrize("cache_size,checks", [(None, 2), (1, 4), (0, 4)])
@@ -501,14 +518,15 @@ def test_parse_record_lines_tombstone_payload_rejected():
     (b"%aa-triples 1\na\tz\tt\t\xff\nc\td\tn\t2\n", "line 2: not valid UTF-8"),
 ])
 def test_parse_record_lines_errors_name_the_line(data, message):
-    with pytest.raises(FormatError) as exc:
-        read_triples(io.BytesIO(data))
-    assert str(exc.value) == message
-    if data.startswith(b"%aa-triples 1\n"):  # the same error when column "z" is dropped
-        start, end, _ = record_span(data, "%aa-triples 1")
+    for _ in each_piece_size():
         with pytest.raises(FormatError) as exc:
-            parse_record_lines(data, start, end, {}, lambda col: col != "z")
+            read_triples(io.BytesIO(data))
         assert str(exc.value) == message
+        if data.startswith(b"%aa-triples 1\n"):  # the same error when column "z" is dropped
+            start, end, _ = record_span(data, "%aa-triples 1")
+            with pytest.raises(FormatError) as exc:
+                parse_record_lines(data, start, end, {}, lambda col: col != "z")
+            assert str(exc.value) == message
 
 
 def test_parse_record_lines_drops_refused_columns_unchecked():
@@ -517,14 +535,15 @@ def test_parse_record_lines_drops_refused_columns_unchecked():
     data = (b"%aa-seg 1\na\tz\tq\t1\nb\tx\tn\t1\nb\tz\tn\tnope\nb\ty\tt\tv\n"
             b"c\tz\tx\tpayload\nb\tz\tn\t1\nd\tx\tx\t\nd\ty\tn\t2\n")
     start, end, _ = record_span(data, "%aa-seg 1")
-    into: dict = {"e": {"z": 3.0}}
-    assert parse_record_lines(data, start, end, into, lambda col: col != "z") is False
-    assert into == {"e": {"z": 3.0}, "b": {"x": 1.0, "y": "v"}, "d": {"x": None, "y": 2.0}}
-    into = {}
-    assert parse_record_lines(data, start, end, into, lambda col: col == "y") is True
-    assert into == {"b": {"y": "v"}, "d": {"y": 2.0}}
-    with pytest.raises(FormatError, match="line 2: unknown type tag 'q'"):
-        parse_record_lines(data, start, end, {})
+    for _ in each_piece_size():
+        into: dict = {"e": {"z": 3.0}}
+        assert parse_record_lines(data, start, end, into, lambda col: col != "z") is False
+        assert into == {"e": {"z": 3.0}, "b": {"x": 1.0, "y": "v"}, "d": {"x": None, "y": 2.0}}
+        into = {}
+        assert parse_record_lines(data, start, end, into, lambda col: col == "y") is True
+        assert into == {"b": {"y": "v"}, "d": {"y": 2.0}}
+        with pytest.raises(FormatError, match="line 2: unknown type tag 'q'"):
+            parse_record_lines(data, start, end, {})
 
 
 def fold_span(data: bytes, start: int, end: int) -> dict:
@@ -556,9 +575,10 @@ def test_parse_record_lines_number_texts_share_a_value_not_a_tag(segment):
     ("a\tw\tn\t1\na\tx\tt\t1x\na\ty\tn\t1x\n", "line 4: unparseable number '1x'"),
 ])
 def test_parse_record_lines_cached_numbers_keep_every_error(body, message, segment):
-    with pytest.raises(FormatError) as exc:
-        parse_body(body, segment)
-    assert str(exc.value) == message
+    for _ in each_piece_size():
+        with pytest.raises(FormatError) as exc:
+            parse_body(body, segment)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("body,lineno", [
@@ -569,14 +589,15 @@ def test_parse_record_lines_cached_numbers_keep_every_error(body, message, segme
 def test_segment_records_must_strictly_ascend(body, lineno):
     data = b"%aa-seg 1\n" + body
     start, end, _ = record_span(data, "%aa-seg 1")
-    with pytest.raises(FormatError) as exc:
-        fold_span(data, start, end)
-    assert str(exc.value) == f"line {lineno}: record out of (row, col) order"
     expected: dict = {}  # no order rule outside segments: all three records fold
     for line in body.decode().splitlines():
         r, c, _, v = line.split("\t")
         expected.setdefault(r, {})[c] = float(v)
-    assert parse_body(body.decode(), segment=False) == expected
+    for _ in each_piece_size():
+        with pytest.raises(FormatError) as exc:
+            fold_span(data, start, end)
+        assert str(exc.value) == f"line {lineno}: record out of (row, col) order"
+        assert parse_body(body.decode(), segment=False) == expected
 
 
 def test_parse_record_lines_reports_a_sorted_screened_file():
@@ -601,21 +622,22 @@ def test_parse_record_lines_reports_unsorted_or_unscreened_records(body):
 
 
 def test_parse_record_lines_folds_repeats_in_file_order():
-    data = b"%aa-triples 1\nr\tc\tn\t2\nr\tc\tn\t5\nr\tc\tn\t3\nr\td\tt\tx\nr\td\tt\ty\n"
-    start, end, _ = record_span(data, "%aa-triples 1")
-    assert fold_span(data, start, end) == {"r": {"c": 5.0, "d": "y"}}
-    # a segment's record replaces the one already in ``into``: the later record wins
-    into = {"r": {"c": 5.0, "d": "x"}}
-    data = b"%aa-seg 1\nr\tc\tn\t3\nr\td\tt\ty\n"
-    start, end, _ = record_span(data, "%aa-seg 1")
-    assert parse_record_lines(data, start, end, into) is False
-    assert into == {"r": {"c": 3.0, "d": "y"}}
-    # a cell already in ``into`` combines too, though the records ascend
-    into = {"a": {"x": 4.0}}
-    data = b"%aa-triples 1\na\tx\tn\t2\nb\tx\tn\t1\n"
-    start, end, _ = record_span(data, "%aa-triples 1")
-    assert parse_record_lines(data, start, end, into) is False
-    assert into == {"a": {"x": 4.0}, "b": {"x": 1.0}}
+    for _ in each_piece_size():
+        data = b"%aa-triples 1\nr\tc\tn\t2\nr\tc\tn\t5\nr\tc\tn\t3\nr\td\tt\tx\nr\td\tt\ty\n"
+        start, end, _ = record_span(data, "%aa-triples 1")
+        assert fold_span(data, start, end) == {"r": {"c": 5.0, "d": "y"}}
+        # a segment's record replaces the one already in ``into``: the later record wins
+        into = {"r": {"c": 5.0, "d": "x"}}
+        data = b"%aa-seg 1\nr\tc\tn\t3\nr\td\tt\ty\n"
+        start, end, _ = record_span(data, "%aa-seg 1")
+        assert parse_record_lines(data, start, end, into) is False
+        assert into == {"r": {"c": 3.0, "d": "y"}}
+        # a cell already in ``into`` combines too, though the records ascend
+        into = {"a": {"x": 4.0}}
+        data = b"%aa-triples 1\na\tx\tn\t2\nb\tx\tn\t1\n"
+        start, end, _ = record_span(data, "%aa-triples 1")
+        assert parse_record_lines(data, start, end, into) is False
+        assert into == {"a": {"x": 4.0}, "b": {"x": 1.0}}
 
 
 def test_read_triples_sorted_file_drops_a_stored_zero():
@@ -633,9 +655,34 @@ def test_read_triples_sorted_file_drops_a_stored_zero():
 ])
 def test_parse_record_lines_first_faulty_line_wins(data, message):
     start, end, _ = record_span(data, "%aa-seg 1")
+    for _ in each_piece_size():
+        with pytest.raises(FormatError) as exc:
+            fold_span(data, start, end)
+        assert str(exc.value) == message
+
+
+# Eight good lines of 9 bytes before, between and after the faulty ones: at
+# each piece size below the two faults lie in different pieces, and past 1
+# byte a piece holds good lines before a fault.
+GOOD_LINES = b"".join(b"r%d\tc\tn\t1\n" % i for i in range(8))
+
+
+@pytest.mark.parametrize("piece", [1, 7, 16, 40])
+def test_a_utf8_error_in_a_later_piece_loses_to_an_earlier_faulty_line(monkeypatch, piece):
+    monkeypatch.setattr(aakit.io, "_PIECE", piece)
+    data = b"%aa-triples 1\n" + GOOD_LINES + b"a\tb\tq\t1\n" + GOOD_LINES + b"c\td\tt\tcaf\xc3\n" + GOOD_LINES
     with pytest.raises(FormatError) as exc:
-        fold_span(data, start, end)
-    assert str(exc.value) == message
+        read_triples(io.BytesIO(data))
+    assert str(exc.value) == "line 10: unknown type tag 'q'"
+
+
+@pytest.mark.parametrize("piece", [1, 7, 16, 40])
+def test_a_utf8_error_in_an_earlier_piece_beats_a_later_faulty_line(monkeypatch, piece):
+    monkeypatch.setattr(aakit.io, "_PIECE", piece)
+    data = b"%aa-triples 1\n" + GOOD_LINES + b"c\td\tt\tcaf\xc3\n" + GOOD_LINES + b"a\tb\tq\t1\n" + GOOD_LINES
+    with pytest.raises(FormatError) as exc:
+        read_triples(io.BytesIO(data))
+    assert str(exc.value) == "line 10: not valid UTF-8"
 
 
 def test_record_span_lenient_tail_may_be_undecodable():
@@ -702,10 +749,12 @@ def test_export_dot_escapes_quotes_and_backslashes():
 @settings(max_examples=200)
 @given(cells=mixed_cells())
 def test_export_dot_matches_the_format_oracle(cells):
-    sink = io.BytesIO()
-    n = export_dot(AssociativeArray(cells), sink)
-    assert sink.getvalue() == dot_bytes_oracle(cells)
-    assert n == len(sink.getvalue())
+    arr = AssociativeArray(cells)
+    for _ in each_piece_size():
+        sink = io.BytesIO()
+        n = export_dot(arr, sink)
+        assert sink.getvalue() == dot_bytes_oracle(cells)
+        assert n == len(sink.getvalue())
 
 
 def test_export_dot_deterministic():
@@ -716,3 +765,67 @@ def test_export_dot_deterministic():
         export_dot(arr, a)
         export_dot(AssociativeArray(dict(arr.items())), b)
         assert a.getvalue() == b.getvalue()
+
+
+# -- memory held at once ------------------------------------------------------
+
+
+class DiscardingSink:
+    writes = 0
+
+    def write(self, data: bytes) -> int:
+        self.writes += 1
+        return len(data)
+
+
+def many_cells_array(rng: random.Random, rows: int = 1000) -> AssociativeArray:
+    """100 cells in each of ``rows`` rows: numbers, with text in every third column."""
+    return AssociativeArray({
+        (f"row{i:05d}", f"col{j:03d}"): f"text {rng.randrange(10**6)}" if j % 3 == 0 else float(rng.randrange(1, 50))
+        for i in range(rows) for j in range(100)})
+
+
+def traced_peak(call):
+    """``call()``'s result, and the peak and final bytes that tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, current
+
+
+@pytest.fixture(scope="module")
+def hundred_thousand_cells() -> AssociativeArray:
+    return many_cells_array(random.Random(31))
+
+
+@pytest.mark.parametrize("render", [write_triples, export_dot])
+def test_writers_hold_a_piece_not_the_file(render, hundred_thousand_cells):
+    # A writer hands each piece to the sink as it is made, so its peak is a
+    # few pieces and its caches, not a copy of what it writes; and the pieces
+    # are not so small that the writes multiply.
+    sink = DiscardingSink()
+    n, peak, _ = traced_peak(lambda: render(hundred_thousand_cells, sink))
+    assert n > 2_000_000
+    assert peak < n / 4, peak / n
+    assert n / sink.writes > aakit.io._PIECE / 4, sink.writes
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_read_triples_holds_the_input_and_a_piece_beside_its_array(shuffled):
+    # Beyond the array it returns, a read holds about the input's bytes: the
+    # pieces it decodes and, for unsorted input, the rows the builder sorts.
+    rng = random.Random(32)
+    sink = io.BytesIO()
+    write_triples(many_cells_array(rng, 300), sink)
+    lines = sink.getvalue().split(b"\n")[1:-1]
+    if shuffled:
+        rng.shuffle(lines)
+    data = b"\n".join([b"%aa-triples 1", *lines, b""])
+    del lines, sink
+    source = io.BytesIO(data)
+    arr, peak, held = traced_peak(lambda: read_triples(source))
+    assert arr.nnz == 30_000
+    assert peak - held < 2 * len(data), (peak - held) / len(data)

@@ -306,6 +306,17 @@ def test_read_only_open_of_no_directory_names_the_missing_manifest(tmp_path, whe
     assert sorted(tmp_path.rglob("*")) == [tmp_path / "afile"]
 
 
+@pytest.mark.parametrize("where", ["afile", "afile/deep"])
+def test_writer_open_of_a_file_path_is_not_a_directory(tmp_path, where):
+    # A file, or a path under one, is no table for a writer either: a StoreError, no bare errno.
+    (tmp_path / "afile").write_bytes(b"")
+    path = tmp_path / where
+    with pytest.raises(StoreError) as exc:
+        open_store(path)
+    assert str(exc.value) == f"no table at {str(path)!r}: not a directory"
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "afile"]
+
+
 def test_read_only_open_of_directory_without_manifest_is_an_error(tmp_path):
     bare = tmp_path / "bare"
     bare.mkdir()
