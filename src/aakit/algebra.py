@@ -9,6 +9,7 @@ no-empty-rows/columns property true by construction.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable
 
 from .core import ALL, AssociativeArray, Axis, KeySet, Semiring, Value, _kept, _not_str, _refuse_text
@@ -39,7 +40,7 @@ def eladd(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associative
     plus, zero = sr.plus, sr.zero
     a_rows, b_rows = a._rows, b._rows
     out: dict[str, dict[str, Value]] = {}
-    for r in sorted(a_rows.keys() | b_rows.keys()):
+    for r in dict.fromkeys(sorted(chain(a_rows, b_rows))):  # one merge of two ascending runs
         ra, rb = a_rows.get(r), b_rows.get(r)
         if ra is None or rb is None:
             row = ra or rb

@@ -353,14 +353,14 @@ class AssociativeArray:
 
     @classmethod
     def _from_clean(
-        cls, rows: dict[str, dict[str, Value]], zero: float | None = None
+        cls, rows: dict[str, dict[str, Value]], zero: float | None = None, numeric: bool = False
     ) -> "AssociativeArray":
         """Sort ``rows`` and each row's columns, drop the empty cells and rows, and wrap them.
 
         Checks nothing: its callers checked every key and value where it
         entered or was computed.  Cells whose value is empty, ``zero`` or
         None (a tombstone) are dropped, and so are rows left empty; the
-        dicts passed in are not kept.
+        dicts passed in are not kept.  ``numeric`` is ``_from_sorted``'s.
         """
         out: dict[str, dict[str, Value]] = {}
         for r in sorted(rows):
@@ -368,7 +368,7 @@ class AssociativeArray:
             kept = {c: v for c in sorted(row) if (v := row[c]) and v != zero}
             if kept:
                 out[r] = kept
-        return cls._from_sorted(out)
+        return cls._from_sorted(out, numeric)
 
     @classmethod
     def _from_sorted(cls, rows: dict[str, dict[str, Value]], numeric: bool = False) -> "AssociativeArray":
@@ -381,7 +381,8 @@ class AssociativeArray:
         Nothing is sorted or screened here.  ``rows`` and its row dicts
         become the array's storage and are never changed again, so other
         arrays may share them: a kernel copies a row it changes.
-        ``numeric`` True vouches that no value is text (``_refuse_text`` skips its scan).
+        ``numeric`` True vouches that no value is text (``_refuse_text`` skips its
+        scan); False promises nothing, so a caller that is unsure passes False.
         """
         arr = cls.__new__(cls)
         arr._set_slots(rows, numeric)

@@ -12,7 +12,8 @@ sort by (row, col), so equal arrays serialize to identical bytes.  Writers
 walk row dicts and encode pieces of about ``_PIECE`` bytes cut at row ends;
 the record parser decodes pieces cut after an LF, folds them into row dicts
 and reports sorted input.  A call converts each distinct number once until
-``_CACHE_SIZE`` are cached.
+``_CACHE_SIZE`` are cached.  Loads mark an array text-free when no record they
+parsed holds ``TEXT_TAG``.
 
 The store's segment and MANIFEST bytes are this module's too.  The magic
 line picks ``parse_record_lines``' rules: a segment's tag "x" marks a
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain
 from typing import BinaryIO, Callable, Iterator, Mapping
 
 from .core import (
@@ -40,6 +42,7 @@ TRIPLES_MAGIC = "%aa-triples 1"
 SEGMENT_MAGIC = "%aa-seg 1"
 MANIFEST_MAGIC = "%aa-manifest 1"
 _SEGMENT_HEAD = (SEGMENT_MAGIC + "\n").encode("ascii")
+TEXT_TAG = b"\tt\t"  # in every text record, and in a record of column "t": a span without it holds no text
 
 # ASCII digits only: float() also reads other scripts' digits, which stay text.
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
@@ -315,14 +318,16 @@ def read_triples(source: BinaryIO) -> AssociativeArray:
     """Read a triple file; duplicate cells merge with the lattice max.
 
     Records may come in any order and may repeat a cell.  Repeats fold
-    first; a cell whose fold is empty is then dropped.
+    first; a cell whose fold is empty is then dropped.  The array is marked
+    text-free when no record holds ``TEXT_TAG``.
     """
     data = source.read()
     start, end, _ = record_span(data, TRIPLES_MAGIC)
     rows: dict[str, dict[str, Value]] = {}
+    numeric = data.find(TEXT_TAG, start, end) < 0
     if parse_record_lines(data, start, end, rows):
-        return AssociativeArray._from_sorted(rows)
-    return AssociativeArray._from_clean(rows)
+        return AssociativeArray._from_sorted(rows, numeric)
+    return AssociativeArray._from_clean(rows, numeric=numeric)
 
 
 def encode_lines(lines: list[str]) -> bytes:
@@ -389,7 +394,7 @@ def export_dot(arr: AssociativeArray, sink: BinaryIO) -> int:
 
 def _dot_pieces(arr: AssociativeArray) -> Iterator[bytes]:
     """``export_dot``'s bytes in pieces, cut after a row that takes a piece past ``_PIECE // 32`` edges."""
-    nodes = {k: _dot_quote(k) for k in sorted(set(arr.row_keys) | set(arr.col_keys))}
+    nodes = {k: _dot_quote(k) for k in dict.fromkeys(sorted(chain(arr.row_keys, arr.col_keys)))}
     tails: dict[Value, str] = {}
     cached = tails.get
 

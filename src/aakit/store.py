@@ -42,7 +42,7 @@ import warnings
 from pathlib import Path
 
 from .core import ALL, AllKeys, AssociativeArray, KeySpec, Value
-from .io import (MANIFEST_MAGIC, SEGMENT_MAGIC, FormatError, encode_lines, encode_records,
+from .io import (MANIFEST_MAGIC, SEGMENT_MAGIC, TEXT_TAG, FormatError, encode_lines, encode_records,
                  parse_record_lines, record_span, row_spans)
 
 MANIFEST_NAME = "MANIFEST"
@@ -72,13 +72,21 @@ def _fsync_dir(path: Path) -> None:
 
 
 def _write_file_atomic(path: Path, payload: bytes) -> None:
+    """Write ``path`` through a temp file; an OSError becomes a StoreError naming the step and its file."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(payload)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
+    step, where = "write", tmp
+    try:
+        with open(tmp, "wb") as f:
+            f.write(payload)
+            f.flush()
+            step = "fsync"
+            os.fsync(f.fileno())
+        step = "rename"
+        os.replace(tmp, path)
+        step, where = "directory fsync", path.parent
+        _fsync_dir(path.parent)
+    except OSError as exc:  # never retried: a failed fsync may have dropped the dirty pages
+        raise StoreError(f"{step} of {str(where)!r} failed: {exc.strerror or exc}") from None
 
 
 class TableStore:
@@ -88,7 +96,8 @@ class TableStore:
     file, which outlives its writer); an open that finds the flock taken
     comes back with ``read_only`` set.
     A handle's view of the table is fixed at open time plus its own
-    writes; other processes' later writes need a fresh handle.
+    writes; other processes' later writes need a fresh handle.  After a
+    write fails (a StoreError naming its step and file), it refuses writes.
     """
 
     def __init__(self, *_args, **_kwargs):
@@ -112,7 +121,7 @@ class TableStore:
         self.path = path
         self.read_only = True
         self._holder = ""
-        self._closed = False
+        self._closed = self._failed = False
         if not read_only:
             import fcntl  # POSIX only: imported here, so that importing the package does not need it
 
@@ -203,23 +212,26 @@ class TableStore:
         Each segment is read only on the row spec's key intervals; a row
         spec without intervals reads every line and filters by ``matches``.
         Only the records of the selected columns are checked and folded.
+        The result is marked text-free when no span parsed holds ``TEXT_TAG``.
         """
         self._require_open()
         intervals = rows.intervals()
         read = ALL.intervals() if intervals is None else intervals
         keep_col = None if isinstance(cols, AllKeys) else cols.matches
         fold: dict[str, dict[str, Value | None]] = {}
+        numeric = True
         for name, data in self._snapshot.items():
             try:
                 for start, end in row_spans(data, read):
                     parse_record_lines(data, start, end, fold, keep_col)
+                    numeric = numeric and data.find(TEXT_TAG, start, end) < 0
             except FormatError as exc:
                 raise StoreError(f"segment {name}: {exc}") from None
         if intervals is None:
             keep_row = rows.matches
             fold = {r: row for r, row in fold.items() if keep_row(r)}
         # The parser checked each value; the builder only sorts and drops tombstones (None) and empties.
-        return AssociativeArray._from_clean(fold)
+        return AssociativeArray._from_clean(fold, numeric=numeric)
 
     @property
     def segments(self) -> tuple[str, ...]:
@@ -296,6 +308,8 @@ class TableStore:
         self._require_open()
         if self.read_only:
             raise ReadOnlyError(f"table {str(self.path)!r} is open read-only{self._holder}")
+        if self._failed:  # its snapshot may be behind the MANIFEST: a write from it could drop a batch
+            raise StoreError(f"table {str(self.path)!r} refuses writes after a failed one; reopen the table")
 
     def _highest_segment(self) -> int:
         """The highest number of a segment file in the directory, listed or not; 0 if none."""
@@ -304,14 +318,16 @@ class TableStore:
     def _commit(self, snapshot: dict[str, bytes], rows: dict[str, dict[str, Value | None]] | None = None) -> None:
         """Write ``rows`` (None: tombstone), if any, as a segment after ``snapshot``'s, then their MANIFEST.
 
-        ``rows`` ascend by (row, col); the handle takes the new snapshot once the MANIFEST is durable.
+        ``rows`` ascend by (row, col); the handle takes the new snapshot once the MANIFEST is durable,
+        and a failure stops its writes.
         """
+        self._failed = True
         if rows:
             name = f"seg-{self._highest_segment() + 1:08d}.aat"
             snapshot = {**snapshot, name: encode_records(SEGMENT_MAGIC, rows)}
             _write_file_atomic(self.path / name, snapshot[name])
         _write_file_atomic(self.path / MANIFEST_NAME, encode_lines([MANIFEST_MAGIC, *snapshot]))
-        self._snapshot = snapshot
+        self._snapshot, self._failed = snapshot, False
 
 
 def _lock_holder(lock: Path) -> str:

@@ -64,6 +64,12 @@ def elmult_oracle(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> dic
     return out
 
 
+def symmetrize_oracle(a: AssociativeArray) -> dict:
+    """Undirected view: 1.0 on each cell of the support and of its mirror, by set union."""
+    support = set(a.support())
+    return dict.fromkeys(support | {(c, r) for r, c in support}, 1.0)
+
+
 def transpose_oracle(a: AssociativeArray) -> dict:
     return {(c, r): v for r, c, v in a}
 

@@ -1,4 +1,5 @@
 import copy
+import io
 import math
 import pickle
 import random
@@ -32,9 +33,11 @@ from aakit import (
     perm_select,
     rank,
     read_triples,
+    symmetrize,
     to_dense,
 )
 from aakit.algebra import _SECOND
+from aakit.io import export_dot, write_triples
 
 from conftest import DATA_DIR, GOLDEN_DIR
 
@@ -46,7 +49,8 @@ from helpers import (
     random_mixed_array,
     random_numeric_array,
 )
-from oracles import bfs_oracle, elmult_oracle, eladd_oracle, product_oracle, transpose_oracle
+from oracles import (bfs_oracle, dot_bytes_oracle, elmult_oracle, eladd_oracle, product_oracle, symmetrize_oracle,
+                     transpose_oracle, triples_bytes_oracle)
 
 EVERY_SEMIRING = [ARITH, MAXPLUS, MINPLUS, MAXMIN, LATTICE]
 
@@ -108,6 +112,65 @@ def test_eladd_commutative_fuzz():
         m = random_mixed_array(rng)
         n = random_mixed_array(rng)
         assert eladd(m, n, LATTICE) == eladd(n, m, LATTICE)
+
+
+# -- key unions merged from two sorted runs ----------------------------------
+
+# A prefix sorts before its extensions, NUL and other low code points right
+# after it, and a code point past the BMP after the private use area: code
+# point order, which is UTF-8 byte order and not UTF-16 unit order.
+MERGE_KEYS = ["a", "a\x00", "a\x01", "ab", "b", "é", "中key", "\ue000", "\U0001f600", "\U0001f600a"]
+RELATIONS = ["disjoint", "nested", "identical", "interleaved", "overlapping"]
+
+
+def two_key_sets(rng, relation):
+    """Two non-empty lists of MERGE_KEYS in the given relation, each in a random order."""
+    keys = sorted(rng.sample(MERGE_KEYS, rng.randint(2, len(MERGE_KEYS))))
+    if relation == "disjoint":
+        cut = rng.randint(1, len(keys) - 1)
+        pair = rng.sample([keys[:cut], keys[cut:]], 2)
+    elif relation == "nested":
+        pair = rng.sample([keys, rng.sample(keys, rng.randint(1, len(keys)))], 2)
+    elif relation == "identical":
+        pair = [keys, keys]
+    elif relation == "interleaved":
+        pair = rng.sample([keys[0::2], keys[1::2]], 2)
+    else:
+        pair = [rng.sample(keys, rng.randint(1, len(keys))) for _ in range(2)]
+    return [rng.sample(side, len(side)) for side in pair]
+
+
+def array_on(rng, rows, cols, text):
+    """An array whose row keys are exactly ``rows`` and column keys exactly ``cols``."""
+    cells = {(r, rng.choice(cols)) for r in rows} | {(rng.choice(rows), c) for c in cols}
+    cells |= {(r, c) for r in rows for c in cols if rng.random() < 0.3}
+    return aa({cell: rng.choice(["w", "z"]) if text and rng.random() < 0.3 else float(rng.choice(NONZERO))
+               for cell in cells})
+
+
+def triples_bytes(arr):
+    sink = io.BytesIO()
+    write_triples(arr, sink)
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_key_unions_give_the_bytes_of_sorted_set_oracles(relation):
+    # eladd unions two operands' row keys, symmetrize an array's rows with its
+    # columns, export_dot its row keys with its column keys.
+    rng = random.Random(26)
+    for _ in range(60):
+        a_rows, b_rows = two_key_sets(rng, relation)
+        cols = rng.sample(MERGE_KEYS, rng.randint(1, 4))
+        for sr in EVERY_SEMIRING:
+            a, b = (array_on(rng, rows, cols, sr is LATTICE) for rows in (a_rows, b_rows))
+            assert a.row_keys == tuple(sorted(set(a_rows))) and b.row_keys == tuple(sorted(set(b_rows)))
+            assert triples_bytes(eladd(a, b, sr)) == triples_bytes_oracle(eladd_oracle(a, b, sr))
+        graph = array_on(rng, a_rows, b_rows, True)
+        assert triples_bytes(symmetrize(graph)) == triples_bytes_oracle(symmetrize_oracle(graph))
+        sink = io.BytesIO()
+        export_dot(graph, sink)
+        assert sink.getvalue() == dot_bytes_oracle(dict(graph.items()))
 
 
 # -- elmult ---------------------------------------------------------------

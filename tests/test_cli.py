@@ -1,3 +1,4 @@
+import errno
 import fcntl
 import io
 import os
@@ -287,6 +288,21 @@ def test_store_lifecycle(tmp_path, capsys):
     assert load_aat(out) == aa({("b", "y"): 2.0})
     assert run(["store", "compact", table]) == 0
     assert capsys.readouterr().out == "segments 2 -> 1\n"
+
+
+def test_a_store_write_that_fails_exits_1_naming_the_file(tmp_path, monkeypatch, capsys):
+    table = tmp_path / "table"
+    batch = write_aat(tmp_path / "b.aat", aa({("a", "x"): 1.0}))
+    assert run(["store", "init", str(table)]) == 0
+
+    def fail(fd):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "fsync", fail)
+    assert run(["store", "insert", str(table), batch]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"aakit: fsync of {str(table / 'seg-00000001.aat.tmp')!r} failed: Input/output error\n"
 
 
 def test_store_write_under_a_held_lock_names_the_holder(tmp_path, capsys):

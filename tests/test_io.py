@@ -1,5 +1,6 @@
 import io
 import random
+import re
 import time
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aakit.io
-from aakit import LATTICE, AssociativeArray, from_triples
+from aakit import LATTICE, MAXPLUS, AssociativeArray, DomainError, eladd, from_triples
 from aakit.io import (
     FormatError,
     encode_records,
@@ -829,3 +830,31 @@ def test_read_triples_holds_the_input_and_a_piece_beside_its_array(shuffled):
     arr, peak, held = traced_peak(lambda: read_triples(source))
     assert arr.nnz == 30_000
     assert peak - held < 2 * len(data), (peak - held) / len(data)
+
+
+# -- the text-free mark of a load ---------------------------------------------------
+
+
+def test_a_numeric_file_reads_marked_sorted_or_not():
+    for body in (b"a\tx\tn\t1\nb\tt2\tn\t2\n", b"b\ty\tn\t2\na\tx\tn\t1\na\tx\tn\t3\n"):
+        arr = read_triples(io.BytesIO(b"%aa-triples 1\n" + body))
+        assert arr._numeric, body
+        check_invariants(arr)
+
+
+def test_a_file_whose_last_record_is_text_reads_unmarked_and_is_refused_there():
+    for row in ("c", "0"):  # the file's records ascend, then do not: the text cell is last, then first
+        arr = read_triples(io.BytesIO(f"%aa-triples 1\na\tx\tn\t1\nb\ty\tn\t2\n{row}\tz\tt\tword\n".encode()))
+        assert not arr._numeric
+        with pytest.raises(DomainError, match=re.escape(f"left operand holds text at {(row, 'z')!r}")):
+            eladd(arr, arr, MAXPLUS)
+
+
+def test_a_numeric_file_with_a_column_t_reads_back_equal():
+    data = b"%aa-triples 1\na\tt\tn\t1\na\tu\tn\t2\nt\tt\tn\t3\n"
+    arr = read_triples(io.BytesIO(data))
+    assert arr == AssociativeArray({("a", "t"): 1.0, ("a", "u"): 2.0, ("t", "t"): 3.0})
+    assert eladd(arr, arr, MAXPLUS) == arr
+    sink = io.BytesIO()
+    write_triples(arr, sink)
+    assert sink.getvalue() == data

@@ -4,6 +4,7 @@ import json
 import linecache
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aakit.store
-from aakit import ALL, AssociativeArray, KeyPrefix, KeyRange, KeySet, KeySpec, cli
+from aakit import ALL, MAXPLUS, AssociativeArray, DomainError, KeyPrefix, KeyRange, KeySet, KeySpec, cli, eladd
 from aakit.io import write_triples
 from aakit.store import (
     MANIFEST_NAME,
@@ -530,6 +531,25 @@ def test_closed_handle_refuses_everything(tmp_path):
     st.close()  # second close is a no-op
 
 
+def test_a_select_is_marked_text_free_until_a_text_cell_is_live(tmp_path):
+    root = tmp_path / "t"
+    with open_store(root) as st:
+        st.insert(aa({("a", "x"): 1.0, ("b", "u"): 2.0}))
+        st.insert(aa({("c", "y"): 3.0}))
+        assert st.select()._numeric
+        assert st.select(KeySet(["a", "c"]), KeySet(["x", "y"]))._numeric
+        st.insert(aa({("b", "z"): "word"}))
+        for spec in (ALL, KeyPrefix("b")):
+            picked = st.select(spec)
+            assert not picked._numeric
+            with pytest.raises(DomainError, match=re.escape("holds text at ('b', 'z')")):
+                eladd(picked, picked, MAXPLUS)
+        assert st.select(KeySet(["a", "c"]))._numeric  # no span of rows a and c holds text
+    with open_store(root, read_only=True) as st:
+        assert not st.select()._numeric
+        assert st.select(ALL, KeySet(["x", "y"])) == aa({("a", "x"): 1.0, ("c", "y"): 3.0})
+
+
 def test_random_batches_match_fold_oracle(tmp_path):
     rng = random.Random(31)
     for case in range(25):
@@ -734,6 +754,125 @@ def test_every_write_is_durable_before_the_manifest_names_it(tmp_path, monkeypat
     open_store(root, read_only=True).close()
     open_store(root).close()
     done([])
+
+
+# -- a write step that fails -----------------------------------------------------
+
+
+def _fail_once(monkeypatch, owner, name, n):
+    """Make the n-th call of ``owner.name`` raise EIO, once; returns the list of calls, failed one included."""
+    real, calls = getattr(owner, name), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == n:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, failing)
+    return calls
+
+
+def _live(root):
+    with open_store(root, read_only=True) as reader:
+        return dict(reader.select().items())
+
+
+def _listed(root):
+    return (root / MANIFEST_NAME).read_text().split("\n")[1:-1]
+
+
+def test_a_failed_write_after_its_manifest_is_in_place_loses_no_later_batch(tmp_path, monkeypatch):
+    # The second directory fsync of an insert is the one after the MANIFEST
+    # rename: readers already see the batch when it fails.
+    root = tmp_path / "t"
+    st = open_store(root)
+    _fail_once(monkeypatch, aakit.store, "_fsync_dir", 2)
+    with pytest.raises(StoreError, match=f"directory fsync of {str(root)!r} failed: Input/output error"):
+        st.insert(aa({("a", "x"): 1.0}))
+    assert _live(root) == {("a", "x"): 1.0}
+    with pytest.raises(StoreError, match="reopen"):
+        st.insert(aa({("b", "y"): 2.0}))
+    assert _live(root) == {("a", "x"): 1.0}
+    assert st.select() == aa({})  # the handle's snapshot, a prefix fold
+    st.close()
+    with open_store(root) as st:
+        st.insert(aa({("b", "y"): 2.0}))
+    assert _live(root) == {("a", "x"): 1.0, ("b", "y"): 2.0}
+
+
+# Each write below makes 4 os.fsync calls (a file and its directory, twice: the
+# segment, then the MANIFEST), 2 os.replace calls and 2 _fsync_dir calls.
+_WRITES = {
+    "insert": lambda st: st.insert(aa({("a", "x"): 5.0, ("c", "z"): 3.0})),
+    "delete": lambda st: st.delete(aa({("a", "x"): 1.0})),
+    "compact": TableStore.compact,
+}
+_STEPS = [("fsync", n) for n in range(1, 5)] + [("replace", 1), ("replace", 2), ("_fsync_dir", 1), ("_fsync_dir", 2)]
+_FAILED_STEP = r"^(?:write|fsync|rename|directory fsync) of '([^']+)' failed: Input/output error$"
+
+
+def _table_of_two_segments(root):
+    with open_store(root) as st:
+        st.insert(aa({("a", "x"): 1.0, ("b", "y"): 2.0, ("c", "y"): 4.0}))
+        st.delete(aa({("b", "y"): 1.0}))
+
+
+def _check_the_table_recovers(root, seen):
+    """A fresh writer keeps all a reader saw, and its compaction leaves no orphan."""
+    with open_store(root) as st:
+        st.insert(aa({("d", "w"): 4.0}))
+        assert _live(root) == {**seen, ("d", "w"): 4.0}
+        st.compact()
+    assert _live(root) == {**seen, ("d", "w"): 4.0}
+    assert sorted(p.name for p in root.iterdir()) == sorted([MANIFEST_NAME, "LOCK", *_listed(root)])
+
+
+@pytest.mark.parametrize("target,n", _STEPS, ids=[f"{t}-{n}" for t, n in _STEPS])
+@pytest.mark.parametrize("write", list(_WRITES))
+def test_a_write_that_fails_at_any_step_names_its_file_and_stops_the_handle(tmp_path, monkeypatch, write, target, n):
+    clean, root = tmp_path / "clean", tmp_path / "t"
+    for table in (clean, root):
+        _table_of_two_segments(table)
+    before = _live(clean)
+    with open_store(clean) as st:
+        _WRITES[write](st)
+    after = _live(clean)
+    st = open_store(root)
+    with monkeypatch.context() as m:
+        calls = _fail_once(m, aakit.store if target == "_fsync_dir" else os, target, n)
+        with pytest.raises(StoreError, match=_FAILED_STEP) as failed:
+            _WRITES[write](st)
+        assert len(calls) == n  # the write stopped at the failed call: nothing was retried
+        named = Path(re.match(_FAILED_STEP, str(failed.value))[1])
+        assert root in (named, named.parent)  # the table directory, or a file in it
+        seen = _live(root)
+        assert seen in (before, after)
+        with pytest.raises(StoreError, match=f"^table {str(root)!r} refuses writes after a failed one; reopen"):
+            _WRITES[write](st)
+        assert len(calls) == n
+    assert dict(st.select().items()) == before
+    st.close()
+    _check_the_table_recovers(root, seen)
+
+
+@pytest.mark.parametrize("target,n", [("fsync", 1), ("fsync", 2), ("replace", 1), ("_fsync_dir", 1)])
+def test_a_writer_open_that_fails_to_cut_a_torn_tail_names_its_file(tmp_path, monkeypatch, target, n):
+    root = tmp_path / "t"
+    _table_of_two_segments(root)
+    newest = root / _listed(root)[-1]
+    newest.write_bytes(newest.read_bytes() + b"e\tv\tn\t9")
+    with pytest.warns(RuntimeWarning, match="ignoring truncated"):
+        seen = _live(root)
+    with monkeypatch.context() as m:
+        calls = _fail_once(m, aakit.store if target == "_fsync_dir" else os, target, n)
+        with pytest.raises(StoreError, match=_FAILED_STEP) as failed:
+            open_store(root)
+        assert len(calls) == n
+        assert re.match(_FAILED_STEP, str(failed.value))[1] in (str(root), str(newest) + ".tmp")
+    with warnings.catch_warnings():  # the cut warns unless the failed open's rename already made it
+        warnings.filterwarnings("ignore", "segment .*: cut truncated final line", RuntimeWarning)
+        _check_the_table_recovers(root, seen)
 
 
 # -- a writer killed at each step of a write -----------------------------------
