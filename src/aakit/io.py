@@ -11,9 +11,9 @@ Numbers are rendered in their shortest round-trip decimal form, records
 sort by (row, col), so equal arrays serialize to identical bytes.  Writers
 walk row dicts and encode pieces of about ``_PIECE`` bytes cut at row ends;
 the record parser decodes pieces cut after an LF, folds them into row dicts
-and reports sorted input.  A call converts each distinct number once until
-``_CACHE_SIZE`` are cached.  Loads mark an array text-free when no record they
-parsed holds ``TEXT_TAG``.
+and reports sorted input and whether it kept a text record: a load whose
+parse kept none marks its array text-free.  A call converts each distinct
+number once until ``_CACHE_SIZE`` are cached.
 
 The store's segment and MANIFEST bytes are this module's too.  The magic
 line picks ``parse_record_lines``' rules: a segment's tag "x" marks a
@@ -42,7 +42,6 @@ TRIPLES_MAGIC = "%aa-triples 1"
 SEGMENT_MAGIC = "%aa-seg 1"
 MANIFEST_MAGIC = "%aa-manifest 1"
 _SEGMENT_HEAD = (SEGMENT_MAGIC + "\n").encode("ascii")
-TEXT_TAG = b"\tt\t"  # in every text record, and in a record of column "t": a span without it holds no text
 
 # ASCII digits only: float() also reads other scripts' digits, which stay text.
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
@@ -185,7 +184,7 @@ def record_span(data: bytes, magic: str, *, lenient_tail: bool = False) -> tuple
 
 
 def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[str, Value | None]],
-                       cols: Callable[[str], bool] | None = None) -> bool:
+                       cols: Callable[[str], bool] | None = None) -> tuple[bool, bool]:
     """Fold the LF-framed record lines in ``data[start:end]`` into ``into``: row -> column -> value.
 
     ``start`` and ``end`` are line starts within the bounds ``record_span``
@@ -193,19 +192,20 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
     magic line picks the rules: a triple file's repeated cell combines with
     ``LATTICE.plus`` in file order; a segment follows the module docstring's
     rules (a tombstone reads as None), and its record replaces one already
-    in ``into``.  Returns whether ``into`` started empty and the records
-    strictly ascended by (row, col) with no empty value.  Keys and values
-    pass ``check_key`` and ``check_value``; an error names the first faulty
-    line, numbered from the start of ``data``.  A line whose column ``cols``
-    (a ``KeySpec.matches``) refuses is split into its four fields, then dropped.
-    The span is decoded a piece of about ``_PIECE`` bytes at a time.
+    in ``into``.  Returns (ordered, numeric): whether ``into`` started empty
+    and the records strictly ascended by (row, col) with no empty value, and
+    whether it kept no text record.  Keys and values pass ``check_key`` and
+    ``check_value``; an error names the first faulty line, numbered from the
+    start of ``data``.  A line whose column ``cols`` (a ``KeySpec.matches``)
+    refuses is split into its four fields, then dropped.  The span is
+    decoded a piece of about ``_PIECE`` bytes at a time.
     """
     segment = data.startswith(_SEGMENT_HEAD)
     plus = None if segment else LATTICE.plus
     # A field that came from strict UTF-8 split on LF and TAB can break the
     # key and text rules only by being empty (keys) or by holding a CR.
     numbers: dict[str, float] = {}  # number texts that passed both checks
-    ordered, last_row, last_col = not into, "", ""  # "" is below every key: keys are non-empty
+    ordered, numeric, last_row, last_col = not into, True, "", ""  # "" is below every key: keys are non-empty
     # A piece ends just after an LF, which never occurs inside a UTF-8 sequence.  On a
     # decoding error, parse the piece's lines before the bad one (an earlier error wins).
     view, bad_at = memoryview(data), None
@@ -242,7 +242,7 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
                 elif tag == "t":
                     if "\r" in valtext:
                         check_value(valtext)
-                    value = valtext
+                    value, numeric = valtext, False
                 elif tag == "x" and segment:
                     if valtext != "":
                         raise FormatError("tombstone carries a payload")
@@ -265,7 +265,7 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
         raise FormatError(f"line {line_number(data, start) + i}: {exc}") from None
     if bad_at is not None:
         raise FormatError(f"line {line_number(data, bad_at)}: not valid UTF-8")
-    return ordered
+    return ordered, numeric
 
 
 def row_spans(data: bytes, intervals: list[tuple[str, str | None]]) -> list[tuple[int, int]]:
@@ -319,13 +319,13 @@ def read_triples(source: BinaryIO) -> AssociativeArray:
 
     Records may come in any order and may repeat a cell.  Repeats fold
     first; a cell whose fold is empty is then dropped.  The array is marked
-    text-free when no record holds ``TEXT_TAG``.
+    text-free when the parse found no text record.
     """
     data = source.read()
     start, end, _ = record_span(data, TRIPLES_MAGIC)
     rows: dict[str, dict[str, Value]] = {}
-    numeric = data.find(TEXT_TAG, start, end) < 0
-    if parse_record_lines(data, start, end, rows):
+    ordered, numeric = parse_record_lines(data, start, end, rows)
+    if ordered:
         return AssociativeArray._from_sorted(rows, numeric)
     return AssociativeArray._from_clean(rows, numeric=numeric)
 

@@ -29,9 +29,9 @@ up to the last complete line.  That gives readers snapshot isolation at
 manifest granularity even across a concurrent compaction.  Open checks
 only each segment's framing; records are parsed by the command that
 uses them.  A select has ``io`` find the lines of its row spec's key
-intervals in each segment, drop those of columns the column spec refuses,
-and check and fold the rest by the segment rules into one set of row
-dicts.  Only the rows of a spec without intervals then pass ``matches``.
+intervals (every line for a spec without intervals) in each segment, drop
+those of columns the column spec refuses, and check and fold the rest by
+the segment rules; the fold's ``subarray`` then applies the row spec.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ import warnings
 from pathlib import Path
 
 from .core import ALL, AllKeys, AssociativeArray, KeySpec, Value
-from .io import (MANIFEST_MAGIC, SEGMENT_MAGIC, TEXT_TAG, FormatError, encode_lines, encode_records,
-                 parse_record_lines, record_span, row_spans)
+from .io import (MANIFEST_MAGIC, SEGMENT_MAGIC, FormatError, encode_lines, encode_records, parse_record_lines,
+                 record_span, row_spans)
 
 MANIFEST_NAME = "MANIFEST"
 LOCK_NAME = "LOCK"
@@ -209,10 +209,10 @@ class TableStore:
     def select(self, rows: KeySpec = ALL, cols: KeySpec = ALL) -> AssociativeArray:
         """Materialize live content filtered by the key specs: the stored table's subarray.
 
-        Each segment is read only on the row spec's key intervals; a row
-        spec without intervals reads every line and filters by ``matches``.
+        Each segment is read only on the row spec's key intervals, or whole
+        for a spec without intervals; the fold's ``subarray`` picks the rows.
         Only the records of the selected columns are checked and folded.
-        The result is marked text-free when no span parsed holds ``TEXT_TAG``.
+        It is marked text-free when the parse kept no text record.
         """
         self._require_open()
         intervals = rows.intervals()
@@ -223,15 +223,11 @@ class TableStore:
         for name, data in self._snapshot.items():
             try:
                 for start, end in row_spans(data, read):
-                    parse_record_lines(data, start, end, fold, keep_col)
-                    numeric = numeric and data.find(TEXT_TAG, start, end) < 0
+                    numeric &= parse_record_lines(data, start, end, fold, keep_col)[1]
             except FormatError as exc:
                 raise StoreError(f"segment {name}: {exc}") from None
-        if intervals is None:
-            keep_row = rows.matches
-            fold = {r: row for r, row in fold.items() if keep_row(r)}
         # The parser checked each value; the builder only sorts and drops tombstones (None) and empties.
-        return AssociativeArray._from_clean(fold, numeric=numeric)
+        return AssociativeArray._from_clean(fold, numeric=numeric).subarray(rows, ALL)
 
     @property
     def segments(self) -> tuple[str, ...]:

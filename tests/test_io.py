@@ -12,6 +12,7 @@ import aakit.io
 from aakit import LATTICE, MAXPLUS, AssociativeArray, DomainError, eladd, from_triples
 from aakit.io import (
     FormatError,
+    encode_lines,
     encode_records,
     export_dot,
     format_number,
@@ -538,10 +539,10 @@ def test_parse_record_lines_drops_refused_columns_unchecked():
     start, end, _ = record_span(data, "%aa-seg 1")
     for _ in each_piece_size():
         into: dict = {"e": {"z": 3.0}}
-        assert parse_record_lines(data, start, end, into, lambda col: col != "z") is False
+        assert parse_record_lines(data, start, end, into, lambda col: col != "z") == (False, False)
         assert into == {"e": {"z": 3.0}, "b": {"x": 1.0, "y": "v"}, "d": {"x": None, "y": 2.0}}
         into = {}
-        assert parse_record_lines(data, start, end, into, lambda col: col == "y") is True
+        assert parse_record_lines(data, start, end, into, lambda col: col == "y") == (True, False)
         assert into == {"b": {"y": "v"}, "d": {"y": 2.0}}
         with pytest.raises(FormatError, match="line 2: unknown type tag 'q'"):
             parse_record_lines(data, start, end, {})
@@ -605,7 +606,7 @@ def test_parse_record_lines_reports_a_sorted_screened_file():
     data = b"%aa-seg 1\na\tx\tn\t1\na\ty\tt\tv\nb\tw\tn\t2\n"
     start, end, _ = record_span(data, "%aa-seg 1")
     into: dict = {}
-    assert parse_record_lines(data, start, end, into) is True
+    assert parse_record_lines(data, start, end, into) == (True, False)
     assert into == {"a": {"x": 1.0, "y": "v"}, "b": {"w": 2.0}}
 
 
@@ -619,7 +620,7 @@ def test_parse_record_lines_reports_a_sorted_screened_file():
 def test_parse_record_lines_reports_unsorted_or_unscreened_records(body):
     data = ("%aa-triples 1\n" + body).encode("utf-8")
     start, end, _ = record_span(data, "%aa-triples 1")
-    assert parse_record_lines(data, start, end, {}) is False
+    assert parse_record_lines(data, start, end, {}) == (False, "\tt\t" not in body)  # an empty text is text too
 
 
 def test_parse_record_lines_folds_repeats_in_file_order():
@@ -631,14 +632,26 @@ def test_parse_record_lines_folds_repeats_in_file_order():
         into = {"r": {"c": 5.0, "d": "x"}}
         data = b"%aa-seg 1\nr\tc\tn\t3\nr\td\tt\ty\n"
         start, end, _ = record_span(data, "%aa-seg 1")
-        assert parse_record_lines(data, start, end, into) is False
+        assert parse_record_lines(data, start, end, into) == (False, False)
         assert into == {"r": {"c": 3.0, "d": "y"}}
         # a cell already in ``into`` combines too, though the records ascend
         into = {"a": {"x": 4.0}}
         data = b"%aa-triples 1\na\tx\tn\t2\nb\tx\tn\t1\n"
         start, end, _ = record_span(data, "%aa-triples 1")
-        assert parse_record_lines(data, start, end, into) is False
+        assert parse_record_lines(data, start, end, into) == (False, True)
         assert into == {"a": {"x": 4.0}, "b": {"x": 1.0}}
+
+
+@pytest.mark.parametrize("magic", ["%aa-triples 1", "%aa-seg 1"])
+@pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+def test_parse_record_lines_reports_a_kept_text_record(magic, at):
+    lines = [f"{row}\tx\tn\t{i + 1}" for i, row in enumerate("abc")]
+    lines[at] = f"{'abc'[at]}\tz\tt\tword"  # the only text record
+    data = encode_lines([magic, *lines])
+    start, end, _ = record_span(data, magic)
+    for _ in each_piece_size():
+        assert parse_record_lines(data, start, end, {}) == (True, False)
+        assert parse_record_lines(data, start, end, {}, lambda col: col != "z") == (True, True)
 
 
 def test_read_triples_sorted_file_drops_a_stored_zero():
@@ -854,6 +867,7 @@ def test_a_numeric_file_with_a_column_t_reads_back_equal():
     data = b"%aa-triples 1\na\tt\tn\t1\na\tu\tn\t2\nt\tt\tn\t3\n"
     arr = read_triples(io.BytesIO(data))
     assert arr == AssociativeArray({("a", "t"): 1.0, ("a", "u"): 2.0, ("t", "t"): 3.0})
+    assert arr._numeric
     assert eladd(arr, arr, MAXPLUS) == arr
     sink = io.BytesIO()
     write_triples(arr, sink)

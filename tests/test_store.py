@@ -545,9 +545,11 @@ def test_a_select_is_marked_text_free_until_a_text_cell_is_live(tmp_path):
             with pytest.raises(DomainError, match=re.escape("holds text at ('b', 'z')")):
                 eladd(picked, picked, MAXPLUS)
         assert st.select(KeySet(["a", "c"]))._numeric  # no span of rows a and c holds text
+        assert st.select(ALL, KeySet(["x", "y"]))._numeric  # the text of column z is not kept
     with open_store(root, read_only=True) as st:
         assert not st.select()._numeric
-        assert st.select(ALL, KeySet(["x", "y"])) == aa({("a", "x"): 1.0, ("c", "y"): 3.0})
+        picked = st.select(ALL, KeySet(["x", "y"]))
+        assert picked == aa({("a", "x"): 1.0, ("c", "y"): 3.0}) and picked._numeric
 
 
 def test_random_batches_match_fold_oracle(tmp_path):
@@ -1188,6 +1190,7 @@ class EndsInOne(KeySpec):
 @pytest.mark.parametrize("rows,keep_row", [
     pytest.param(ALL, lambda r: True, id="rows-all"),
     pytest.param(KeyRange("r1", "r3"), lambda r: "r1" <= r <= "r3", id="rows-range"),
+    pytest.param(EndsInOne(), lambda r: r[-1:] == "1", id="rows-custom"),
 ])
 @pytest.mark.parametrize("cols,keep_col", [
     pytest.param(ALL, lambda c: True, id="all"),
@@ -1209,8 +1212,8 @@ def test_column_selects_match_fold_oracle(tmp_path, rows, keep_row, cols, keep_c
             cells = {(rng.choice(row_keys), rng.choice(COLUMN_KEYS)):
                      rng.choice([float(rng.randint(1, 9)), rng.choice(COLUMN_TEXTS)])
                      for _ in range(12)}
-            if len(ops) == 5:  # every column's newest value in one row holds a TAB
-                cells.update({(row_keys[i % 5], c): COLUMN_TEXTS[1 + i % 3] for i, c in enumerate(COLUMN_KEYS)})
+            if len(ops) == 5:  # each column's newest value in row r0 or r1 holds a TAB: every row spec sees one
+                cells.update({(row_keys[i % 2], c): COLUMN_TEXTS[1 + i % 3] for i, c in enumerate(COLUMN_KEYS)})
             batch = aa(cells)
             ops.append((kind, batch))
             live.insert(batch) if kind == "insert" else live.delete(batch)
