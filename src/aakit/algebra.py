@@ -9,10 +9,12 @@ no-empty-rows/columns property true by construction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import chain
 from typing import Iterable
 
-from .core import ALL, AssociativeArray, Axis, KeySet, Semiring, Value, _kept, _not_str, _refuse_text
+from .core import (ALL, ARITH, AssociativeArray, Axis, KeySet, Semiring, Value, _is_pattern, _kept, _not_str,
+                   _refuse_text)
 
 
 def _require_numeric(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> None:
@@ -93,12 +95,19 @@ def arrayprod(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associa
     The product is built one row of a at a time (Gustavson's row-wise
     scheme): each (k, a(i,k)) of row i scales b's row k into a dict keyed
     by column alone, and only that row's columns need sorting before it
-    is emitted.
+    is emitted.  Two patterns (every value 1.0) under arith count the sorted
+    columns of the rows of b that each row of a reaches: 1·1 = 1 and n ones
+    sum to exactly n, so the cells are the fold's, never 0 nor non-finite.
     """
     _require_numeric(a, b, sr)
     b_rows = b._rows
     plus, times, zero = sr.plus, sr.times, sr.zero
     out: dict[str, dict[str, Value]] = {}
+    if sr == ARITH and _is_pattern(a) and _is_pattern(b):
+        for i, ra in a._rows.items():  # sorted first, so the counts come out in column order
+            if counts := Counter(sorted(chain.from_iterable(filter(None, map(b_rows.get, ra))))):
+                out[i] = dict(zip(counts, map(float, counts.values())))
+        return AssociativeArray._from_sorted(out, True)
     for i, ra in a._rows.items():
         acc: dict[str, Value] = {}
         for k, av in ra.items():

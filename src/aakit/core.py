@@ -23,7 +23,7 @@ import math
 import operator
 from bisect import bisect_left
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping
 
 Value = float | str
@@ -133,6 +133,11 @@ def _refuse_text(arr: AssociativeArray, prefix: str) -> None:
             if isinstance(v, str):
                 raise DomainError(f"{prefix} at ({r!r}, {c!r})")
     arr._numeric = True
+
+
+def _is_pattern(arr: AssociativeArray) -> bool:
+    """True when ``arr`` holds a cell and every value is 1.0; one C-level pass stops at the first other value."""
+    return bool(arr._rows) and {1.0}.issuperset(chain.from_iterable(map(dict.values, arr._rows.values())))
 
 
 def _transposed(rows: Mapping[str, dict[str, Value]]) -> dict[str, dict[str, Value]]:

@@ -33,7 +33,8 @@ def correlate(arr: AssociativeArray) -> AssociativeArray:
 
     Values must be numeric (``arrayprod`` raises DomainError naming the
     first text cell); call logical() first to correlate a text table's
-    support pattern.
+    support pattern, as ``aakit correlate --logical`` does.  Both operands
+    are then patterns, so ``arrayprod`` counts the shared columns.
     """
     return arrayprod(arr, arr.transpose(), ARITH)
 

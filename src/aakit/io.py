@@ -203,7 +203,8 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
     segment = data.startswith(_SEGMENT_HEAD)
     plus = None if segment else LATTICE.plus
     # A field that came from strict UTF-8 split on LF and TAB can break the
-    # key and text rules only by being empty (keys) or by holding a CR.
+    # key and text rules only by being empty (keys) or by holding a CR, and
+    # only the lines of a piece that holds a CR are searched for one.
     numbers: dict[str, float] = {}  # number texts that passed both checks
     ordered, numeric, last_row, last_col = not into, True, "", ""  # "" is below every key: keys are non-empty
     # A piece ends just after an LF, which never occurs inside a UTF-8 sequence.  On a
@@ -213,10 +214,12 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
         while bad_at is None and start < end:  # ``start``: the first line not yet parsed
             cut = data.find(b"\n", min(start + _PIECE, end) - 1) + 1
             try:
-                lines = str(view[start:cut], "utf-8").split("\n")
+                text = str(view[start:cut], "utf-8")
             except UnicodeDecodeError as exc:
                 bad_at = cut = data.rfind(b"\n", 0, start + exc.start) + 1
-                lines = str(view[start:cut], "utf-8").split("\n")
+                text = str(view[start:cut], "utf-8")
+            cr = "\r" in text
+            lines = text.split("\n")
             lines.pop()  # the empty text after the piece's final LF
             for i, line in enumerate(lines):
                 try:
@@ -225,7 +228,7 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
                     raise FormatError("expected 4 tab-separated fields") from None
                 if cols is not None and col and not cols(col):  # an empty column fails as a key below
                     continue
-                if not row or not col or "\r" in line:
+                if not row or not col or cr and "\r" in line:
                     check_key(row)
                     check_key(col)
                 value: Value | None
@@ -240,7 +243,7 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
                         if len(numbers) < _CACHE_SIZE:
                             numbers[valtext] = value
                 elif tag == "t":
-                    if "\r" in valtext:
+                    if cr and "\r" in valtext:
                         check_value(valtext)
                     value, numeric = valtext, False
                 elif tag == "x" and segment:

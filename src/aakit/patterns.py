@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import AssociativeArray, KeySet, check_key
+from .core import AssociativeArray, KeySet, _is_pattern, check_key
 
 
 def identity_from_keys(keys: Iterable[str]) -> AssociativeArray:
@@ -40,11 +40,7 @@ def perm_from_pairs(pairs: Iterable[tuple[str, str]]) -> AssociativeArray:
 
 def is_permutation(arr: AssociativeArray) -> bool:
     """True when the support is a bijection between row and column keys."""
-    if arr.nnz == 0:
-        return False
-    if any(v != 1.0 for _, _, v in arr):
-        return False
-    return len(arr.row_keys) == arr.nnz and len(arr.col_keys) == arr.nnz
+    return _is_pattern(arr) and len(arr.row_keys) == arr.nnz == len(arr.col_keys)
 
 
 def is_clique(arr: AssociativeArray) -> bool:

@@ -23,6 +23,7 @@ from aakit import (
     Semiring,
     arrayprod,
     bfs,
+    correlate,
     degree,
     delete_entries,
     eladd,
@@ -49,8 +50,8 @@ from helpers import (
     random_mixed_array,
     random_numeric_array,
 )
-from oracles import (bfs_oracle, dot_bytes_oracle, elmult_oracle, eladd_oracle, product_oracle, symmetrize_oracle,
-                     transpose_oracle, triples_bytes_oracle)
+from oracles import (bfs_oracle, correlate_oracle, dot_bytes_oracle, elmult_oracle, eladd_oracle, product_oracle,
+                     symmetrize_oracle, transpose_oracle, triples_bytes_oracle)
 
 EVERY_SEMIRING = [ARITH, MAXPLUS, MINPLUS, MAXMIN, LATTICE]
 
@@ -415,6 +416,38 @@ def test_arrayprod_keeps_text_rows():
     assert step.get("front", "c") == 2.0 and step.get("front", "b") == "x"
     for steps in range(4):
         assert set(bfs(arr, ["a"], steps).col_keys) == bfs_oracle(set(edges), ["a"], steps)
+
+
+def with_one_two(rng, arr):
+    """``arr`` with one of its cells, picked by ``rng``, set to 2.0."""
+    cells = dict(arr.items())
+    cells[rng.choice(list(cells))] = 2.0
+    return aa(cells)
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_pattern_products_and_their_neighbours_give_the_bytes_of_the_oracle(relation):
+    # a's column keys and b's row keys, the middle keys, stand in the given
+    # relation ("disjoint": no key is shared).  Two patterns (every value 1.0)
+    # under arith count each cell's shared middle keys; one 2.0 in either
+    # operand, maxplus on patterns and an empty operand take the general fold.
+    rng = random.Random(28)
+    empty = AssociativeArray()
+    for _ in range(60):
+        a_middle, b_middle = two_key_sets(rng, relation)
+        a = array_on(rng, rng.sample(MERGE_KEYS, rng.randint(1, 5)), a_middle, False).logical()
+        b = array_on(rng, b_middle, rng.sample(MERGE_KEYS, rng.randint(1, 5)), False).logical()
+        for x, y, sr in ((a, b, ARITH), (with_one_two(rng, a), b, ARITH), (a, with_one_two(rng, b), ARITH),
+                         (a, b, MAXPLUS), (a, empty, ARITH), (empty, b, ARITH)):
+            got = arrayprod(x, y, sr)
+            want = product_oracle(x, y, sr)
+            assert dict(got.items()) == want
+            assert triples_bytes(got) == triples_bytes_oracle(want)
+            check_invariants(got)
+        x = array_on(rng, a_middle, b_middle, False).logical()
+        got, want = correlate(x), correlate_oracle(x)
+        assert dict(got.items()) == want
+        assert triples_bytes(got) == triples_bytes_oracle(want)
 
 
 def test_arrayprod_identity_roundtrip():

@@ -508,6 +508,11 @@ def test_parse_record_lines_tombstone_payload_rejected():
      "line 2: key 'b\\rz' contains a forbidden control character"),
     (b"%aa-triples 1\na\tb\tt\tone\rtwo\n",
      "line 2: text value 'one\\rtwo' contains a line break"),
+    # a CR after good lines of its piece
+    (b"%aa-triples 1\na\tb\tn\t1\na\tc\tt\tone\ntwo\rz\tb\tn\t2\n",
+     "line 4: key 'two\\rz' contains a forbidden control character"),
+    (b"%aa-triples 1\na\tb\tn\t1\na\tc\tt\tone\na\td\tt\tone\rtwo\n",
+     "line 4: text value 'one\\rtwo' contains a line break"),
     (b"%aa-triples 1\na\tb\tn\t1e999\n", "line 2: number '1e999' is not finite"),
     # non-ASCII digits are no number, though float() accepts them
     ("%aa-triples 1\na\tb\tn\t1\nc\td\tn\t\u0661\u0662\n".encode("utf-8"),

@@ -53,6 +53,8 @@ def test_is_permutation_needs_exactly_one_per_axis():
 def test_is_permutation_needs_unit_values():
     assert not is_permutation(AssociativeArray({("r1", "c1"): 2.0}))
     assert not is_permutation(AssociativeArray({("r1", "c1"): "1"}))
+    assert not is_permutation(AssociativeArray({("r1", "c1"): 1.0, ("r2", "c2"): 2.0}))
+    assert not is_permutation(AssociativeArray({("r1", "c1"): 1.0, ("r2", "c2"): "one"}))
 
 
 def test_empty_is_neither_pattern():
