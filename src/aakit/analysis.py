@@ -46,9 +46,7 @@ def to_dense(arr: AssociativeArray) -> DenseProjection:
 
 
 def _check_tol(tol: float) -> None:
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-        raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
-    if not (tol > 0.0 and math.isfinite(tol)):
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
 
 
@@ -119,8 +117,8 @@ def null_space(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> AssociativeAr
 
 
 def products_unique(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> bool:
-    """True when the null space is empty, so x -> arr times x is injective."""
-    return null_space(arr, tol).nnz == 0
+    """True when the null space is empty, so x -> arr times x is injective: the rank is the column count."""
+    return rank(arr, tol) == len(arr.col_keys)
 
 
 class EigenResult(_Record):

@@ -289,14 +289,12 @@ class KeySet(KeySpec, _Record):
 
     def __init__(self, keys: Iterable[str]):
         ks = tuple(check_key(k) for k in _not_str(keys, "keys"))
-        if len(set(ks)) != len(ks):
+        members = frozenset(ks)
+        if len(members) != len(ks):
             raise ValueError("key set contains duplicates")
         super().__init__(tuple(sorted(ks)))
-        # Not a field, so equality and repr still see only ``keys``.
-        object.__setattr__(self, "_members", frozenset(ks))
-
-    def matches(self, key: str) -> bool:
-        return key in self._members
+        # The set's own membership test, in C; not a field, so equality and repr still see only ``keys``.
+        object.__setattr__(self, "matches", members.__contains__)
 
     def intervals(self) -> list[tuple[str, str | None]]:
         return [(k, k + "\x00") for k in self.keys]

@@ -18,7 +18,8 @@ number once until ``_CACHE_SIZE`` are cached.
 The store's segment and MANIFEST bytes are this module's too.  The magic
 line picks ``parse_record_lines``' rules: a segment's tag "x" marks a
 tombstone and its cells strictly ascend in (row, col) order.  ``row_spans``
-bisects sorted record lines for rows in key intervals.
+bisects sorted record lines for each key interval's span, and one parse
+reads them all.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import chain
-from typing import BinaryIO, Callable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from .core import (
     LATTICE,
@@ -183,22 +184,22 @@ def record_span(data: bytes, magic: str, *, lenient_tail: bool = False) -> tuple
     return start, end, truncated
 
 
-def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[str, Value | None]],
+def parse_record_lines(data: bytes, spans: Iterable[tuple[int, int]], into: dict[str, dict[str, Value | None]],
                        cols: Callable[[str], bool] | None = None) -> tuple[bool, bool]:
-    """Fold the LF-framed record lines in ``data[start:end]`` into ``into``: row -> column -> value.
+    """Fold the LF-framed record lines in each ``data[start:end]`` of ``spans`` into ``into``: row -> column -> value.
 
-    ``start`` and ``end`` are line starts within the bounds ``record_span``
-    returned for ``data``, which has already checked framing and magic.  The
-    magic line picks the rules: a triple file's repeated cell combines with
-    ``LATTICE.plus`` in file order; a segment follows the module docstring's
-    rules (a tombstone reads as None), and its record replaces one already
-    in ``into``.  Returns (ordered, numeric): whether ``into`` started empty
-    and the records strictly ascended by (row, col) with no empty value, and
-    whether it kept no text record.  Keys and values pass ``check_key`` and
+    ``spans`` are ascending pairs of line starts within the bounds
+    ``record_span`` returned for ``data``, which has already checked framing
+    and magic.  The magic line picks the rules: a triple file's repeated cell
+    combines with ``LATTICE.plus`` in file order; a segment follows the module
+    docstring's rules (a tombstone reads as None), and its record replaces one
+    already in ``into``.  Returns (ordered, numeric): whether ``into`` started
+    empty and the records strictly ascended by (row, col) with no empty value,
+    and whether it kept no text record.  Keys and values pass ``check_key`` and
     ``check_value``; an error names the first faulty line, numbered from the
     start of ``data``.  A line whose column ``cols`` (a ``KeySpec.matches``)
-    refuses is split into its four fields, then dropped.  The span is
-    decoded a piece of about ``_PIECE`` bytes at a time.
+    refuses is split into its four fields, then dropped.  Each span is decoded
+    a piece of about ``_PIECE`` bytes at a time.
     """
     segment = data.startswith(_SEGMENT_HEAD)
     plus = None if segment else LATTICE.plus
@@ -211,59 +212,60 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
     # decoding error, parse the piece's lines before the bad one (an earlier error wins).
     view, bad_at = memoryview(data), None
     try:
-        while bad_at is None and start < end:  # ``start``: the first line not yet parsed
-            cut = data.find(b"\n", min(start + _PIECE, end) - 1) + 1
-            try:
-                text = str(view[start:cut], "utf-8")
-            except UnicodeDecodeError as exc:
-                bad_at = cut = data.rfind(b"\n", 0, start + exc.start) + 1
-                text = str(view[start:cut], "utf-8")
-            cr = "\r" in text
-            lines = text.split("\n")
-            lines.pop()  # the empty text after the piece's final LF
-            for i, line in enumerate(lines):
+        for start, end in spans:
+            while bad_at is None and start < end:  # ``start``: the first line not yet parsed
+                cut = data.find(b"\n", min(start + _PIECE, end) - 1) + 1
                 try:
-                    row, col, tag, valtext = line.split("\t", 3)
-                except ValueError:
-                    raise FormatError("expected 4 tab-separated fields") from None
-                if cols is not None and col and not cols(col):  # an empty column fails as a key below
-                    continue
-                if not row or not col or cr and "\r" in line:
-                    check_key(row)
-                    check_key(col)
-                value: Value | None
-                if tag == "n":
-                    value = numbers.get(valtext)
-                    if value is None:
-                        if not _NUMBER_RE.match(valtext):
-                            raise FormatError(f"unparseable number {valtext!r}")
-                        value = float(valtext)
-                        if not math.isfinite(value):
-                            raise FormatError(f"number {valtext!r} is not finite")
-                        if len(numbers) < _CACHE_SIZE:
-                            numbers[valtext] = value
-                elif tag == "t":
-                    if cr and "\r" in valtext:
-                        check_value(valtext)
-                    value, numeric = valtext, False
-                elif tag == "x" and segment:
-                    if valtext != "":
-                        raise FormatError("tombstone carries a payload")
-                    value = None
-                else:
-                    raise FormatError(f"unknown type tag {tag!r}")
-                if row != last_row:
-                    ascends, cells, last_row = row > last_row, into.setdefault(row, {}), row
-                else:
-                    ascends = col > last_col
-                last_col = col
-                if not (ascends and value):
-                    if segment and not ascends:
-                        raise FormatError("record out of (row, col) order")
-                    ordered = False
-                # While ordered, the cell is new: every record so far ascended into an empty ``into``.
-                cells[col] = plus(cells[col], value) if not ordered and plus and col in cells else value
-            start = cut
+                    text = str(view[start:cut], "utf-8")
+                except UnicodeDecodeError as exc:
+                    bad_at = cut = data.rfind(b"\n", 0, start + exc.start) + 1
+                    text = str(view[start:cut], "utf-8")
+                cr = "\r" in text
+                lines = text.split("\n")
+                lines.pop()  # the empty text after the piece's final LF
+                for i, line in enumerate(lines):
+                    try:
+                        row, col, tag, valtext = line.split("\t", 3)
+                    except ValueError:
+                        raise FormatError("expected 4 tab-separated fields") from None
+                    if cols is not None and col and not cols(col):  # an empty column fails as a key below
+                        continue
+                    if not row or not col or cr and "\r" in line:
+                        check_key(row)
+                        check_key(col)
+                    value: Value | None
+                    if tag == "n":
+                        value = numbers.get(valtext)
+                        if value is None:
+                            if not _NUMBER_RE.match(valtext):
+                                raise FormatError(f"unparseable number {valtext!r}")
+                            value = float(valtext)
+                            if not math.isfinite(value):
+                                raise FormatError(f"number {valtext!r} is not finite")
+                            if len(numbers) < _CACHE_SIZE:
+                                numbers[valtext] = value
+                    elif tag == "t":
+                        if cr and "\r" in valtext:
+                            check_value(valtext)
+                        value, numeric = valtext, False
+                    elif tag == "x" and segment:
+                        if valtext != "":
+                            raise FormatError("tombstone carries a payload")
+                        value = None
+                    else:
+                        raise FormatError(f"unknown type tag {tag!r}")
+                    if row != last_row:
+                        ascends, cells, last_row = row > last_row, into.setdefault(row, {}), row
+                    else:
+                        ascends = col > last_col
+                    last_col = col
+                    if not (ascends and value):
+                        if segment and not ascends:
+                            raise FormatError("record out of (row, col) order")
+                        ordered = False
+                    # While ordered, the cell is new: every record so far ascended into an empty ``into``.
+                    cells[col] = plus(cells[col], value) if not ordered and plus and col in cells else value
+                start = cut
     except (FormatError, BadKeyError, BadValueError) as exc:
         raise FormatError(f"line {line_number(data, start) + i}: {exc}") from None
     if bad_at is not None:
@@ -271,24 +273,20 @@ def parse_record_lines(data: bytes, start: int, end: int, into: dict[str, dict[s
     return ordered, numeric
 
 
-def row_spans(data: bytes, intervals: list[tuple[str, str | None]]) -> list[tuple[int, int]]:
-    """Byte spans of framed ``data``'s record lines whose rows lie in ``intervals``.
+def row_spans(data: bytes, intervals: list[tuple[str, str | None]]) -> Iterator[tuple[int, int]]:
+    """Each non-empty byte span of framed ``data``'s record lines whose rows lie in one of ``intervals``.
 
     The lines must ascend by row, as a segment's do.  ``intervals`` are
     ``KeySpec.intervals()``: ascending ``[lo, hi)`` row key intervals, ``hi``
     None unbounded above.  Each bound is searched as UTF-8, whose byte order
-    is key order.  Touching spans merge.
+    is key order.
     """
-    spans: list[tuple[int, int]] = []
     pos, end = data.index(b"\n") + 1, len(data)
     for lo, hi in intervals:
         first = _row_lower_bound(data, pos, end, lo.encode("utf-8"))
         pos = end if hi is None else _row_lower_bound(data, first, end, hi.encode("utf-8"))
         if first < pos:
-            if spans and spans[-1][1] == first:
-                first = spans.pop()[0]
-            spans.append((first, pos))
-    return spans
+            yield first, pos
 
 
 def _row_lower_bound(data: bytes, lo: int, hi: int, key: bytes) -> int:
@@ -327,7 +325,7 @@ def read_triples(source: BinaryIO) -> AssociativeArray:
     data = source.read()
     start, end, _ = record_span(data, TRIPLES_MAGIC)
     rows: dict[str, dict[str, Value]] = {}
-    ordered, numeric = parse_record_lines(data, start, end, rows)
+    ordered, numeric = parse_record_lines(data, [(start, end)], rows)
     if ordered:
         return AssociativeArray._from_sorted(rows, numeric)
     return AssociativeArray._from_clean(rows, numeric=numeric)

@@ -28,10 +28,11 @@ as its snapshot: each segment's name, oldest first, mapped to its bytes
 up to the last complete line.  That gives readers snapshot isolation at
 manifest granularity even across a concurrent compaction.  Open checks
 only each segment's framing; records are parsed by the command that
-uses them.  A select has ``io`` find the lines of its row spec's key
-intervals (every line for a spec without intervals) in each segment, drop
-those of columns the column spec refuses, and check and fold the rest by
-the segment rules; the fold's ``subarray`` then applies the row spec.
+uses them.  A select parses each segment in one ``io`` call over the
+spans of its row spec's key intervals (every line for a spec without
+intervals), which drops the lines of columns the column spec refuses and
+checks and folds the rest by the segment rules; the fold's ``subarray``
+then applies the row spec.
 """
 
 from __future__ import annotations
@@ -209,8 +210,8 @@ class TableStore:
     def select(self, rows: KeySpec = ALL, cols: KeySpec = ALL) -> AssociativeArray:
         """Materialize live content filtered by the key specs: the stored table's subarray.
 
-        Each segment is read only on the row spec's key intervals, or whole
-        for a spec without intervals; the fold's ``subarray`` picks the rows.
+        One parse call reads each segment on the row spec's key intervals (whole
+        for a spec without intervals); the fold's ``subarray`` picks the rows.
         Only the records of the selected columns are checked and folded.
         It is marked text-free when the parse kept no text record.
         """
@@ -222,8 +223,7 @@ class TableStore:
         numeric = True
         for name, data in self._snapshot.items():
             try:
-                for start, end in row_spans(data, read):
-                    numeric &= parse_record_lines(data, start, end, fold, keep_col)[1]
+                numeric &= parse_record_lines(data, row_spans(data, read), fold, keep_col)[1]
             except FormatError as exc:
                 raise StoreError(f"segment {name}: {exc}") from None
         # The parser checked each value; the builder only sorts and drops tombstones (None) and empties.

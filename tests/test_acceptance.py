@@ -280,7 +280,7 @@ def test_store_equivalence_and_crash(tmp_path):
             start, end, _ = record_span(data, SEGMENT_MAGIC)
             if name == names[-1]:
                 end = data.rfind(b"\n", 0, end - 1) + 1  # the record the crash destroys
-            parse_record_lines(data, start, end, rows)
+            parse_record_lines(data, [(start, end)], rows)
         folded = {(r, c): v for r, row in rows.items() for c, v in row.items()}
         data = (root / names[-1]).read_bytes()
         last_line_len = len(data.rsplit(b"\n", 2)[1]) + 1

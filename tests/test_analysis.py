@@ -177,6 +177,9 @@ def test_products_unique():
     dependent = aa({("a", "x"): 1.0, ("a", "y"): 2.0, ("b", "x"): 2.0, ("b", "y"): 4.0})
     assert not products_unique(dependent)
     assert products_unique(AssociativeArray())  # no columns, vacuously injective
+    # A free column whose null-space vector, (-1e200, 1), has a 2-norm past the float range.
+    huge = aa({("a", "x"): 1.0, ("a", "y"): 1e200})
+    assert rank(huge, 1e-250) == 1 and not products_unique(huge, 1e-250)
 
 
 # -- dominant_eigenpair -----------------------------------------------------

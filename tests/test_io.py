@@ -532,7 +532,7 @@ def test_parse_record_lines_errors_name_the_line(data, message):
         if data.startswith(b"%aa-triples 1\n"):  # the same error when column "z" is dropped
             start, end, _ = record_span(data, "%aa-triples 1")
             with pytest.raises(FormatError) as exc:
-                parse_record_lines(data, start, end, {}, lambda col: col != "z")
+                parse_record_lines(data, [(start, end)], {}, lambda col: col != "z")
             assert str(exc.value) == message
 
 
@@ -544,18 +544,18 @@ def test_parse_record_lines_drops_refused_columns_unchecked():
     start, end, _ = record_span(data, "%aa-seg 1")
     for _ in each_piece_size():
         into: dict = {"e": {"z": 3.0}}
-        assert parse_record_lines(data, start, end, into, lambda col: col != "z") == (False, False)
+        assert parse_record_lines(data, [(start, end)], into, lambda col: col != "z") == (False, False)
         assert into == {"e": {"z": 3.0}, "b": {"x": 1.0, "y": "v"}, "d": {"x": None, "y": 2.0}}
         into = {}
-        assert parse_record_lines(data, start, end, into, lambda col: col == "y") == (True, False)
+        assert parse_record_lines(data, [(start, end)], into, lambda col: col == "y") == (True, False)
         assert into == {"b": {"y": "v"}, "d": {"y": 2.0}}
         with pytest.raises(FormatError, match="line 2: unknown type tag 'q'"):
-            parse_record_lines(data, start, end, {})
+            parse_record_lines(data, [(start, end)], {})
 
 
 def fold_span(data: bytes, start: int, end: int) -> dict:
     into: dict = {}
-    parse_record_lines(data, start, end, into)
+    parse_record_lines(data, [(start, end)], into)
     return into
 
 
@@ -611,7 +611,7 @@ def test_parse_record_lines_reports_a_sorted_screened_file():
     data = b"%aa-seg 1\na\tx\tn\t1\na\ty\tt\tv\nb\tw\tn\t2\n"
     start, end, _ = record_span(data, "%aa-seg 1")
     into: dict = {}
-    assert parse_record_lines(data, start, end, into) == (True, False)
+    assert parse_record_lines(data, [(start, end)], into) == (True, False)
     assert into == {"a": {"x": 1.0, "y": "v"}, "b": {"w": 2.0}}
 
 
@@ -625,7 +625,7 @@ def test_parse_record_lines_reports_a_sorted_screened_file():
 def test_parse_record_lines_reports_unsorted_or_unscreened_records(body):
     data = ("%aa-triples 1\n" + body).encode("utf-8")
     start, end, _ = record_span(data, "%aa-triples 1")
-    assert parse_record_lines(data, start, end, {}) == (False, "\tt\t" not in body)  # an empty text is text too
+    assert parse_record_lines(data, [(start, end)], {}) == (False, "\tt\t" not in body)  # an empty text is text too
 
 
 def test_parse_record_lines_folds_repeats_in_file_order():
@@ -637,13 +637,13 @@ def test_parse_record_lines_folds_repeats_in_file_order():
         into = {"r": {"c": 5.0, "d": "x"}}
         data = b"%aa-seg 1\nr\tc\tn\t3\nr\td\tt\ty\n"
         start, end, _ = record_span(data, "%aa-seg 1")
-        assert parse_record_lines(data, start, end, into) == (False, False)
+        assert parse_record_lines(data, [(start, end)], into) == (False, False)
         assert into == {"r": {"c": 3.0, "d": "y"}}
         # a cell already in ``into`` combines too, though the records ascend
         into = {"a": {"x": 4.0}}
         data = b"%aa-triples 1\na\tx\tn\t2\nb\tx\tn\t1\n"
         start, end, _ = record_span(data, "%aa-triples 1")
-        assert parse_record_lines(data, start, end, into) == (False, True)
+        assert parse_record_lines(data, [(start, end)], into) == (False, True)
         assert into == {"a": {"x": 4.0}, "b": {"x": 1.0}}
 
 
@@ -655,8 +655,8 @@ def test_parse_record_lines_reports_a_kept_text_record(magic, at):
     data = encode_lines([magic, *lines])
     start, end, _ = record_span(data, magic)
     for _ in each_piece_size():
-        assert parse_record_lines(data, start, end, {}) == (True, False)
-        assert parse_record_lines(data, start, end, {}, lambda col: col != "z") == (True, True)
+        assert parse_record_lines(data, [(start, end)], {}) == (True, False)
+        assert parse_record_lines(data, [(start, end)], {}, lambda col: col != "z") == (True, True)
 
 
 def test_read_triples_sorted_file_drops_a_stored_zero():
@@ -677,6 +677,66 @@ def test_parse_record_lines_first_faulty_line_wins(data, message):
     for _ in each_piece_size():
         with pytest.raises(FormatError) as exc:
             fold_span(data, start, end)
+        assert str(exc.value) == message
+
+
+def line_starts(data: bytes) -> list[int]:
+    """The offset of each line start of ``data``, then ``len(data)``: line n starts at index n - 1."""
+    return [0, *(i + 1 for i, byte in enumerate(data) if byte == ord("\n"))]
+
+
+def test_one_call_over_three_spans_folds_the_union_of_their_lines():
+    lines = [f"{row}\t{col}\tn\t{n}" for n, (row, col) in enumerate([(r, c) for r in "abcd" for c in "xy"], 1)]
+    lines[2] = "b\tx\tt\tword"  # file line 4, between the first two spans: the parse keeps no text
+    data = encode_lines(["%aa-seg 1", *lines])
+    at = line_starts(data)
+    picks = [(2, 4), (5, 6), (7, 10)]  # [first, stop) file lines: 2-3, 5 and 7-9
+    union = encode_lines(["%aa-seg 1", *(lines[n - 2] for first, stop in picks for n in range(first, stop))])
+    for _ in each_piece_size():
+        into: dict = {}
+        assert parse_record_lines(data, [(at[first - 1], at[stop - 1]) for first, stop in picks], into) == (True, True)
+        want: dict = {}
+        assert parse_record_lines(union, [record_span(union, "%aa-seg 1")[:2]], want) == (True, True)
+        assert into == want == {"a": {"x": 1.0, "y": 2.0}, "b": {"y": 4.0}, "c": {"y": 6.0}, "d": {"x": 7.0, "y": 8.0}}
+
+
+@pytest.mark.parametrize("fault,message", [
+    (b"d\tx\tn\n", "expected 4 tab-separated fields"),
+    (b"d\tx\tn\tnope\n", "unparseable number 'nope'"),
+    (b"d\tx\tt\t\xff\n", "not valid UTF-8"),
+])
+def test_a_fault_in_a_later_span_names_the_line_a_one_span_call_names(fault, message):
+    data = b"%aa-seg 1\na\tx\tn\t1\nb\tx\tn\t1\nc\tx\tn\t1\n" + fault + b"e\tx\tn\t1\n"
+    at = line_starts(data)
+    for _ in each_piece_size():
+        for spans in ([(at[1], at[3]), (at[4], at[5])], [(at[4], at[5])]):  # lines 2-3 and the fault, or it alone
+            with pytest.raises(FormatError) as exc:
+                parse_record_lines(data, spans, {})
+            assert str(exc.value) == f"line 5: {message}"
+
+
+def test_records_out_of_order_across_spans_name_the_later_line():
+    data = b"%aa-seg 1\na\tx\tn\t1\nc\tx\tn\t1\nd\tx\tn\t1\nb\tx\tn\t1\n"
+    at = line_starts(data)
+    for _ in each_piece_size():
+        for spans in ([(at[1], at[3]), (at[4], at[5])], [(at[1], at[5])]):  # lines 2-3 and 5, or 2-5
+            with pytest.raises(FormatError) as exc:
+                parse_record_lines(data, spans, {})
+            assert str(exc.value) == "line 5: record out of (row, col) order"
+        assert parse_record_lines(data, [(at[4], at[5])], {}) == (True, True)  # line 5 alone ascends
+
+
+@pytest.mark.parametrize("first,later,message", [
+    (b"a\tx\tt\t\xff\n", b"c\tx\tn\n", "line 2: not valid UTF-8"),
+    (b"a\tx\tn\n", b"c\tx\tt\t\xff\n", "line 2: expected 4 tab-separated fields"),
+    (b"a\tx\tn\tnope\n", b"c\tx\tq\t1\n", "line 2: unparseable number 'nope'"),
+])
+def test_an_earlier_span_error_wins_over_a_later_one(first, later, message):
+    data = b"%aa-seg 1\n" + first + b"b\tx\tn\t1\n" + later
+    at = line_starts(data)
+    for _ in each_piece_size():
+        with pytest.raises(FormatError) as exc:
+            parse_record_lines(data, [(at[1], at[2]), (at[3], at[4])], {})
         assert str(exc.value) == message
 
 

@@ -166,11 +166,11 @@ def test_specs_pickle_and_deepcopy(spec):
 
 def test_key_set_members_stay_out_of_equality_and_repr():
     spec = KeySet(["b", "a"])
-    assert spec._members == frozenset({"a", "b"})
-    assert "_members" not in repr(spec)
+    assert spec.matches.__self__ == frozenset({"a", "b"})
+    assert "matches" not in repr(spec)
     clone = pickle.loads(pickle.dumps(spec))
     assert clone.matches("a") and not clone.matches("c")
-    assert clone._members == spec._members
+    assert clone.matches.__self__ == spec.matches.__self__
 
 
 def test_analysis_records_pickle_and_every_record_deepcopies():

@@ -195,6 +195,28 @@ def test_a_lock_a_dead_writer_left_blocks_no_writer(tmp_path, monkeypatch, capsy
     assert lock.read_text() == f"{os.getpid()}\n"  # the insert's writer
 
 
+@pytest.mark.parametrize("lock_text", [None, "not-a-pid\n"], ids=["unreadable", "non-digits"])
+def test_a_lock_without_a_readable_pid_names_an_unknown_holder(tmp_path, monkeypatch, lock_text):
+    root = tmp_path / "t"
+    lock = root / "LOCK"
+    with open_store(root) as writer:
+        if lock_text is None:
+            read_text = Path.read_text
+
+            def refuse_lock(path, *args, **kwargs):
+                if path == lock:
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+                return read_text(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "read_text", refuse_lock)
+        else:
+            lock.write_text(lock_text)  # the flock, not the text, holds the table
+        with open_store(root) as st, pytest.raises(ReadOnlyError) as info:
+            st.insert(aa({("a", "x"): 1.0}))
+        assert str(info.value) == f"table {str(root)!r} is open read-only: {str(lock)!r} is held by an unknown PID"
+        assert not writer.read_only
+
+
 @pytest.mark.parametrize("new_writer", [False, True], ids=["lock-gone", "lock-renewed"])
 def test_a_writer_closing_as_another_opens_leaves_one_writer(tmp_path, monkeypatch, new_writer):
     root = tmp_path / "t"
@@ -1228,6 +1250,19 @@ def test_column_selects_match_fold_oracle(tmp_path, rows, keep_row, cols, keep_c
                 assert dict(got.items()) == want
         live.compact()
         assert dict(live.select(rows, cols).items()) == want
+
+
+def test_a_select_parses_each_segment_in_one_call(tmp_path, monkeypatch):
+    with open_store(tmp_path / "t") as st:
+        for n in (1.0, 2.0, 3.0):
+            st.insert(aa({(r, "x"): n for r in "abcde"}))
+        calls = []
+        parse = aakit.store.parse_record_lines
+        monkeypatch.setattr(aakit.store, "parse_record_lines",
+                            lambda data, *rest: calls.append(data) or parse(data, *rest))
+        # Rows a, c and e are three spans in every segment, with a row between each two.
+        assert st.select(KeySet(["a", "c", "e"])) == aa({(r, "x"): 3.0 for r in "ace"})
+        assert calls == [(tmp_path / "t" / name).read_bytes() for name in st.segments]
 
 
 class Vowel(KeySpec):
