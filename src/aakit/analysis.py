@@ -9,6 +9,7 @@ of behavior matters more than speed.  Text values are refused.
 from __future__ import annotations
 
 import math
+import sys
 
 from .core import LATTICE, AssociativeArray, _Record, _refuse_text, from_triples
 
@@ -48,6 +49,12 @@ def to_dense(arr: AssociativeArray) -> DenseProjection:
 def _check_tol(tol: float) -> None:
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
+
+
+def _norm(v: list[float]) -> float:
+    """2-norm of ``v``; ``hypot``, which can differ in the last bit, only where the sum of squares is not normal."""
+    s = sum(x * x for x in v)
+    return math.sqrt(s) if sys.float_info.min <= s < math.inf else math.hypot(*v)
 
 
 def _eliminate(arr: AssociativeArray, tol: float) -> tuple[tuple[str, ...], list[list[float]], list[int]]:
@@ -111,7 +118,7 @@ def null_space(arr: AssociativeArray, tol: float = DEFAULT_TOL) -> AssociativeAr
         vec[f] = 1.0
         for row_i, pc in enumerate(pivots):
             vec[pc] = -m[row_i][f]
-        norm = math.sqrt(sum(x * x for x in vec))
+        norm = _norm(vec)
         triples += ((c, f"ns{idx}", x / norm) for c, x in zip(cols, vec))  # from_triples drops the zeros
     return from_triples(triples, LATTICE)
 
@@ -184,13 +191,13 @@ def dominant_eigenpair(
     cells = dense.cells
 
     v = [float(i + 1) for i in range(n)]
-    norm = math.sqrt(sum(x * x for x in v))
+    norm = _norm(v)
     v = [x / norm for x in v]
     w = _matvec(cells, v)
     lam = sum(x * y for x, y in zip(v, w))
 
     for it in range(1, maxiter + 1):
-        wnorm = math.sqrt(sum(x * x for x in w))
+        wnorm = _norm(w)
         if wnorm == 0.0:
             raise ZeroIterateError(f"iterate collapsed to the zero vector at step {it}")
         v = [x / wnorm for x in w]

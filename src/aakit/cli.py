@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Every subcommand is a thin shell over one or two library calls: read
-triple files (or a CSV table for ingest), run the operation, write the
-result as canonical triple bytes to -o or standard output.  Exit status
-0 on success, 1 on any input or computation error (one-line diagnostic
-on stderr), 2 for unknown subcommands or bad usage.
+triple files (or a CSV table for ingest), run the operation, and return
+the result, which ``run`` writes as canonical triple bytes to -o or
+standard output.  A command that reports a line prints it and returns
+None.  Exit status 0 on success, 1 on any input or computation error
+(one-line diagnostic on stderr), 2 for unknown subcommands or bad usage.
 """
 
 from __future__ import annotations
@@ -76,86 +77,70 @@ AXES = {"row": Axis.ROW, "col": Axis.COLUMN}
 # -- handlers ---------------------------------------------------------------
 
 
-def _cmd_ingest(args) -> int:
-    arr = _load(args.input, aio.read_table if args.format == "table" else None)
-    _emit(arr, args.output)
-    return 0
+def _cmd_ingest(args) -> AssociativeArray:
+    return _load(args.input, aio.read_table if args.format == "table" else None)
 
 
-def _cmd_op(args) -> int:
+def _cmd_op(args) -> AssociativeArray:
     a = _load(args.a)
     b = _load(args.b)
     if args.kind in ("add", "mult", "prod"):
         sr = get_semiring(args.semiring)
         fn = {"add": algebra.eladd, "mult": algebra.elmult, "prod": algebra.arrayprod}
-        result = fn[args.kind](a, b, sr)
-    elif args.kind == "mask":
-        result = algebra.mask_select(a, b)
-    else:
-        result = algebra.delete_entries(a, b)
-    _emit(result, args.output)
-    return 0
+        return fn[args.kind](a, b, sr)
+    if args.kind == "mask":
+        return algebra.mask_select(a, b)
+    return algebra.delete_entries(a, b)
 
 
-def _cmd_select(args) -> int:
-    arr = _load(args.input)
-    _emit(arr.subarray(parse_keyspec(args.rows), parse_keyspec(args.cols)), args.output)
-    return 0
+def _cmd_select(args) -> AssociativeArray:
+    return _load(args.input).subarray(parse_keyspec(args.rows), parse_keyspec(args.cols))
 
 
-def _cmd_pattern(args) -> int:
+def _cmd_pattern(args) -> None:
     arr = _load(args.input)
     check = patterns.is_permutation if args.kind == "perm" else patterns.is_clique
     print("true" if check(arr) else "false")
-    return 0
 
 
-def _cmd_degree(args) -> int:
-    _emit(graph.degree(_load(args.input), AXES[args.axis]), args.output)
-    return 0
+def _cmd_degree(args) -> AssociativeArray:
+    return graph.degree(_load(args.input), AXES[args.axis])
 
 
-def _cmd_correlate(args) -> int:
+def _cmd_correlate(args) -> AssociativeArray:
     arr = _load(args.input)
     if args.logical:
         arr = arr.logical()
-    _emit(graph.correlate(arr), args.output)
-    return 0
+    return graph.correlate(arr)
 
 
-def _cmd_bfs(args) -> int:
+def _cmd_bfs(args) -> AssociativeArray:
     arr = _load(args.input)
     sources = args.sources.split(",") if args.sources else []
-    _emit(graph.bfs(arr, sources, args.steps), args.output)
-    return 0
+    return graph.bfs(arr, sources, args.steps)
 
 
-def _cmd_nullspace(args) -> int:
-    _emit(analysis.null_space(_load(args.input), args.tol), args.output)
-    return 0
+def _cmd_nullspace(args) -> AssociativeArray:
+    return analysis.null_space(_load(args.input), args.tol)
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> None:
     print(analysis.rank(_load(args.input), args.tol))
-    return 0
 
 
-def _cmd_eigen(args) -> int:
+def _cmd_eigen(args) -> AssociativeArray | None:
     result = analysis.dominant_eigenpair(_load(args.input), args.tol, args.maxiter)
     print(f"lambda {result.eigenvalue:.12g}")
     print(f"iterations {result.iterations}")
     print(f"residual {result.residual:.12g}")
-    if args.output is not None:
-        _emit(result.eigenvector, args.output)
-    return 0
+    return result.eigenvector if args.output is not None else None
 
 
-def _cmd_export_dot(args) -> int:
+def _cmd_export_dot(args) -> None:
     _emit(_load(args.input), args.output, aio.export_dot)
-    return 0
 
 
-def _cmd_store(args) -> int:
+def _cmd_store(args) -> AssociativeArray | None:
     # The batch or mask is read first, so a bad file neither creates nor locks the table.
     arr = _load(args.file) if args.kind in ("insert", "delete") else None
     path = Path(args.dir)
@@ -163,15 +148,15 @@ def _cmd_store(args) -> int:
         raise StoreError(f"no table at {str(path)!r}: {MANIFEST_NAME} is missing")
     with TableStore.open(path, read_only=args.kind == "select") as t:  # init only opens and closes the table
         if args.kind == "select":
-            _emit(t.select(parse_keyspec(args.rows), parse_keyspec(args.cols)), args.output)
-        elif args.kind == "insert":
+            return t.select(parse_keyspec(args.rows), parse_keyspec(args.cols))  # written once the handle is closed
+        if args.kind == "insert":
             print(f"records {t.insert(arr)}")
         elif args.kind == "delete":
             print(f"tombstones {t.delete(arr)}")
         elif args.kind == "compact":
             before, after = t.compact()
             print(f"segments {before} -> {after}")
-    return 0
+    return None
 
 
 # -- parser -----------------------------------------------------------------
@@ -285,10 +270,13 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        result = args.handler(args)  # an array to write, or None once the handler has printed its line
+        if result is not None:
+            _emit(result, args.output)
     except Exception as exc:  # CLI boundary: every library error becomes exit 1
         print(f"aakit: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

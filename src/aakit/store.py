@@ -353,6 +353,5 @@ def _read_manifest(manifest: Path) -> list[str]:
     return names
 
 
-def open_store(path: str | Path, read_only: bool = False) -> TableStore:
-    """Module-level convenience alias for TableStore.open."""
-    return TableStore.open(path, read_only=read_only)
+# An alias, not a wrapper: a frame between would take the torn-tail warning's stacklevel from the caller.
+open_store = TableStore.open

@@ -172,6 +172,12 @@ def test_null_space_synthetic_names_in_free_order():
     assert set(ns.col_keys) == {"ns1", "ns2"}
 
 
+def test_null_space_norm_past_the_float_range():
+    # The basis vector (-1e200, 1) has a sum of squares past the float range.
+    ns = null_space(aa({("a", "x"): 1.0, ("a", "y"): 1e200}), 1e-250)
+    assert ns == aa({("x", "ns1"): -1.0, ("y", "ns1"): 1e-200})
+
+
 def test_products_unique():
     assert products_unique(identity_from_keys(["a", "b"]))
     dependent = aa({("a", "x"): 1.0, ("a", "y"): 2.0, ("b", "x"): 2.0, ("b", "y"): 4.0})
@@ -200,6 +206,14 @@ def test_eigen_diagonal_dominant():
     assert abs(res.eigenvector.get("b", "v1") or 0.0) <= 1e-6
     norm = math.sqrt(sum(v * v for _, _, v in res.eigenvector))
     assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [1e160, 1e-170])
+def test_eigen_iterate_whose_sum_of_squares_leaves_the_float_range(value):
+    # 1e160 squared overflows to inf and 1e-170 squared underflows to 0.
+    res = dominant_eigenpair(aa({("a", "a"): value}))
+    assert (res.eigenvalue, res.iterations, res.residual) == (value, 1, 0.0)
+    assert res.eigenvector == aa({("a", "v1"): 1.0})
 
 
 def test_eigen_tie_reports_non_convergence():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from aakit import ALL, AssociativeArray, KeyPrefix, KeyRange, KeySet
+from aakit import ALL, AssociativeArray, KeyPrefix, KeyRange, KeySet, dominant_eigenpair
 from aakit.cli import parse_keyspec, run
 from aakit.io import read_triples, write_triples
 
@@ -232,13 +232,18 @@ def test_rank_and_nullspace_commands(tmp_path, capsys):
 
 
 def test_eigen_command_exact_lambda_line(tmp_path, capsys):
-    src = write_aat(tmp_path / "d.aat", aa({("a", "a"): 2.0, ("b", "b"): 1.0}))
+    arr = aa({("a", "a"): 2.0, ("b", "b"): 1.0})
+    src = write_aat(tmp_path / "d.aat", arr)
+    res = dominant_eigenpair(arr)
+    lines = f"lambda 2\niterations {res.iterations}\nresidual {res.residual:.12g}\n"
+    assert run(["eigen", src]) == 0
+    assert capsys.readouterr() == (lines, "")
     out = tmp_path / "v.aat"
-    assert run(["eigen", src, "-o", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "lambda 2"
-    assert lines[1].startswith("iterations ")
-    assert lines[2].startswith("residual ")
+    assert run(["eigen", src, "-o", str(out)]) == 0  # the same lines, and the vector in the file
+    assert capsys.readouterr() == (lines, "")
+    sink = io.BytesIO()
+    write_triples(res.eigenvector, sink)
+    assert out.read_bytes() == sink.getvalue()
     vec = load_aat(out)
     assert vec.col_keys == ("v1",)
     assert vec.get("a", "v1") == pytest.approx(1.0, abs=1e-6)
@@ -260,12 +265,62 @@ def test_export_dot(tmp_path, genre_artist):
     assert text.endswith("}\n")
 
 
-def test_export_dot_to_stdout_matches_file(tmp_path, genre_artist, capsysbinary):
-    src = write_aat(tmp_path / "g.aat", genre_artist)
-    out = tmp_path / "g.dot"
-    assert run(["export-dot", src, "-o", str(out)]) == 0
-    assert run(["export-dot", src]) == 0
-    assert capsysbinary.readouterr().out == out.read_bytes()
+# -- one output path ------------------------------------------------------------
+
+# Every command that writes an array; {name} stands for a file the test writes.
+ARRAY_COMMANDS = [
+    ["ingest", "{csv}"],
+    ["ingest", "{genres}", "--format", "triples"],
+    *(["op", kind, "{a}", "{b}"] for kind in ("add", "mult", "prod", "mask", "delete")),
+    ["select", "{songs}", "--cols", "set:Artist,Genre"],
+    ["degree", "{songs}", "--axis", "col"],
+    ["correlate", "{songs}", "--logical"],
+    ["bfs", "{sym}", "--sources", "Kitten", "--steps", "1"],
+    ["nullspace", "{m}"],
+    ["export-dot", "{genres}"],
+    ["store", "select", "{table}", "--rows", "prefix:0"],
+]
+
+
+@pytest.mark.parametrize("argv", ARRAY_COMMANDS, ids=" ".join)
+def test_an_array_command_writes_the_same_bytes_to_stdout_and_to_o(tmp_path, songs, genre_artist, capsysbinary, argv):
+    from aakit import symmetrize
+
+    files = {
+        "csv": str(DATA_DIR / "songs.csv"),
+        "genres": write_aat(tmp_path / "g.aat", genre_artist),
+        "songs": write_aat(tmp_path / "songs.aat", songs),
+        "a": write_aat(tmp_path / "a.aat", aa({("r", "c"): 2.0, ("r", "d"): 1.0})),
+        "b": write_aat(tmp_path / "b.aat", aa({("c", "z"): 3.0, ("d", "z"): 1.0, ("r", "c"): 4.0})),
+        "sym": write_aat(tmp_path / "sym.aat", symmetrize(genre_artist)),
+        "m": write_aat(tmp_path / "m.aat", aa({("a", "x"): 1.0, ("a", "y"): 2.0, ("b", "x"): 2.0, ("b", "y"): 4.0})),
+        "table": str(tmp_path / "table"),
+    }
+    assert run(["store", "init", files["table"]]) == run(["store", "insert", files["table"], files["songs"]]) == 0
+    capsysbinary.readouterr()
+    argv = [arg.format(**files) for arg in argv]
+    out = tmp_path / "out"
+    assert run([*argv, "-o", str(out)]) == 0
+    assert capsysbinary.readouterr() == (b"", b"")
+    assert out.read_bytes().count(b"\n") > 1  # more than a header
+    assert run(argv) == 0
+    assert capsysbinary.readouterr() == (out.read_bytes(), b"")
+
+
+def test_a_command_that_reports_prints_only_its_line(tmp_path, genre_artist, capsys):
+    g = write_aat(tmp_path / "g.aat", genre_artist)
+    table = str(tmp_path / "table")
+    for argv, line in [
+        (["pattern", "perm", g], "false\n"),
+        (["pattern", "clique", g], "false\n"),
+        (["rank", g], "2\n"),
+        (["store", "init", table], ""),
+        (["store", "insert", table, g], "records 4\n"),
+        (["store", "delete", table, g], "tombstones 4\n"),
+        (["store", "compact", table], "segments 2 -> 0\n"),
+    ]:
+        assert run(argv) == 0
+        assert capsys.readouterr() == (line, "")
 
 
 # -- store -------------------------------------------------------------------

@@ -628,13 +628,15 @@ def test_torn_tail_warning_names_the_caller_of_open(tmp_path):
     with open_store(root) as st:
         st.insert(aa({("a", "x"): 1.0}))
         newest = root / st.segments[-1]
-    newest.write_bytes(newest.read_bytes()[:-2])
-    for read_only in (True, False):  # the reader leaves the torn line for the writer to cut
-        with pytest.warns(RuntimeWarning, match="truncated") as record:
-            TableStore.open(root, read_only=read_only).close()
-        assert record[0].filename == __file__
-        assert linecache.getline(__file__, record[0].lineno).strip() == (
-            "TableStore.open(root, read_only=read_only).close()")
+    torn = newest.read_bytes()[:-2]
+    for opener in (TableStore.open, open_store):  # open_store is the README's spelling
+        newest.write_bytes(torn)
+        for read_only in (True, False):  # the reader leaves the torn line for the writer to cut
+            with pytest.warns(RuntimeWarning, match="truncated") as record:
+                opener(root, read_only=read_only).close()
+            assert record[0].filename == __file__
+            assert linecache.getline(__file__, record[0].lineno).strip() == (
+                "opener(root, read_only=read_only).close()")
 
 
 def test_read_only_open_leaves_torn_tail_on_disk(tmp_path):
