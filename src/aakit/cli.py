@@ -6,6 +6,8 @@ the result, which ``run`` writes as canonical triple bytes to -o or
 standard output.  A command that reports a line prints it and returns
 None.  Exit status 0 on success, 1 on any input or computation error
 (one-line diagnostic on stderr), 2 for unknown subcommands or bad usage.
+A library warning, such as a torn segment tail, is one
+``aakit: warning: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from pathlib import Path
 
 from . import algebra, analysis, graph, patterns
@@ -269,13 +272,15 @@ def run(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        result = args.handler(args)  # an array to write, or None once the handler has printed its line
-        if result is not None:
-            _emit(result, args.output)
-    except Exception as exc:  # CLI boundary: every library error becomes exit 1
-        print(f"aakit: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # a library warning is one stderr line, printed as it is raised
+        warnings.showwarning = lambda message, *_: print(f"aakit: warning: {message}", file=sys.stderr)
+        try:
+            result = args.handler(args)  # an array to write, or None once the handler has printed its line
+            if result is not None:
+                _emit(result, args.output)
+        except Exception as exc:  # CLI boundary: every library error becomes exit 1
+            print(f"aakit: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -53,7 +53,8 @@ def bfs(arr: AssociativeArray, sources: Iterable[str], steps: int) -> Associativ
     restricted to keys present in the array on either axis: a row key, or a
     column key found by bisecting the cached ``col_keys``.  Each step is
     ``arrayprod`` of the frontier with the array under a pass-through
-    semiring (text values pass unchanged), followed by logical().
+    semiring (text values pass unchanged), followed by logical(); the
+    walk stops early once a step returns its own frontier.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps!r}")
@@ -61,5 +62,8 @@ def bfs(arr: AssociativeArray, sources: Iterable[str], steps: int) -> Associativ
     frontier = AssociativeArray._from_clean({"front": {s: 1.0 for s in sources if s in rows or (
         isinstance(s, str) and bisect_left(cols, s) < bisect_right(cols, s))}})
     for _ in range(steps):
-        frontier = arrayprod(frontier, arr, _SECOND).logical()
+        nxt = arrayprod(frontier, arr, _SECOND).logical()
+        if nxt == frontier:  # a fixed point (the empty frontier too) repeats at every later step
+            break
+        frontier = nxt
     return frontier

@@ -291,3 +291,13 @@ def test_eigen_rejects_bad_arguments():
         dominant_eigenpair(ident, tol=-1.0)
     with pytest.raises(ValueError):
         dominant_eigenpair(ident, maxiter=0)
+
+
+def test_eigen_maxiter_bounds_the_steps():
+    arr = aa({("a", "a"): 2.0, ("b", "b"): 1.0})
+    k = dominant_eigenpair(arr).iterations
+    assert k >= 2
+    assert dominant_eigenpair(arr, maxiter=k).iterations == k
+    with pytest.raises(NotConvergedError) as info:
+        dominant_eigenpair(arr, maxiter=k - 1)
+    assert info.value.estimate.iterations == k - 1

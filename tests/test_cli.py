@@ -2,6 +2,7 @@ import errno
 import fcntl
 import io
 import os
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from aakit import ALL, AssociativeArray, KeyPrefix, KeyRange, KeySet, dominant_e
 from aakit.cli import parse_keyspec, run
 from aakit.io import read_triples, write_triples
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, GOLDEN_DIR
 from helpers import child_env
 
 
@@ -71,6 +72,39 @@ def test_ingest_to_stdout(tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == b"%aa-triples 1\nr\tc\tn\t2\n"
 
 
+# A sorted, screened file reads back to its own bytes.  An unsorted one goes
+# through the builder, which sorts and drops a fold to 0, a -0, an empty text
+# and the smaller repeat.
+@pytest.mark.parametrize("data,want", [
+    *((path.read_bytes(),) * 2 for path in [DATA_DIR / "genre_artist.aat", *sorted(GOLDEN_DIR.glob("*.aat"))]),
+    (b"%aa-triples 1\nb\ty\tn\t2\na\tx\tn\t-1\nb\tx\tt\t\na\tx\tn\t0\na\ty\tn\t-0\na\tz\tt\thi\nb\ty\tn\t1\n",
+     b"%aa-triples 1\na\tz\tt\thi\nb\ty\tn\t2\n"),
+], ids=["genre_artist", *(path.stem for path in sorted(GOLDEN_DIR.glob("*.aat"))), "unsorted"])
+def test_ingest_of_triples_writes_canonical_bytes(tmp_path, data, want):
+    src, out = tmp_path / "in.aat", tmp_path / "out.aat"
+    src.write_bytes(data)
+    assert run(["ingest", "--format", "triples", str(src), "-o", str(out)]) == 0
+    assert out.read_bytes() == want
+
+
+def test_a_file_of_many_pieces_is_written_alike_and_reads_back_to_itself(tmp_path, capsysbinary):
+    # About 200,000 unsorted lines, with repeated cells, span many of the reader's and the writers' pieces.
+    rng = random.Random(25)
+    lines = ["%aa-triples 1"]
+    for _ in range(200000):
+        r, c = rng.randrange(4000), rng.randrange(300)
+        value = f"n\t{rng.randrange(100)}" if rng.random() < 0.8 else f"t\tw {rng.randrange(50)}"
+        lines.append(f"r{r}\tc{c}\t{value}")
+    src, out, again, dot = (tmp_path / name for name in ("in.aat", "out.aat", "again.aat", "out.dot"))
+    src.write_text("\n".join(lines) + "\n")
+    for argv, file in [(["ingest", "--format", "triples", str(src)], out), (["export-dot", str(out)], dot)]:
+        assert run([*argv, "-o", str(file)]) == run(argv) == 0
+        assert capsysbinary.readouterr() == (file.read_bytes(), b"")
+    assert out.read_bytes().count(b"\n") > 150000
+    assert run(["ingest", "--format", "triples", str(out), "-o", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
+
+
 def test_ingest_missing_file_is_exit_1(tmp_path, capsys):
     assert run(["ingest", str(tmp_path / "nope.csv")]) == 1
     err = capsys.readouterr().err
@@ -123,6 +157,37 @@ def test_malformed_input_file_names_itself(tmp_path, capsys):
     ]:
         assert run(argv) == 1
         assert capsys.readouterr().err == f"aakit: {path}: {message}\n"
+
+
+H = "%aa-triples 1\n"
+PATTERN = H + "x\tk1\tn\t1\nx\tk2\tn\t1\ny\tk2\tn\t1\n"
+KEYS = H + "k1\tp\tn\t1\nk2\tp\tn\t1\nk2\tq\tn\t1\n"
+NUMS = H + "a\tx\tn\t1\nb\ty\tn\t2\n"
+MORE = H + "a\tx\tn\t3\nc\tz\tn\t4\n"
+KEYED_T = H + "a\tt\tn\t1\nt\tt\tn\t2\n"  # a numeric column keyed t is no text
+SONGS = (GOLDEN_DIR / "songs.aat").read_text()
+
+
+@pytest.mark.parametrize("kind,a,b,semiring,out,err", [
+    # Two patterns under arith count the middle keys a row and a column share; a 2 in a takes the general fold.
+    ("prod", PATTERN, KEYS, "arith", H + "x\tp\tn\t2\nx\tq\tn\t1\ny\tp\tn\t1\ny\tq\tn\t1\n", ""),
+    ("prod", PATTERN.replace("k1\tn\t1", "k1\tn\t2"), KEYS, "arith",
+     H + "x\tp\tn\t3\nx\tq\tn\t1\ny\tp\tn\t1\ny\tq\tn\t1\n", ""),
+    ("prod", PATTERN, KEYS, "maxplus", H + "x\tp\tn\t2\nx\tq\tn\t2\ny\tp\tn\t2\ny\tq\tn\t2\n", ""),
+    ("add", NUMS, MORE, "maxplus", H + "a\tx\tn\t3\nb\ty\tn\t2\nc\tz\tn\t4\n", ""),
+    ("add", KEYED_T, KEYED_T, "maxplus", KEYED_T, ""),
+    # A file whose only text record is its last is not marked text-free, so maxplus refuses it.
+    ("add", NUMS, MORE + "d\tw\tt\tword\n", "maxplus", "",
+     "aakit: semiring 'maxplus' is numeric-only but right operand holds text at ('d', 'w')\n"),
+    ("add", SONGS, SONGS, "arith", "",
+     "aakit: semiring 'arith' is numeric-only but left operand holds text at ('053013ktnA1', 'Artist')\n"),
+])
+def test_op_writes_exact_bytes_or_names_the_first_text_cell(tmp_path, capsys, kind, a, b, semiring, out, err):
+    paths = [tmp_path / "a.aat", tmp_path / "b.aat"]
+    for path, text in zip(paths, (a, b)):
+        path.write_text(text)
+    assert run(["op", kind, *map(str, paths), "--semiring", semiring]) == (1 if err else 0)
+    assert capsys.readouterr() == (out, err)
 
 
 def test_op_unknown_semiring_is_exit_1(tmp_path, capsys):
@@ -249,6 +314,13 @@ def test_eigen_command_exact_lambda_line(tmp_path, capsys):
     assert vec.get("a", "v1") == pytest.approx(1.0, abs=1e-6)
 
 
+def test_eigen_command_normalizes_an_iterate_past_the_float_range(tmp_path, capsys):
+    src = tmp_path / "big.aat"
+    src.write_bytes(b"%aa-triples 1\na\ta\tn\t1e160\n")
+    assert run(["eigen", str(src)]) == 0
+    assert capsys.readouterr() == ("lambda 1e+160\niterations 1\nresidual 0\n", "")
+
+
 def test_eigen_tie_is_exit_1(tmp_path, capsys):
     src = write_aat(tmp_path / "tie.aat", aa({("a", "b"): 1.0, ("b", "a"): 1.0}))
     assert run(["eigen", src, "--maxiter", "50"]) == 1
@@ -272,11 +344,14 @@ ARRAY_COMMANDS = [
     ["ingest", "{csv}"],
     ["ingest", "{genres}", "--format", "triples"],
     *(["op", kind, "{a}", "{b}"] for kind in ("add", "mult", "prod", "mask", "delete")),
+    ["op", "add", "{genres}", "{genres}"],
     ["select", "{songs}", "--cols", "set:Artist,Genre"],
     ["degree", "{songs}", "--axis", "col"],
     ["correlate", "{songs}", "--logical"],
     ["bfs", "{sym}", "--sources", "Kitten", "--steps", "1"],
+    ["bfs", "{genres}", "--sources", "Electronic", "--steps", "1"],
     ["nullspace", "{m}"],
+    ["nullspace", "{genres}"],
     ["export-dot", "{genres}"],
     ["store", "select", "{table}", "--rows", "prefix:0"],
 ]
@@ -343,6 +418,69 @@ def test_store_lifecycle(tmp_path, capsys):
     assert load_aat(out) == aa({("b", "y"): 2.0})
     assert run(["store", "compact", table]) == 0
     assert capsys.readouterr().out == "segments 2 -> 1\n"
+
+
+def test_a_file_round_trips_through_the_store_to_its_own_bytes(tmp_path, capsysbinary):
+    # Before and after a compaction; its deletion then compacts the table to nothing.
+    table, file = str(tmp_path / "t"), DATA_DIR / "genre_artist.aat"
+    for argv, out in [
+        (["store", "init", table], b""),
+        (["store", "insert", table, str(file)], b"records 4\n"),
+        (["store", "select", table], file.read_bytes()),
+        (["store", "compact", table], b"segments 1 -> 1\n"),
+        (["store", "select", table], file.read_bytes()),
+        (["store", "delete", table, str(file)], b"tombstones 4\n"),
+        (["store", "compact", table], b"segments 2 -> 0\n"),
+        (["store", "select", table], b"%aa-triples 1\n"),
+    ]:
+        assert run(argv) == 0
+        assert capsysbinary.readouterr() == (out, b"")
+
+
+def test_store_select_writes_what_select_writes_from_the_whole_table(tmp_path, capsys):
+    table, whole, got, want = str(tmp_path / "t"), tmp_path / "whole.aat", tmp_path / "got.aat", tmp_path / "want.aat"
+    specs = [["--cols", "set:Artist,Genre"], ["--cols", "prefix:D"], ["--cols", "range:Date..Genre"],
+             # rows of both segments, with unselected rows between them
+             ["--rows", "set:053013ktnA1,082812ktnA1,Pop"],
+             ["--rows", "set:053013ktnA1,082812ktnA1,Pop", "--cols", "set:Artist,Genre"],
+             ["--rows", "range:063012ktnA1..Pop"]]
+    assert run(["store", "init", table]) == 0
+    for batch in (GOLDEN_DIR / "songs.aat", DATA_DIR / "genre_artist.aat"):
+        assert run(["store", "insert", table, str(batch)]) == 0
+    for compacted in (False, True):
+        if compacted:
+            capsys.readouterr()
+            assert run(["store", "compact", table]) == 0
+            assert capsys.readouterr().out == "segments 2 -> 1\n"
+        assert run(["store", "select", table, "-o", str(whole)]) == 0
+        for spec in specs:
+            assert run(["store", "select", table, *spec, "-o", str(got)]) == 0
+            assert run(["select", str(whole), *spec, "-o", str(want)]) == 0
+            assert got.read_bytes() == want.read_bytes()
+
+
+def test_a_store_select_of_a_numeric_column_beside_text_adds_under_maxplus(tmp_path, capsys):
+    table, n1, sel, total = (str(tmp_path / name) for name in ("t", "n1.aat", "sel.aat", "sum.aat"))
+    n1_bytes = b"%aa-triples 1\n053013ktnA1\tn1\tn\t1\n053013ktnA2\tn1\tn\t2\n"
+    (tmp_path / "n1.aat").write_bytes(n1_bytes)
+    for argv in (["store", "init", table], ["store", "insert", table, str(GOLDEN_DIR / "songs.aat")],
+                 ["store", "insert", table, n1], ["store", "select", table, "--cols", "set:n1", "-o", sel],
+                 ["op", "add", sel, sel, "--semiring", "maxplus", "-o", total]):
+        assert run(argv) == 0
+    assert (tmp_path / "sel.aat").read_bytes() == (tmp_path / "sum.aat").read_bytes() == n1_bytes
+
+
+@pytest.mark.filterwarnings("default")  # the warning must reach run even where warnings are errors
+def test_a_torn_tail_is_one_warning_line(tmp_path, capsysbinary):
+    table, file = tmp_path / "t", DATA_DIR / "genre_artist.aat"
+    assert run(["store", "init", str(table)]) == run(["store", "insert", str(table), str(file)]) == 0
+    segment = table / "seg-00000001.aat"
+    segment.write_bytes(segment.read_bytes()[:-2])
+    capsysbinary.readouterr()
+    assert run(["store", "select", str(table)]) == 0
+    assert capsysbinary.readouterr() == (
+        b"".join(file.read_bytes().splitlines(keepends=True)[:-1]),
+        b"aakit: warning: segment seg-00000001.aat: ignoring truncated final line\n")
 
 
 def test_a_store_write_that_fails_exits_1_naming_the_file(tmp_path, monkeypatch, capsys):

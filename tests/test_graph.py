@@ -189,3 +189,16 @@ def test_bfs_refuses_a_bare_str_of_sources():
 def test_bfs_drops_sources_that_are_not_text(genre_artist):
     assert bfs(genre_artist, [7, None, ("Pop",), "Pop"], 0).triples() == [("front", "Pop", 1.0)]
     assert bfs(AssociativeArray(), [7, "", "Pop"], 1) == AssociativeArray()
+
+
+@pytest.mark.parametrize("sources,calls", [(["Nope"], 1), (["a"], 2)], ids=["absent", "self-loop"])
+def test_bfs_stops_at_a_fixed_point(monkeypatch, sources, calls):
+    # Nope: the empty frontier maps to itself; a: {b} maps to itself over b -> b.
+    import aakit.graph
+
+    counted = []
+    monkeypatch.setattr(aakit.graph, "arrayprod", lambda *args: counted.append(1) or arrayprod(*args))
+    arr = AssociativeArray({("a", "b"): 1.0, ("b", "b"): 1.0})
+    front = bfs(arr, sources, 5)
+    assert len(counted) == calls
+    assert front == AssociativeArray({("front", "b"): 1.0} if sources == ["a"] else {})

@@ -167,20 +167,24 @@ def test_degraded_writer_names_the_lock_holder(tmp_path):
         assert st.select() == aa({("a", "x"): 1.0, ("b", "y"): 2.0})
 
 
-@pytest.mark.parametrize("dead", ["empty", "reaped-pid"])
+@pytest.mark.parametrize("dead", ["empty", "reaped-pid", "killed"])
 def test_a_lock_a_dead_writer_left_blocks_no_writer(tmp_path, monkeypatch, capsys, dead):
     root = tmp_path / "t"
     lock = root / "LOCK"
     batch = tmp_path / "b.aat"
     with open(batch, "wb") as f:
         write_triples(aa({("a", "x"): 1.0}), f)
-    open_store(root).close()
-    if dead == "empty":  # a writer killed between creating LOCK and writing its PID
-        text = ""
+    if dead == "killed":  # the writer that made the table is killed with SIGKILL and closes nothing
+        kill = "import os, signal, sys, aakit; aakit.open_store(sys.argv[1]); os.kill(os.getpid(), signal.SIGKILL)"
+        child = subprocess.Popen([sys.executable, "-c", kill, str(root)], env=child_env())
     else:
+        open_store(root).close()
         child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()  # reaped: no process has its PID now
-        text = f"{child.pid}\n"
+    child.wait(timeout=60)  # reaped: no process has its PID now
+    text = "" if dead == "empty" else f"{child.pid}\n"  # empty: killed between creating LOCK and writing its PID
+    if dead == "killed":
+        assert child.returncode == -signal.SIGKILL
+        assert lock.read_text() == text
     truncations = []
     ftruncate = os.ftruncate
     monkeypatch.setattr(os, "ftruncate", lambda fd, n: truncations.append(n) or ftruncate(fd, n))
@@ -190,9 +194,10 @@ def test_a_lock_a_dead_writer_left_blocks_no_writer(tmp_path, monkeypatch, capsy
         assert lock.read_text() == f"{os.getpid()}\n"
     assert truncations == [0]  # whatever LOCK held goes before the PID is written
     lock.write_text(text)
-    assert cli.run(["store", "insert", str(root), str(batch)]) == 0
-    assert capsys.readouterr().out == "records 1\n"
-    assert lock.read_text() == f"{os.getpid()}\n"  # the insert's writer
+    for _ in range(2):  # after the dead writer, and after the first insert's clean close
+        assert cli.run(["store", "insert", str(root), str(batch)]) == 0
+        assert capsys.readouterr().out == "records 1\n"
+        assert lock.read_text() == f"{os.getpid()}\n"  # the insert's writer
 
 
 @pytest.mark.parametrize("lock_text", [None, "not-a-pid\n"], ids=["unreadable", "non-digits"])
