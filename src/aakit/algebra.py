@@ -13,8 +13,8 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable
 
-from .core import (ALL, ARITH, AssociativeArray, Axis, KeySet, Semiring, Value, _is_pattern, _kept, _not_str,
-                   _refuse_text)
+from .core import (ALL, ARITH, AssociativeArray, Axis, KeySet, Semiring, Value, _is_pattern, _kept, _lattice_plus,
+                   _lattice_times, _not_str, _refuse_text)
 
 
 def _require_numeric(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> None:
@@ -29,22 +29,28 @@ def _require_numeric(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> 
 # smallest k wins.  Not in SEMIRINGS: it selects, it does not compute.
 _SECOND = Semiring("second", lambda x, y: x, lambda x, y: y, None, None, False)
 
+# Operations with op(v, v) = v: under one of them, a row that both operands
+# hold with equal content folds to itself.
+_IDEMPOTENT = frozenset((max, min, _lattice_plus, _lattice_times))
+
 
 def eladd(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> AssociativeArray:
     """Entry-wise addition: union of supports, collisions folded with sr.plus.
 
     Walks the sorted union of row keys: a row that only one operand holds
-    is shared as it is, and a row both hold is merged and its collisions
-    folded.  Only folded collisions are screened, and one-sided cells only
-    against a non-empty ``zero``.
+    is shared as it is, and so is a row both hold with equal content when
+    ``plus`` is idempotent (max, min, the lattice's).  Any other row both
+    hold is merged and its collisions folded.  Only folded collisions are
+    screened, and the other cells only against a non-empty ``zero``.
     """
     _require_numeric(a, b, sr)
     plus, zero = sr.plus, sr.zero
+    same = plus in _IDEMPOTENT
     a_rows, b_rows = a._rows, b._rows
     out: dict[str, dict[str, Value]] = {}
     for r in dict.fromkeys(sorted(chain(a_rows, b_rows))):  # one merge of two ascending runs
         ra, rb = a_rows.get(r), b_rows.get(r)
-        if ra is None or rb is None:
+        if ra is None or rb is None or same and ra == rb:
             row = ra or rb
         else:
             row = {**ra, **rb}
@@ -65,20 +71,29 @@ def eladd(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> Associative
 
 
 def elmult(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> AssociativeArray:
-    """Entry-wise multiplication: intersection of supports, values via sr.times."""
+    """Entry-wise multiplication: intersection of supports, values via sr.times.
+
+    Under an idempotent ``times`` (max, min, the lattice's) a row that both
+    operands hold with equal content is shared as it is, less any cell equal
+    to a non-empty ``zero``; every other product is screened by ``_kept``.
+    """
     _require_numeric(a, b, sr)
     times, zero = sr.times, sr.zero
+    same = times in _IDEMPOTENT
     a_rows, b_rows = a._rows, b._rows
     out: dict[str, dict[str, Value]] = {}
     for r, ra in a_rows.items():  # rows ascend, so the output's do too
         if (rb := b_rows.get(r)) is None:
             continue
-        row = {}
-        for c, va in ra.items():
-            if c in rb:
-                v = times(va, rb[c])
-                if _kept(r, c, v, zero):
-                    row[c] = v
+        if same and ra == rb:
+            row = {c: v for c, v in ra.items() if v != zero} if zero else ra
+        else:
+            row = {}
+            for c, va in ra.items():
+                if c in rb:
+                    v = times(va, rb[c])
+                    if _kept(r, c, v, zero):
+                        row[c] = v
         if row:
             out[r] = row
     return AssociativeArray._from_sorted(out)

@@ -210,6 +210,19 @@ def test_elmult_commutative_fuzz():
 # -- element-wise kernels against dict oracles ------------------------------
 
 
+def row_sharing_pairs(rng, a):
+    """Operand pairs that hold rows of ``a`` with equal content, the same dicts or fresh copies.
+
+    Two overlapping row ranges of ``a`` (each also holds rows the other
+    lacks), ``a`` with itself, and ``a`` with an equal array built anew.
+    """
+    rows = a.row_keys
+    lo = rng.randrange(len(rows)) if rows else 0
+    hi = rng.randint(lo + 1, len(rows)) if rows else 0
+    return [(a.subarray(KeySet(rows[:hi]), ALL), a.subarray(KeySet(rows[lo:]), ALL)),
+            (a, a), (a, from_triples(a.triples(), LATTICE))]
+
+
 @pytest.mark.parametrize("sr", EVERY_SEMIRING, ids=lambda sr: sr.name)
 def test_elementwise_kernels_match_dict_oracles(sr):
     rng = random.Random(909)
@@ -219,11 +232,26 @@ def test_elementwise_kernels_match_dict_oracles(sr):
         else:
             a = random_numeric_array(rng, NONZERO, 6, 6, density=rng.random())
             b = random_numeric_array(rng, NONZERO, 6, 6, density=rng.random())
-        for got, want in ((eladd(a, b, sr), eladd_oracle(a, b, sr)),
-                          (elmult(a, b, sr), elmult_oracle(a, b, sr)),
-                          (a.transpose(), transpose_oracle(a))):
-            assert dict(got.items()) == want
-            check_invariants(got)
+        transposed = a.transpose()
+        assert dict(transposed.items()) == transpose_oracle(a)
+        check_invariants(transposed)
+        for x, y in [(a, b), *row_sharing_pairs(rng, a)]:
+            for got, want in ((eladd(x, y, sr), eladd_oracle(x, y, sr)),
+                              (elmult(x, y, sr), elmult_oracle(x, y, sr))):
+                assert dict(got.items()) == want
+                assert triples_bytes(got) == triples_bytes_oracle(want)
+                check_invariants(got)
+
+
+def test_an_idempotent_fold_passes_an_equal_row_through():
+    # max and min (maxmin's plus and times) and the lattice's two operations
+    # give op(v, v) = v, so a row both operands hold with equal content is
+    # the result's row as it is; arith folds it.
+    x = aa({("r", "c"): 2.0, ("r", "d"): 3.0, ("s", "c"): 4.0})
+    for y in (x, from_triples(x.triples(), ARITH)):
+        for op in (eladd, elmult):
+            assert op(x, y, MAXMIN)._rows["r"] is op(x, y, LATTICE)._rows["r"] is x._rows["r"]
+            assert op(x, y, ARITH)._rows["r"] is not x._rows["r"]
 
 
 @pytest.mark.parametrize("op,sr", [(eladd, ARITH), (elmult, MAXPLUS)],
@@ -267,6 +295,9 @@ def test_a_representable_semiring_zero_is_never_stored():
     assert eladd(lone, aa({}), minmax).triples() == []
     assert eladd(aa({}), lone, minmax).triples() == []
     assert eladd(lone, aa({("s", "c"): 1.0}), minmax).triples() == [("s", "c", 1.0)]
+    # so is one that both operands hold in an equal row, which min and max pass through
+    assert eladd(a, a, minmax).triples() == [("r", "d", 2.0)]
+    assert elmult(a, a, minmax).triples() == [("r", "d", 2.0)]
 
 
 # -- mask_select / delete_entries ------------------------------------------

@@ -164,6 +164,7 @@ PATTERN = H + "x\tk1\tn\t1\nx\tk2\tn\t1\ny\tk2\tn\t1\n"
 KEYS = H + "k1\tp\tn\t1\nk2\tp\tn\t1\nk2\tq\tn\t1\n"
 NUMS = H + "a\tx\tn\t1\nb\ty\tn\t2\n"
 MORE = H + "a\tx\tn\t3\nc\tz\tn\t4\n"
+THREE_ROWS = NUMS + "c\tz\tn\t4\n"
 KEYED_T = H + "a\tt\tn\t1\nt\tt\tn\t2\n"  # a numeric column keyed t is no text
 SONGS = (GOLDEN_DIR / "songs.aat").read_text()
 
@@ -176,6 +177,9 @@ SONGS = (GOLDEN_DIR / "songs.aat").read_text()
     ("prod", PATTERN, KEYS, "maxplus", H + "x\tp\tn\t2\nx\tq\tn\t2\ny\tp\tn\t2\ny\tq\tn\t2\n", ""),
     ("add", NUMS, MORE, "maxplus", H + "a\tx\tn\t3\nb\ty\tn\t2\nc\tz\tn\t4\n", ""),
     ("add", KEYED_T, KEYED_T, "maxplus", KEYED_T, ""),
+    # Under max, min and the lattice's operations, equal rows from two loads fold to themselves.
+    ("add", THREE_ROWS, THREE_ROWS, "maxmin", THREE_ROWS, ""),
+    ("mult", SONGS, SONGS, "lattice", SONGS, ""),
     # A file whose only text record is its last is not marked text-free, so maxplus refuses it.
     ("add", NUMS, MORE + "d\tw\tt\tword\n", "maxplus", "",
      "aakit: semiring 'maxplus' is numeric-only but right operand holds text at ('d', 'w')\n"),

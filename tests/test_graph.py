@@ -148,15 +148,16 @@ def test_bfs_matches_set_oracle():
             continue
         keys = sorted(set(arr.row_keys) | set(arr.col_keys)) + ["zz-absent"]
         starts = rng.sample(keys, min(len(keys), rng.randint(1, 2)))
-        k = rng.randint(0, 4)
         edges = {(r, c) for r, c, _ in arr}
         # the undirected view is one more graph for the same oracle
         undirected = symmetrize(arr)
         check_invariants(undirected)
-        for graph, graph_edges in ((arr, edges), (undirected, edges | {(c, r) for r, c in edges})):
-            hit = bfs(graph, starts, k)
-            check_invariants(hit)
-            assert {c for (_, c), _ in hit.items()} == bfs_oracle(graph_edges, starts, k)
+        # up to 3x the vertex count, a walk enters its cycle and goes round it
+        for k in (rng.randint(0, 4), rng.randint(0, 3 * (len(keys) - 1))):
+            for graph, graph_edges in ((arr, edges), (undirected, edges | {(c, r) for r, c in edges})):
+                hit = bfs(graph, starts, k)
+                check_invariants(hit)
+                assert {c for (_, c), _ in hit.items()} == bfs_oracle(graph_edges, starts, k)
 
 
 def test_bfs_sources_of_every_kind_match_the_key_set_rule():
@@ -191,14 +192,27 @@ def test_bfs_drops_sources_that_are_not_text(genre_artist):
     assert bfs(AssociativeArray(), [7, "", "Pop"], 1) == AssociativeArray()
 
 
-@pytest.mark.parametrize("sources,calls", [(["Nope"], 1), (["a"], 2)], ids=["absent", "self-loop"])
-def test_bfs_stops_at_a_fixed_point(monkeypatch, sources, calls):
+SELF_LOOP = [("a", "b"), ("b", "b")]
+TWO_CYCLE = [("a", "b"), ("b", "a")]
+TAILED_THREE_CYCLE = [("t", "a"), ("a", "b"), ("b", "c"), ("c", "a")]
+
+
+@pytest.mark.parametrize("edges,sources,steps,front,calls", [
+    (SELF_LOOP, ["Nope"], 5, [], 1),
+    (SELF_LOOP, ["a"], 5, ["b"], 2),
+    (TWO_CYCLE, ["a"], 10**9, ["a"], 4),
+    (TWO_CYCLE, ["a"], 10**9 + 1, ["b"], 3),
+    (TAILED_THREE_CYCLE, ["t"], 10**9, ["a"], 7),
+    (TAILED_THREE_CYCLE, ["t"], 10**9 + 2, ["c"], 6),
+], ids=["absent", "self-loop", "2-cycle-even", "2-cycle-odd", "3-cycle-tail", "3-cycle-tail-2"])
+def test_bfs_stops_at_a_fixed_point(monkeypatch, edges, sources, steps, front, calls):
     # Nope: the empty frontier maps to itself; a: {b} maps to itself over b -> b.
+    # A longer cycle is found when a frontier equals the saved one; then only
+    # what is left of the last turn is walked.
     import aakit.graph
 
     counted = []
     monkeypatch.setattr(aakit.graph, "arrayprod", lambda *args: counted.append(1) or arrayprod(*args))
-    arr = AssociativeArray({("a", "b"): 1.0, ("b", "b"): 1.0})
-    front = bfs(arr, sources, 5)
+    arr = AssociativeArray({edge: 1.0 for edge in edges})
+    assert bfs(arr, sources, steps) == AssociativeArray({("front", v): 1.0 for v in front})
     assert len(counted) == calls
-    assert front == AssociativeArray({("front", "b"): 1.0} if sources == ["a"] else {})
