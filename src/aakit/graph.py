@@ -55,10 +55,9 @@ def bfs(arr: AssociativeArray, sources: Iterable[str], steps: int) -> Associativ
     ``arrayprod`` of the frontier with the array under a pass-through
     semiring (text values pass unchanged), followed by logical().  Once a
     frontier repeats, the walk is periodic and whole periods are skipped: a
-    fixed point (a step that returns its own frontier) stops it at once, and
-    a longer cycle is found by comparing each frontier with the one saved at
-    the last of steps 0, 1, 3, 7, 15, ... (Brent's cycle detection), so the
-    walk holds O(1) frontiers.
+    cycle of any period (1 for a fixed point) is found by comparing each
+    frontier with the one saved at the last of steps 0, 1, 3, 7, 15, ...
+    (Brent's cycle detection), so the walk holds O(1) frontiers.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps!r}")
@@ -68,8 +67,6 @@ def bfs(arr: AssociativeArray, sources: Iterable[str], steps: int) -> Associativ
     saved, saved_at = frontier, 0
     for k in range(1, steps + 1):
         nxt = arrayprod(frontier, arr, _SECOND).logical()
-        if nxt == frontier:  # a fixed point (the empty frontier too) repeats at every later step
-            break
         if nxt == saved:  # the walk repeats every k - saved_at steps: walk the rest of the last turn
             return bfs(arr, nxt.col_keys, (steps - k) % (k - saved_at))
         if k == 2 * saved_at + 1:  # saved moves at steps 1, 3, 7, 15, ...

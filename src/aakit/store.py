@@ -29,10 +29,10 @@ up to the last complete line.  That gives readers snapshot isolation at
 manifest granularity even across a concurrent compaction.  Open checks
 only each segment's framing; records are parsed by the command that
 uses them.  A select parses each segment in one ``io`` call over the
-spans of its row spec's key intervals (every line for a spec without
-intervals), which drops the lines of columns the column spec refuses and
-checks and folds the rest by the segment rules; the fold's ``subarray``
-then applies the row spec.
+spans of its row spec's key intervals, which drops the lines of columns
+the column spec refuses and checks and folds the rest by the segment
+rules.  Those spans hold exactly the spec's rows; for a spec without
+intervals every line is read, and the fold's ``subarray`` picks the rows.
 """
 
 from __future__ import annotations
@@ -210,9 +210,10 @@ class TableStore:
     def select(self, rows: KeySpec = ALL, cols: KeySpec = ALL) -> AssociativeArray:
         """Materialize live content filtered by the key specs: the stored table's subarray.
 
-        One parse call reads each segment on the row spec's key intervals (whole
-        for a spec without intervals); the fold's ``subarray`` picks the rows.
-        Only the records of the selected columns are checked and folded.
+        One parse call reads each segment on the row spec's key intervals, which
+        hold exactly its rows; a spec without intervals reads the whole segment,
+        and the fold's ``subarray`` picks the rows.  Only the records of the
+        selected columns are checked and folded.
         It is marked text-free when the parse kept no text record.
         """
         self._require_open()
@@ -227,7 +228,8 @@ class TableStore:
             except FormatError as exc:
                 raise StoreError(f"segment {name}: {exc}") from None
         # The parser checked each value; the builder only sorts and drops tombstones (None) and empties.
-        return AssociativeArray._from_clean(fold, numeric=numeric).subarray(rows, ALL)
+        table = AssociativeArray._from_clean(fold, numeric=numeric)
+        return table if intervals is not None else table.subarray(rows, ALL)
 
     @property
     def segments(self) -> tuple[str, ...]:

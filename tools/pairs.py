@@ -21,13 +21,14 @@ pair's digests equal; and per metric each side's values and quartiles
 change is better, the median change and the parent's spread between
 quartiles, both in percent of the parent's median.
 
-``--claim W:METRIC`` adds the verdict of the claim rule: "met" when the
-change is better in at least 9 of 10 pairs (the same share of any other
-count), its median is better than the parent's by more than the parent's
-spread, every run was correct and every pair's digests were equal.  Which
-way is better comes from the change's ``BENCHMARK.json``.  The tool reports
-a verdict; it does not choose what is claimed.  The exit status is 0 when
-every run completed, correct and with equal digests, and 1 otherwise.
+``--claim W:METRIC`` adds the verdict of the claim rule: "met" when at
+least 10 pairs ran, the change is better in at least 9 of 10 pairs (the
+same share of a larger count), its median is better than the parent's by
+more than the parent's spread, every run was correct and every pair's
+digests were equal.  Which way is better comes from the change's
+``BENCHMARK.json``.  The tool reports a verdict; it does not choose what
+is claimed.  The exit status is 0 when every run completed, correct and
+with equal digests, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from pathlib import Path
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work",
                                 ".benchmarks", "*.egg-info", "build")
+MIN_PAIRS = 10  # the claim rule runs at least ten pairs: better in 1 of 1 shows nothing
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -52,9 +54,10 @@ def parse_seeds(text: str) -> list[int]:
     seeds: list[int] = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"no seeds in {text!r}")
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"no seeds in {part!r} of {text!r}")
+        seeds.extend(span)
     return seeds
 
 
@@ -107,7 +110,7 @@ def quartiles(values: list[float]) -> list[float]:
 def summarize(runs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     """The fixed keys for one workload's pairs of (parent, change) runs."""
     metrics = {}
-    for name in runs[0][0]["metrics"]:
+    for name in dict.fromkeys(name for pair in runs for r in pair for name in r["metrics"]):
         parent = [p["metrics"].get(name, math.nan) for p, _ in runs]
         change = [c["metrics"].get(name, math.nan) for _, c in runs]
         sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
@@ -130,12 +133,13 @@ def summarize(runs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
 
 
 def verdict(summary: dict, metric: str) -> dict:
-    """The claim rule on one workload's metric: better in 9 of 10 pairs and beyond the parent's spread."""
+    """The claim rule on one workload's metric: 10 pairs or more, better in 9 of 10 and beyond the spread."""
     m = summary["metrics"].get(metric)
     if m is None:
         return {"verdict": "not met", "why": [f"fails: no metric {metric!r} in the runs"]}
     change = m["median_change_pct"] * (-1 if m["better"] == "higher" else 1)
     checks = {
+        f"{summary['pairs']} pairs (needs at least {MIN_PAIRS})": summary["pairs"] >= MIN_PAIRS,
         f"better in {m['pairs_better']} of {summary['pairs']} pairs (needs 9 in 10)":
             10 * m["pairs_better"] >= 9 * summary["pairs"],
         f"median {m['median_change_pct']:+.2f}% against a parent spread of {m['parent_spread_pct']:.2f}%":
