@@ -9,17 +9,17 @@ LF-framed, one record per line::
 
 Numbers are rendered in their shortest round-trip decimal form, records
 sort by (row, col), so equal arrays serialize to identical bytes.  Writers
-walk row dicts and encode pieces of about ``_PIECE`` bytes cut at row ends;
-the record parser decodes pieces cut after an LF, folds them into row dicts
-and reports sorted input and whether it kept a text record: a load whose
-parse kept none marks its array text-free.  A call converts each distinct
-number once until ``_CACHE_SIZE`` are cached.
+walk row dicts and encode pieces of about ``_PIECE`` bytes cut at row ends.
+One record parser call reads a triple file, or all of a table's segments,
+decoding pieces cut after an LF, and returns the array, text-free when it
+kept no text record.  A read converts each distinct number once until
+``_CACHE_SIZE`` are cached.
 
 The store's segment and MANIFEST bytes are this module's too.  The magic
 line picks ``parse_record_lines``' rules: a segment's tag "x" marks a
 tombstone and its cells strictly ascend in (row, col) order.  ``row_spans``
 bisects sorted record lines for each key interval's span, and one parse
-reads them all.
+reads every segment's spans.
 """
 
 from __future__ import annotations
@@ -184,93 +184,102 @@ def record_span(data: bytes, magic: str, *, lenient_tail: bool = False) -> tuple
     return start, end, truncated
 
 
-def parse_record_lines(data: bytes, spans: Iterable[tuple[int, int]], into: dict[str, dict[str, Value | None]],
-                       cols: Callable[[str], bool] | None = None) -> tuple[bool, bool]:
-    """Fold the LF-framed record lines in each ``data[start:end]`` of ``spans`` into ``into``: row -> column -> value.
+def parse_record_lines(sources: Iterable[tuple[str | None, bytes, Iterable[tuple[int, int]]]],
+                       cols: Callable[[str], bool] | None = None) -> AssociativeArray:
+    """Fold the record lines of each ``(name, data, spans)`` of ``sources``, oldest first, into one array.
 
     ``spans`` are ascending pairs of line starts within the bounds
-    ``record_span`` returned for ``data``, which has already checked framing
-    and magic.  The magic line picks the rules: a triple file's repeated cell
-    combines with ``LATTICE.plus`` in file order; a segment follows the module
-    docstring's rules (a tombstone reads as None), and its record replaces one
-    already in ``into``.  Returns (ordered, numeric): whether ``into`` started
-    empty and the records strictly ascended by (row, col) with no empty value,
-    and whether it kept no text record.  Keys and values pass ``check_key`` and
-    ``check_value``; an error names the first faulty line, numbered from the
-    start of ``data``.  A line whose column ``cols`` (a ``KeySpec.matches``)
-    refuses is split into its four fields, then dropped.  Each span is decoded
-    a piece of about ``_PIECE`` bytes at a time.
+    ``record_span`` returned for ``data``, which has checked framing and
+    magic.  The magic line picks the rules: a triple file's record combines
+    with its cell's fold so far by ``LATTICE.plus``; a segment follows the
+    module docstring's rules, and its record replaces the cell's fold.  Keys
+    and values pass ``check_key`` and ``check_value``; an error names the
+    first faulty line, numbered within its ``data``, after "segment NAME: "
+    unless ``name`` is None (a triple file).  A line whose column ``cols`` (a
+    ``KeySpec.matches``) refuses is split into its four fields, then dropped.
+    The fold is wrapped as it is while every kept record came from one
+    source in strict (row, col) order with no empty value, else sorted and
+    screened; it is marked text-free when no text record was kept.
     """
-    segment = data.startswith(_SEGMENT_HEAD)
-    plus = None if segment else LATTICE.plus
-    # A field that came from strict UTF-8 split on LF and TAB can break the
-    # key and text rules only by being empty (keys) or by holding a CR, and
-    # only the lines of a piece that holds a CR are searched for one.
+    # A field that came from strict UTF-8 split on LF and TAB can break the key and text rules only by being
+    # empty (keys) or by holding a CR, and only the lines of a piece that holds a CR are searched for one.
+    fold: dict[str, dict[str, Value | None]] = {}
     numbers: dict[str, float] = {}  # number texts that passed both checks
-    ordered, numeric, last_row, last_col = not into, True, "", ""  # "" is below every key: keys are non-empty
-    # A piece ends just after an LF, which never occurs inside a UTF-8 sequence.  On a
-    # decoding error, parse the piece's lines before the bad one (an earlier error wins).
-    view, bad_at = memoryview(data), None
-    try:
-        for start, end in spans:
-            while bad_at is None and start < end:  # ``start``: the first line not yet parsed
-                cut = data.find(b"\n", min(start + _PIECE, end) - 1) + 1
-                try:
-                    text = str(view[start:cut], "utf-8")
-                except UnicodeDecodeError as exc:
-                    bad_at = cut = data.rfind(b"\n", 0, start + exc.start) + 1
-                    text = str(view[start:cut], "utf-8")
-                cr = "\r" in text
-                lines = text.split("\n")
-                lines.pop()  # the empty text after the piece's final LF
-                for i, line in enumerate(lines):
+    ordered, numeric, kept = True, True, False  # kept: an earlier source kept a record
+    for name, data, spans in sources:
+        segment = data.startswith(_SEGMENT_HEAD)
+        plus = None if segment else LATTICE.plus
+        where = "" if name is None else f"segment {name}: "  # an error's prefix
+        ordered = ordered and not (kept and plus)  # the fold may hold a cell this file repeats
+        last_row, last_col = "", ""  # "" is below every key: keys are non-empty
+        # A piece ends just after an LF, which never occurs inside a UTF-8 sequence.  On a
+        # decoding error, parse the piece's lines before the bad one (an earlier error wins).
+        view, bad_at = memoryview(data), None
+        try:
+            for start, end in spans:
+                while bad_at is None and start < end:  # ``start``: the first line not yet parsed
+                    cut = data.find(b"\n", min(start + _PIECE, end) - 1) + 1
                     try:
-                        row, col, tag, valtext = line.split("\t", 3)
-                    except ValueError:
-                        raise FormatError("expected 4 tab-separated fields") from None
-                    if cols is not None and col and not cols(col):  # an empty column fails as a key below
-                        continue
-                    if not row or not col or cr and "\r" in line:
-                        check_key(row)
-                        check_key(col)
-                    value: Value | None
-                    if tag == "n":
-                        value = numbers.get(valtext)
-                        if value is None:
-                            if not _NUMBER_RE.match(valtext):
-                                raise FormatError(f"unparseable number {valtext!r}")
-                            value = float(valtext)
-                            if not math.isfinite(value):
-                                raise FormatError(f"number {valtext!r} is not finite")
-                            if len(numbers) < _CACHE_SIZE:
-                                numbers[valtext] = value
-                    elif tag == "t":
-                        if cr and "\r" in valtext:
-                            check_value(valtext)
-                        value, numeric = valtext, False
-                    elif tag == "x" and segment:
-                        if valtext != "":
-                            raise FormatError("tombstone carries a payload")
-                        value = None
-                    else:
-                        raise FormatError(f"unknown type tag {tag!r}")
-                    if row != last_row:
-                        ascends, cells, last_row = row > last_row, into.setdefault(row, {}), row
-                    else:
-                        ascends = col > last_col
-                    last_col = col
-                    if not (ascends and value):
-                        if segment and not ascends:
-                            raise FormatError("record out of (row, col) order")
-                        ordered = False
-                    # While ordered, the cell is new: every record so far ascended into an empty ``into``.
-                    cells[col] = plus(cells[col], value) if not ordered and plus and col in cells else value
-                start = cut
-    except (FormatError, BadKeyError, BadValueError) as exc:
-        raise FormatError(f"line {line_number(data, start) + i}: {exc}") from None
-    if bad_at is not None:
-        raise FormatError(f"line {line_number(data, bad_at)}: not valid UTF-8")
-    return ordered, numeric
+                        text = str(view[start:cut], "utf-8")
+                    except UnicodeDecodeError as exc:
+                        bad_at = cut = data.rfind(b"\n", 0, start + exc.start) + 1
+                        text = str(view[start:cut], "utf-8")
+                    cr = "\r" in text
+                    lines = text.split("\n")
+                    lines.pop()  # the empty text after the piece's final LF
+                    for i, line in enumerate(lines):
+                        try:
+                            row, col, tag, valtext = line.split("\t", 3)
+                        except ValueError:
+                            raise FormatError("expected 4 tab-separated fields") from None
+                        if cols is not None and col and not cols(col):  # an empty column fails as a key below
+                            continue
+                        if not row or not col or cr and "\r" in line:
+                            check_key(row)
+                            check_key(col)
+                        value: Value | None
+                        if tag == "n":
+                            value = numbers.get(valtext)
+                            if value is None:
+                                if not _NUMBER_RE.match(valtext):
+                                    raise FormatError(f"unparseable number {valtext!r}")
+                                value = float(valtext)
+                                if not math.isfinite(value):
+                                    raise FormatError(f"number {valtext!r} is not finite")
+                                if len(numbers) < _CACHE_SIZE:
+                                    numbers[valtext] = value
+                        elif tag == "t":
+                            if cr and "\r" in valtext:
+                                check_value(valtext)
+                            value, numeric = valtext, False
+                        elif tag == "x" and segment:
+                            if valtext != "":
+                                raise FormatError("tombstone carries a payload")
+                            value = None
+                        else:
+                            raise FormatError(f"unknown type tag {tag!r}")
+                        if row != last_row:
+                            ascends, cells, last_row = row > last_row, fold.setdefault(row, {}), row
+                        else:
+                            ascends = col > last_col
+                        last_col = col
+                        if not (ascends and value):
+                            if segment and not ascends:
+                                raise FormatError("record out of (row, col) order")
+                            ordered = False
+                        # While ordered, a triple file's cell is new: the records so far ascended.
+                        cells[col] = plus(cells[col], value) if not ordered and plus and col in cells else value
+                    start = cut
+        except (FormatError, BadKeyError, BadValueError) as exc:
+            raise FormatError(f"{where}line {line_number(data, start) + i}: {exc}") from None
+        if bad_at is not None:
+            raise FormatError(f"{where}line {line_number(data, bad_at)}: not valid UTF-8")
+        if last_row:  # this source kept a record: a second one to do so unorders the fold
+            ordered, kept = ordered and not kept, True
+    text = lines = None  # free the last piece, which would otherwise add to the wrap's peak memory
+    if ordered:
+        return AssociativeArray._from_sorted(fold, numeric)
+    return AssociativeArray._from_clean(fold, numeric=numeric)
 
 
 def row_spans(data: bytes, intervals: list[tuple[str, str | None]]) -> Iterator[tuple[int, int]]:
@@ -324,11 +333,7 @@ def read_triples(source: BinaryIO) -> AssociativeArray:
     """
     data = source.read()
     start, end, _ = record_span(data, TRIPLES_MAGIC)
-    rows: dict[str, dict[str, Value]] = {}
-    ordered, numeric = parse_record_lines(data, [(start, end)], rows)
-    if ordered:
-        return AssociativeArray._from_sorted(rows, numeric)
-    return AssociativeArray._from_clean(rows, numeric=numeric)
+    return parse_record_lines([(None, data, [(start, end)])])
 
 
 def encode_lines(lines: list[str]) -> bytes:

@@ -19,20 +19,20 @@ whether it exists says nothing: only the flock decides who writes, and a
 LOCK that an earlier writer left, empty or not, blocks no later writer.
 
 This module owns the files, the LOCK, the MANIFEST's list of segment
-names, each handle's snapshot and the fold.  ``io`` owns the bytes: it
-frames and writes every file here, parses segment record lines and checks
-their rules, and finds the lines of a row interval.
+names and each handle's snapshot.  ``io`` owns the bytes and the fold: it
+frames and writes every file here, parses segment record lines, checks
+their rules and folds them, and finds the lines of a row interval.
 
 A handle reads the bytes of every listed segment at open and keeps them
 as its snapshot: each segment's name, oldest first, mapped to its bytes
 up to the last complete line.  That gives readers snapshot isolation at
 manifest granularity even across a concurrent compaction.  Open checks
 only each segment's framing; records are parsed by the command that
-uses them.  A select parses each segment in one ``io`` call over the
+uses them.  A select parses every segment in one ``io`` call over the
 spans of its row spec's key intervals, which drops the lines of columns
-the column spec refuses and checks and folds the rest by the segment
-rules.  Those spans hold exactly the spec's rows; for a spec without
-intervals every line is read, and the fold's ``subarray`` picks the rows.
+the column spec refuses, checks and folds the rest by the segment rules
+and returns the array.  Those spans hold exactly the spec's rows; for a
+spec without intervals every line is read, and ``subarray`` picks the rows.
 """
 
 from __future__ import annotations
@@ -210,25 +210,19 @@ class TableStore:
     def select(self, rows: KeySpec = ALL, cols: KeySpec = ALL) -> AssociativeArray:
         """Materialize live content filtered by the key specs: the stored table's subarray.
 
-        One parse call reads each segment on the row spec's key intervals, which
-        hold exactly its rows; a spec without intervals reads the whole segment,
-        and the fold's ``subarray`` picks the rows.  Only the records of the
-        selected columns are checked and folded.
-        It is marked text-free when the parse kept no text record.
+        One parse call reads every segment, oldest first, on the row spec's key
+        intervals, which hold exactly its rows; a spec without intervals reads
+        whole segments, and the array's ``subarray`` picks the rows.  Only the
+        records of the selected columns are checked and folded.
         """
         self._require_open()
         intervals = rows.intervals()
         read = ALL.intervals() if intervals is None else intervals
         keep_col = None if isinstance(cols, AllKeys) else cols.matches
-        fold: dict[str, dict[str, Value | None]] = {}
-        numeric = True
-        for name, data in self._snapshot.items():
-            try:
-                numeric &= parse_record_lines(data, row_spans(data, read), fold, keep_col)[1]
-            except FormatError as exc:
-                raise StoreError(f"segment {name}: {exc}") from None
-        # The parser checked each value; the builder only sorts and drops tombstones (None) and empties.
-        table = AssociativeArray._from_clean(fold, numeric=numeric)
+        try:
+            table = parse_record_lines(((n, d, row_spans(d, read)) for n, d in self._snapshot.items()), keep_col)
+        except FormatError as exc:
+            raise StoreError(str(exc)) from None
         return table if intervals is not None else table.subarray(rows, ALL)
 
     @property

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from aakit import ARITH, LATTICE, from_triples
+from aakit import ARITH, LATTICE, AssociativeArray, from_triples
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
@@ -46,6 +46,16 @@ def songs():
 @pytest.fixture
 def genre_artist():
     return from_triples(GENRE_ARTIST_TRIPLES, ARITH)
+
+
+@pytest.fixture
+def cleans(monkeypatch):
+    """The rows passed to each ``AssociativeArray._from_clean`` call, which sorts and screens them, in call order."""
+    calls = []
+    clean = AssociativeArray._from_clean
+    monkeypatch.setattr(AssociativeArray, "_from_clean",
+                        staticmethod(lambda rows, *rest, **kwargs: calls.append(rows) or clean(rows, *rest, **kwargs)))
+    return calls
 
 
 # -- acceptance checklist ----------------------------------------------------

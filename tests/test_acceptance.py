@@ -274,14 +274,14 @@ def test_store_equivalence_and_crash(tmp_path):
             for _ in range(rng.randint(2, 4)):
                 st.insert(random_batch())
             names = st.segments
-        rows: dict = {}
+        sources = []
         for name in names:
             data = (root / name).read_bytes()
             start, end, _ = record_span(data, SEGMENT_MAGIC)
             if name == names[-1]:
                 end = data.rfind(b"\n", 0, end - 1) + 1  # the record the crash destroys
-            parse_record_lines(data, [(start, end)], rows)
-        folded = {(r, c): v for r, row in rows.items() for c, v in row.items()}
+            sources.append((name, data, [(start, end)]))
+        folded = dict(parse_record_lines(sources).items())
         data = (root / names[-1]).read_bytes()
         last_line_len = len(data.rsplit(b"\n", 2)[1]) + 1
         (root / names[-1]).write_bytes(data[:-rng.randint(1, last_line_len)])

@@ -352,7 +352,7 @@ def test_value_caches_past_their_size_match_the_format_oracles(monkeypatch, cach
         start, end, _ = record_span(data, "%aa-seg 1")
         folded = fold_span(data, start, end)
         assert [(r, c, v) for r, row in folded.items() for c, v in row.items()] == sorted(
-            (r, c, v) for (r, c), v in cells.items())
+            (r, c, v) for (r, c), v in cells.items() if v is not None)  # a tombstone deletes its cell
 
 
 @pytest.mark.parametrize("cache_size", [None, 0, 1])
@@ -480,11 +480,16 @@ def test_record_span_lenient_tail():
     assert fold_span(data, start, end) == {"a": {"b": 1.0}}
 
 
-def test_parse_record_lines_tombstones():
+def test_parse_record_lines_tombstones(cleans):
     data = b"%aa-seg 1\na\tb\tx\t\n"
     start, end, truncated = record_span(data, "%aa-seg 1")
-    assert fold_span(data, start, end) == {"a": {"b": None}}
+    assert fold_span(data, start, end) == {}
+    assert cleans == [{"a": {"b": None}}]  # the tombstone folds as None, which the builder drops
     assert not truncated
+    # A tombstone deletes the cell an older segment holds.
+    older = b"%aa-seg 1\na\tb\tn\t1\na\tc\tn\t2\n"
+    got = parse_record_lines([("o", older, [record_span(older, "%aa-seg 1")[:2]]), ("n", data, [(start, end)])])
+    assert got._rows == {"a": {"c": 2.0}}
 
 
 def test_parse_record_lines_tombstone_payload_rejected():
@@ -532,31 +537,34 @@ def test_parse_record_lines_errors_name_the_line(data, message):
         if data.startswith(b"%aa-triples 1\n"):  # the same error when column "z" is dropped
             start, end, _ = record_span(data, "%aa-triples 1")
             with pytest.raises(FormatError) as exc:
-                parse_record_lines(data, [(start, end)], {}, lambda col: col != "z")
+                parse_record_lines([(None, data, [(start, end)])], lambda col: col != "z")
             assert str(exc.value) == message
 
 
-def test_parse_record_lines_drops_refused_columns_unchecked():
+def test_parse_record_lines_drops_refused_columns_unchecked(cleans):
     # The dropped lines of column "z" break the tag, number, tombstone and order
     # rules; rows "a" and "c" hold only such lines and get no row dict.
     data = (b"%aa-seg 1\na\tz\tq\t1\nb\tx\tn\t1\nb\tz\tn\tnope\nb\ty\tt\tv\n"
             b"c\tz\tx\tpayload\nb\tz\tn\t1\nd\tx\tx\t\nd\ty\tn\t2\n")
+    older = b"%aa-seg 1\ne\tx\tn\t3\n"
     start, end, _ = record_span(data, "%aa-seg 1")
     for _ in each_piece_size():
-        into: dict = {"e": {"z": 3.0}}
-        assert parse_record_lines(data, [(start, end)], into, lambda col: col != "z") == (False, False)
-        assert into == {"e": {"z": 3.0}, "b": {"x": 1.0, "y": "v"}, "d": {"x": None, "y": 2.0}}
-        into = {}
-        assert parse_record_lines(data, [(start, end)], into, lambda col: col == "y") == (True, False)
-        assert into == {"b": {"y": "v"}, "d": {"y": 2.0}}
+        cleans.clear()
+        sources = [("o", older, [record_span(older, "%aa-seg 1")[:2]]), (None, data, [(start, end)])]
+        got = parse_record_lines(sources, lambda col: col != "z")
+        assert cleans == [{"e": {"x": 3.0}, "b": {"x": 1.0, "y": "v"}, "d": {"x": None, "y": 2.0}}]
+        assert (got._rows, got._numeric) == ({"b": {"x": 1.0, "y": "v"}, "d": {"y": 2.0}, "e": {"x": 3.0}}, False)
+        got = parse_record_lines([(None, data, [(start, end)])], lambda col: col == "y")
+        assert len(cleans) == 1  # no second call: these records ascend, with no tombstone
+        assert (got._rows, got._numeric) == ({"b": {"y": "v"}, "d": {"y": 2.0}}, False)
+        check_invariants(got)
         with pytest.raises(FormatError, match="line 2: unknown type tag 'q'"):
-            parse_record_lines(data, [(start, end)], {})
+            fold_span(data, start, end)
 
 
 def fold_span(data: bytes, start: int, end: int) -> dict:
-    into: dict = {}
-    parse_record_lines(data, [(start, end)], into)
-    return into
+    """The rows of the array that one parse of ``data[start:end]`` returns."""
+    return parse_record_lines([(None, data, [(start, end)])])._rows
 
 
 def parse_body(body: str, segment: bool) -> dict:
@@ -607,12 +615,11 @@ def test_segment_records_must_strictly_ascend(body, lineno):
         assert parse_body(body.decode(), segment=False) == expected
 
 
-def test_parse_record_lines_reports_a_sorted_screened_file():
+def test_parse_record_lines_wraps_a_sorted_screened_file(cleans):
     data = b"%aa-seg 1\na\tx\tn\t1\na\ty\tt\tv\nb\tw\tn\t2\n"
     start, end, _ = record_span(data, "%aa-seg 1")
-    into: dict = {}
-    assert parse_record_lines(data, [(start, end)], into) == (True, False)
-    assert into == {"a": {"x": 1.0, "y": "v"}, "b": {"w": 2.0}}
+    got = parse_record_lines([("s", data, [(start, end)])])
+    assert (got._rows, got._numeric, cleans) == ({"a": {"x": 1.0, "y": "v"}, "b": {"w": 2.0}}, False, [])
 
 
 @pytest.mark.parametrize("body", [
@@ -622,10 +629,13 @@ def test_parse_record_lines_reports_a_sorted_screened_file():
     "a\tx\tn\t0\na\ty\tn\t2\n",  # a stored zero
     "a\tx\tt\t\na\ty\tn\t2\n",   # an empty text
 ])
-def test_parse_record_lines_reports_unsorted_or_unscreened_records(body):
+def test_parse_record_lines_sorts_and_screens_unsorted_or_unscreened_records(cleans, body):
     data = ("%aa-triples 1\n" + body).encode("utf-8")
     start, end, _ = record_span(data, "%aa-triples 1")
-    assert parse_record_lines(data, [(start, end)], {}) == (False, "\tt\t" not in body)  # an empty text is text too
+    got = parse_record_lines([(None, data, [(start, end)])])
+    assert got._numeric == ("\tt\t" not in body)  # an empty text is text too
+    assert len(cleans) == 1
+    check_invariants(got)
 
 
 def test_parse_record_lines_folds_repeats_in_file_order():
@@ -633,30 +643,31 @@ def test_parse_record_lines_folds_repeats_in_file_order():
         data = b"%aa-triples 1\nr\tc\tn\t2\nr\tc\tn\t5\nr\tc\tn\t3\nr\td\tt\tx\nr\td\tt\ty\n"
         start, end, _ = record_span(data, "%aa-triples 1")
         assert fold_span(data, start, end) == {"r": {"c": 5.0, "d": "y"}}
-        # a segment's record replaces the one already in ``into``: the later record wins
-        into = {"r": {"c": 5.0, "d": "x"}}
+        # a segment's record replaces an older segment's: the later record wins
+        older = b"%aa-seg 1\nr\tc\tn\t5\nr\td\tt\tx\n"
         data = b"%aa-seg 1\nr\tc\tn\t3\nr\td\tt\ty\n"
-        start, end, _ = record_span(data, "%aa-seg 1")
-        assert parse_record_lines(data, [(start, end)], into) == (False, False)
-        assert into == {"r": {"c": 3.0, "d": "y"}}
-        # a cell already in ``into`` combines too, though the records ascend
-        into = {"a": {"x": 4.0}}
+        got = parse_record_lines([("o", older, [record_span(older, "%aa-seg 1")[:2]]),
+                                  ("n", data, [record_span(data, "%aa-seg 1")[:2]])])
+        assert (got._rows, got._numeric) == ({"r": {"c": 3.0, "d": "y"}}, False)
+        # a cell an older source holds combines too, though the file's records ascend
+        older = b"%aa-seg 1\na\tx\tn\t4\n"
         data = b"%aa-triples 1\na\tx\tn\t2\nb\tx\tn\t1\n"
-        start, end, _ = record_span(data, "%aa-triples 1")
-        assert parse_record_lines(data, [(start, end)], into) == (False, True)
-        assert into == {"a": {"x": 4.0}, "b": {"x": 1.0}}
+        got = parse_record_lines([("o", older, [record_span(older, "%aa-seg 1")[:2]]),
+                                  (None, data, [record_span(data, "%aa-triples 1")[:2]])])
+        assert (got._rows, got._numeric) == ({"a": {"x": 4.0}, "b": {"x": 1.0}}, True)
 
 
 @pytest.mark.parametrize("magic", ["%aa-triples 1", "%aa-seg 1"])
 @pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
-def test_parse_record_lines_reports_a_kept_text_record(magic, at):
+def test_parse_record_lines_marks_a_kept_text_record(cleans, magic, at):
     lines = [f"{row}\tx\tn\t{i + 1}" for i, row in enumerate("abc")]
     lines[at] = f"{'abc'[at]}\tz\tt\tword"  # the only text record
     data = encode_lines([magic, *lines])
     start, end, _ = record_span(data, magic)
     for _ in each_piece_size():
-        assert parse_record_lines(data, [(start, end)], {}) == (True, False)
-        assert parse_record_lines(data, [(start, end)], {}, lambda col: col != "z") == (True, True)
+        assert not parse_record_lines([(None, data, [(start, end)])])._numeric
+        assert parse_record_lines([(None, data, [(start, end)])], lambda col: col != "z")._numeric
+        assert cleans == []
 
 
 def test_read_triples_sorted_file_drops_a_stored_zero():
@@ -685,7 +696,7 @@ def line_starts(data: bytes) -> list[int]:
     return [0, *(i + 1 for i, byte in enumerate(data) if byte == ord("\n"))]
 
 
-def test_one_call_over_three_spans_folds_the_union_of_their_lines():
+def test_one_call_over_three_spans_folds_the_union_of_their_lines(cleans):
     lines = [f"{row}\t{col}\tn\t{n}" for n, (row, col) in enumerate([(r, c) for r in "abcd" for c in "xy"], 1)]
     lines[2] = "b\tx\tt\tword"  # file line 4, between the first two spans: the parse keeps no text
     data = encode_lines(["%aa-seg 1", *lines])
@@ -693,11 +704,11 @@ def test_one_call_over_three_spans_folds_the_union_of_their_lines():
     picks = [(2, 4), (5, 6), (7, 10)]  # [first, stop) file lines: 2-3, 5 and 7-9
     union = encode_lines(["%aa-seg 1", *(lines[n - 2] for first, stop in picks for n in range(first, stop))])
     for _ in each_piece_size():
-        into: dict = {}
-        assert parse_record_lines(data, [(at[first - 1], at[stop - 1]) for first, stop in picks], into) == (True, True)
-        want: dict = {}
-        assert parse_record_lines(union, [record_span(union, "%aa-seg 1")[:2]], want) == (True, True)
-        assert into == want == {"a": {"x": 1.0, "y": 2.0}, "b": {"y": 4.0}, "c": {"y": 6.0}, "d": {"x": 7.0, "y": 8.0}}
+        got = parse_record_lines([(None, data, [(at[first - 1], at[stop - 1]) for first, stop in picks])])
+        want = parse_record_lines([(None, union, [record_span(union, "%aa-seg 1")[:2]])])
+        assert got._numeric and want._numeric and cleans == []
+        assert got._rows == want._rows == {
+            "a": {"x": 1.0, "y": 2.0}, "b": {"y": 4.0}, "c": {"y": 6.0}, "d": {"x": 7.0, "y": 8.0}}
 
 
 @pytest.mark.parametrize("fault,message", [
@@ -711,19 +722,20 @@ def test_a_fault_in_a_later_span_names_the_line_a_one_span_call_names(fault, mes
     for _ in each_piece_size():
         for spans in ([(at[1], at[3]), (at[4], at[5])], [(at[4], at[5])]):  # lines 2-3 and the fault, or it alone
             with pytest.raises(FormatError) as exc:
-                parse_record_lines(data, spans, {})
+                parse_record_lines([(None, data, spans)])
             assert str(exc.value) == f"line 5: {message}"
 
 
-def test_records_out_of_order_across_spans_name_the_later_line():
+def test_records_out_of_order_across_spans_name_the_later_line(cleans):
     data = b"%aa-seg 1\na\tx\tn\t1\nc\tx\tn\t1\nd\tx\tn\t1\nb\tx\tn\t1\n"
     at = line_starts(data)
     for _ in each_piece_size():
         for spans in ([(at[1], at[3]), (at[4], at[5])], [(at[1], at[5])]):  # lines 2-3 and 5, or 2-5
             with pytest.raises(FormatError) as exc:
-                parse_record_lines(data, spans, {})
+                parse_record_lines([(None, data, spans)])
             assert str(exc.value) == "line 5: record out of (row, col) order"
-        assert parse_record_lines(data, [(at[4], at[5])], {}) == (True, True)  # line 5 alone ascends
+        assert parse_record_lines([(None, data, [(at[4], at[5])])])._rows == {"b": {"x": 1.0}}
+        assert cleans == []  # line 5 alone ascends
 
 
 @pytest.mark.parametrize("first,later,message", [
@@ -736,7 +748,7 @@ def test_an_earlier_span_error_wins_over_a_later_one(first, later, message):
     at = line_starts(data)
     for _ in each_piece_size():
         with pytest.raises(FormatError) as exc:
-            parse_record_lines(data, [(at[1], at[2]), (at[3], at[4])], {})
+            parse_record_lines([(None, data, [(at[1], at[2]), (at[3], at[4])])])
         assert str(exc.value) == message
 
 

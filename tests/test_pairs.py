@@ -158,3 +158,32 @@ def test_fewer_than_ten_pairs_are_not_met(pairs):
     # Nine pairs, all better by 10%, are still too few.
     _, got = judge(pairs, PARENT[:9], [0.9 * p for p in PARENT[:9]])
     assert [why for why in got["why"] if why.startswith("fails: ")] == ["fails: 9 pairs (needs at least 10)"]
+
+
+# Nine finite runs whose quartiles are 0.995, 1.0 and 1.005.
+NINE = [1.0, 0.98, 1.01, 0.995, 1.0, 1.02, 0.99, 1.005, 1.0]
+
+
+@pytest.mark.parametrize("at", [0, 3, 9])
+def test_a_crashed_run_is_left_out_of_the_quartiles(pairs, at):
+    values = NINE[:at] + [math.nan] + NINE[at:]
+    assert pairs.quartiles(NINE) == pytest.approx([0.995, 1.0, 1.005])
+    assert pairs.quartiles(values) == pytest.approx([0.995, 1.0, 1.005])
+    runs = [(run(None if math.isnan(p) else p, status=int(math.isnan(p))), run(p)) for p in values]
+    runs[at] = (runs[at][0], run(1.0))  # the change ran; the parent crashed
+    m = pairs.summarize(runs, {"wall_s": "lower"})["metrics"]["wall_s"]
+    assert m["parent_q"] == pytest.approx([0.995, 1.0, 1.005])
+    assert m["parent_spread_pct"] == pytest.approx(1.0)
+
+
+def test_a_side_with_no_finite_run_reads_nan_quartiles(pairs):
+    runs = [(run(status=1, correct=False, digest=None), run(0.9 * p)) for p in PARENT]
+    summary = pairs.summarize(runs, {"wall_s": "lower"})
+    m = summary["metrics"]["wall_s"]
+    assert all(math.isnan(q) for q in m["parent_q"])
+    assert math.isnan(m["median_change_pct"]) and math.isnan(m["parent_spread_pct"])
+    assert m["pairs_better"] == 0
+    assert pairs.verdict(summary, "wall_s")["verdict"] == "not met"
+    assert all(math.isnan(q) for q in pairs.quartiles([math.nan]))
+    # One finite run among crashed ones is that side's every quartile.
+    assert pairs.quartiles([math.nan] * 9 + [1.0]) == [1.0, 1.0, 1.0]

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aakit.io
 import aakit.store
 from aakit import ALL, MAXPLUS, AssociativeArray, DomainError, KeyPrefix, KeyRange, KeySet, KeySpec, cli, eladd
-from aakit.io import write_triples
+from aakit.io import FormatError, parse_record_lines, record_span, write_triples
 from aakit.store import (
     MANIFEST_NAME,
     ReadOnlyError,
@@ -1259,17 +1260,90 @@ def test_column_selects_match_fold_oracle(tmp_path, rows, keep_row, cols, keep_c
         assert dict(live.select(rows, cols).items()) == want
 
 
-def test_a_select_parses_each_segment_in_one_call(tmp_path, monkeypatch):
+def test_a_select_parses_every_segment_in_one_call(tmp_path, monkeypatch):
     with open_store(tmp_path / "t") as st:
         for n in (1.0, 2.0, 3.0):
             st.insert(aa({(r, "x"): n for r in "abcde"}))
         calls = []
         parse = aakit.store.parse_record_lines
-        monkeypatch.setattr(aakit.store, "parse_record_lines",
-                            lambda data, *rest: calls.append(data) or parse(data, *rest))
+
+        def spy(sources, cols=None):
+            sources = [(name, data, list(spans)) for name, data, spans in sources]
+            calls.append(sources)
+            return parse(sources, cols)
+
+        monkeypatch.setattr(aakit.store, "parse_record_lines", spy)
         # Rows a, c and e are three spans in every segment, with a row between each two.
         assert st.select(KeySet(["a", "c", "e"])) == aa({(r, "x"): 3.0 for r in "ace"})
-        assert calls == [(tmp_path / "t" / name).read_bytes() for name in st.segments]
+        assert len(calls) == 1
+        assert [(name, data) for name, data, _ in calls[0]] == [
+            (name, (tmp_path / "t" / name).read_bytes()) for name in st.segments]
+        assert [len(spans) for _, _, spans in calls[0]] == [3, 3, 3]
+
+
+def test_a_select_wraps_one_tombstone_free_segment_as_read(tmp_path, cleans):
+    with open_store(tmp_path / "t") as st:
+        st.insert(aa({("a", "x"): 1.0, ("b", "x"): 2.0}))
+        st.insert(aa({("c", "x"): 3.0, ("c", "y"): "w", ("d", "x"): 4.0}))
+        st.insert(aa({("a", "x"): 5.0, ("e", "x"): 6.0}))
+        st.delete(aa({("g", "x"): 1.0}))  # a tombstone for a cell no segment holds
+        cleans.clear()
+        for rows, cols, want in (
+            (KeySet(["c", "d"]), ALL, {("c", "x"): 3.0, ("c", "y"): "w", ("d", "x"): 4.0}),
+            (KeyRange("c", "d"), KeySet(["y"]), {("c", "y"): "w"}),
+            (KeyPrefix("b"), ALL, {("b", "x"): 2.0}),
+        ):
+            got = st.select(rows, cols)
+            check_invariants(got)
+            assert dict(got.items()) == want
+        assert cleans == []
+        # Rows from two segments, or from one that holds a tombstone, are sorted and screened.
+        assert dict(st.select(KeySet(["a", "b"])).items()) == {("a", "x"): 5.0, ("b", "x"): 2.0}
+        assert cleans == [{"a": {"x": 5.0}, "b": {"x": 2.0}}]
+        assert st.select(KeySet(["g"])).nnz == 0
+        assert cleans[1:] == [{"g": {"x": None}}]
+
+
+def test_a_select_converts_each_distinct_number_once(tmp_path, monkeypatch):
+    calls = []
+
+    class CountedPattern:
+        def match(self, text):
+            calls.append(text)
+            return number_re.match(text)
+
+    number_re = aakit.io._NUMBER_RE
+    with open_store(tmp_path / "t") as st:
+        for rows in ("abc", "bcd", "cde"):
+            st.insert(aa({(r, c): n for r in rows for c, n in (("x", 1.0), ("y", 2.5), ("z", 1.0))}))
+        monkeypatch.setattr(aakit.io, "_NUMBER_RE", CountedPattern())
+        got = st.select()
+        assert got == aa({(r, c): n for r in "abcde" for c, n in (("x", 1.0), ("y", 2.5), ("z", 1.0))})
+        assert sorted(calls) == ["1", "2.5"]
+
+
+@pytest.mark.parametrize("faulty", [(1,), (0, 1)], ids=["second", "first-and-second"])
+def test_a_fault_in_a_later_segment_names_it_and_an_earlier_one_wins(tmp_path, faulty):
+    root = tmp_path / "t"
+    with open_store(root) as st:
+        for n in (1.0, 2.0, 3.0):
+            st.insert(aa({(r, "x"): n for r in "abc"}))
+        names = st.segments
+    for i in faulty:  # line 3 of the segment, row b, gets a bad number
+        path = root / names[i]
+        path.write_bytes(path.read_bytes().replace(b"b\tx\tn\t", b"b\tx\tn\tnope"))
+    message = f"segment {names[faulty[0]]}: line 3: unparseable number 'nope{faulty[0] + 1}'"
+    with open_store(root) as st:
+        for rows in (ALL, KeySet(["b"]), KeyRange("a", "c")):
+            with pytest.raises(StoreError) as exc:
+                st.select(rows)
+            assert str(exc.value) == message
+    # io names the segment, and the store passes its text on as it is.
+    sources = [(name, data, [record_span(data, "%aa-seg 1")[:2]])
+               for name, data in ((name, (root / name).read_bytes()) for name in names)]
+    with pytest.raises(FormatError) as exc:
+        parse_record_lines(sources)
+    assert str(exc.value) == message
 
 
 class Vowel(KeySpec):

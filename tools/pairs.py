@@ -17,7 +17,8 @@ object) gives ``correct``, ``failed`` and the metrics, and the
 The JSON written has fixed keys.  Per workload: the seeds, each pair's
 ``failed`` counts and digests, whether every run was correct and every
 pair's digests equal; and per metric each side's values and quartiles
-(``statistics.quantiles(n=4, method="inclusive")``), the pairs where the
+(``statistics.quantiles(n=4, method="inclusive")`` over the runs that
+reported the metric; a crashed run's NaN is left out), the pairs where the
 change is better, the median change and the parent's spread between
 quartiles, both in percent of the parent's median.
 
@@ -104,7 +105,9 @@ def describe(tree: Path) -> dict:
 
 
 def quartiles(values: list[float]) -> list[float]:
-    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    """The quartiles of the finite values: a crashed run's NaN is left out, and a side with none reads NaN."""
+    finite = [v for v in values if math.isfinite(v)]
+    return statistics.quantiles(finite, n=4, method="inclusive") if len(finite) > 1 else (finite or [math.nan]) * 3
 
 
 def summarize(runs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
