@@ -327,3 +327,67 @@ def csv_table_oracle(text: str) -> dict:
             if value != "" and value != 0.0:
                 cells[(row, col)] = value
     return cells
+
+
+def _decimal(text: str) -> float | None:
+    """A finite decimal in ASCII digits, or None: ``float`` reads it once no other character is there."""
+    if not text or not set(text) <= set("0123456789+-.eE"):
+        return None
+    try:
+        x = float(text)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def record_files_oracle(files, cols=None) -> dict:
+    """The cells {(row, col): value} of record files, read one line at a time from the format's rules.
+
+    ``files`` are ``(name, data)`` pairs, oldest first, each framed by its
+    magic line and a final LF: one triple file (``name`` None) or store
+    segments (``%aa-seg 1``).  Each record line decodes as strict UTF-8 and
+    splits at its first three TABs into row, column, tag and value text.  A
+    line whose non-empty column is not in the set ``cols`` is then skipped.
+    A kept line has non-empty keys without CR, and is tagged ``n`` with a
+    finite decimal in ASCII digits, ``t`` with text without CR, or, in a
+    segment, ``x`` with nothing after it (a tombstone).  A segment's kept
+    lines strictly ascend in (row, col) order.
+
+    A triple file keeps a repeated cell's lattice max, where every number
+    sorts below every text.  A segment's record replaces its cell in the
+    older files' fold, and a tombstone deletes it.  Cells whose value is
+    0.0 or "" are left out.  A fault raises ValueError(name, line), the
+    1-based number of the first faulty line in the first file that has one.
+    """
+    folded: dict = {}
+    for name, data in files:
+        segment = data.startswith(b"%aa-seg 1\n")
+        last = None  # the (row, col) of the segment's last kept line
+        for number, raw in enumerate(data.split(b"\n")[1:-1], start=2):
+            try:
+                fields = raw.decode("utf-8").split("\t", 3)
+            except UnicodeDecodeError:
+                raise ValueError(name, number) from None
+            if len(fields) != 4:
+                raise ValueError(name, number)
+            row, col, tag, text = fields
+            if cols is not None and col and col not in cols:
+                continue
+            if not row or not col or "\r" in row + col:
+                raise ValueError(name, number)
+            if tag == "x" and segment and text == "":
+                value = None  # a tombstone
+            else:
+                value = _decimal(text) if tag == "n" else text if tag == "t" and "\r" not in text else None
+                if value is None:
+                    raise ValueError(name, number)
+            if segment:
+                if last is not None and (row, col) <= last:
+                    raise ValueError(name, number)
+                last = (row, col)
+                folded[(row, col)] = value
+            else:
+                old = folded.get((row, col))
+                if old is None or (isinstance(old, str), old) < (isinstance(value, str), value):
+                    folded[(row, col)] = value
+    return {cell: v for cell, v in folded.items() if v is not None and v != 0.0 and v != ""}

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aakit.io
-from aakit import LATTICE, MAXPLUS, AssociativeArray, DomainError, eladd, from_triples
+from aakit import LATTICE, MAXPLUS, AssociativeArray, DomainError, KeySet, eladd, from_triples
 from aakit.io import (
+    SEGMENT_MAGIC,
+    TRIPLES_MAGIC,
     FormatError,
     encode_lines,
     encode_records,
@@ -25,22 +27,28 @@ from aakit.io import (
 )
 
 from helpers import check_invariants, random_mixed_array
-from oracles import csv_table_oracle, dot_bytes_oracle, triples_bytes_oracle, triples_fold_oracle
+from oracles import (
+    csv_table_oracle,
+    dot_bytes_oracle,
+    record_files_oracle,
+    triples_bytes_oracle,
+    triples_fold_oracle,
+)
 
 
 def buf(text: str) -> io.BytesIO:
     return io.BytesIO(text.encode("utf-8"))
 
 
-def each_piece_size():
-    """Set ``aakit.io._PIECE`` to the shipped size, then to 1 byte, yielding after each.
+def each_piece_size(*more: int):
+    """Set ``aakit.io._PIECE`` to the shipped size, then to 1 byte, then to each of ``more``, yielding after each.
 
     At 1 byte the reader decodes each line, and a writer encodes each row,
     as a piece of its own.  The shipped size is back when the loop ends.
     """
     shipped = aakit.io._PIECE
     with pytest.MonkeyPatch.context() as mp:
-        for size in (shipped, 1):
+        for size in (shipped, 1, *more):
             mp.setattr(aakit.io, "_PIECE", size)
             yield size
 
@@ -689,6 +697,78 @@ def test_parse_record_lines_first_faulty_line_wins(data, message):
         with pytest.raises(FormatError) as exc:
             fold_span(data, start, end)
         assert str(exc.value) == message
+
+
+# Record files for the reader's oracle.  "a\x01" sorts after "a", though its line sorts before "a<TAB>...".
+RECORD_KEYS = ["a", "b", "c", "\u00e9", "a\x01"]
+RECORD_TAILS = ["n\t1", "n\t2.5", "n\t-3", "n\t0", "n\t-0", "n\t1e5", "n\t+.5", "n\t7.",
+                "t\tv", "t\t", "t\ta\tb", "t\t1"]
+# Each fault rewrites one line; a lone surrogate is written as the invalid UTF-8 byte it escapes.
+RECORD_FAULTS = [
+    lambda r, c, t: f"\t{c}\t{t}",  # an empty row
+    lambda r, c, t: f"{r}\t\t{t}",  # an empty column
+    lambda r, c, t: f"{r}\r\t{c}\t{t}",  # a CR in a key
+    lambda r, c, t: f"{r}\t{c}\rz\t{t}",
+    lambda r, c, t: f"{r}\t{c}\tt\tone\rtwo",  # a CR in a text
+    lambda r, c, t: f"{r}\t{c}\tn\t1x",  # bad or non-finite numbers
+    lambda r, c, t: f"{r}\t{c}\tn\t1e999",
+    lambda r, c, t: f"{r}\t{c}\tn\t\u0663",
+    lambda r, c, t: f"{r}\t{c}\tn\tnan",
+    lambda r, c, t: f"{r}\t{c}\tq\t1",  # an unknown tag
+    lambda r, c, t: f"{r}\t{c}\tx\tp",  # a tombstone payload
+    lambda r, c, t: f"{r}\t{c}\tx\t",  # a tombstone, which only a segment may hold
+    lambda r, c, t: f"{r}\t{c}",  # too few fields
+    lambda r, c, t: "",
+    lambda r, c, t: f"{r}\udcff\t{c}\t{t}",  # invalid UTF-8
+    lambda r, c, t: f"{r}\t{c}\tt\tcaf\udcc3",
+]
+
+
+@st.composite
+def record_files(draw):
+    """One triple file or 1-3 segments, as ``(name, data)`` oldest first, of up to six lines each.
+
+    Most cases pick one fault, which rewrites about one line in three.
+    Three segments in four hold their cells sorted and distinct; the
+    others, and triple files, keep the drawn order, which may go backwards
+    or repeat a cell.
+    """
+    segments = draw(st.booleans())
+    kind = draw(st.sampled_from([None, None, *RECORD_FAULTS]))
+    tails = RECORD_TAILS + ["x\t"] * segments  # a segment's tombstone
+    record = st.tuples(st.sampled_from(RECORD_KEYS), st.sampled_from(RECORD_KEYS), st.sampled_from(tails),
+                       st.sampled_from([None, None, kind]))
+    files = []
+    for i in range(draw(st.integers(1, 3)) if segments else 1):
+        lines = draw(st.lists(record, max_size=6))
+        if segments and draw(st.sampled_from([True, True, True, False])):
+            lines = sorted({line[:2]: line for line in lines}.values(), key=lambda line: line[:2])
+        body = [f"{r}\t{c}\t{t}" if fault is None else fault(r, c, t) for r, c, t, fault in lines]
+        magic = SEGMENT_MAGIC if segments else TRIPLES_MAGIC
+        files.append((f"s{i}" if segments else None, "".join(f"{x}\n" for x in [magic, *body]).encode(
+            "utf-8", "surrogateescape")))
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_files(), st.sets(st.sampled_from(RECORD_KEYS), max_size=3))
+def test_parse_record_lines_matches_the_record_oracle(files, cols):
+    sources = [(name, data, [record_span(data, TRIPLES_MAGIC if name is None else SEGMENT_MAGIC)[:2]])
+               for name, data in files]
+    for keep in (None, cols):
+        try:
+            want = record_files_oracle(files, keep)
+        except ValueError as fault:
+            want = fault.args  # (segment name, line)
+        for _ in each_piece_size(7):
+            try:
+                got = parse_record_lines(sources, None if keep is None else KeySet(keep).matches)
+            except FormatError as exc:
+                where = re.match(r"(?:segment (\S+): )?line (\d+): ", str(exc))
+                assert where and (where[1], int(where[2])) == want, str(exc)
+            else:
+                assert {(r, c): v for r, c, v in got} == want
+                check_invariants(got)
 
 
 def line_starts(data: bytes) -> list[int]:

@@ -6,7 +6,8 @@ spread between quartiles, every run was correct, every pair's output
 digests were equal, and at least ten pairs ran.  These tests build the
 run dicts that ``run_once`` returns and check ``parse_seeds``,
 ``summarize`` and ``verdict`` on them.  The tool is loaded from its file,
-writing no bytecode next to it.
+writing no bytecode next to it.  One test runs it on two stand-in trees,
+whose ``perfbench/run.py`` only sleeps, and stops it with SIGTERM.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import math
+import os
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -187,3 +192,50 @@ def test_a_side_with_no_finite_run_reads_nan_quartiles(pairs):
     assert all(math.isnan(q) for q in pairs.quartiles([math.nan]))
     # One finite run among crashed ones is that side's every quartile.
     assert pairs.quartiles([math.nan] * 9 + [1.0]) == [1.0, 1.0, 1.0]
+
+
+# A stand-in for perfbench/run.py: it names its process in the file $PAIRS_PID_FILE, then sleeps.
+SLEEPER = """\
+import os, time
+tmp = os.environ["PAIRS_PID_FILE"] + ".tmp"
+with open(tmp, "w") as f:
+    f.write(str(os.getpid()))
+os.replace(tmp, os.environ["PAIRS_PID_FILE"])
+time.sleep(60)
+"""
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_removes_the_copies_and_kills_the_run_in_flight(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(SLEEPER)
+    (tmp_path / "tmp").mkdir()
+    pid_file = tmp_path / "run.pid"
+    env = dict(os.environ, TMPDIR=str(tmp_path / "tmp"), PAIRS_PID_FILE=str(pid_file))
+    cmd = [sys.executable, str(PAIRS), str(tmp_path / "parent"), str(tmp_path / "change"),
+           "--workload", "w", "--seeds", "1", "-o", str(tmp_path / "out.json")]
+    pid = None
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            deadline = time.monotonic() + 10
+            while not pid_file.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert pid_file.exists(), proc.stderr.read() if proc.poll() is not None else "no run started in 10 s"
+            pid = int(pid_file.read_text())
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=10)
+            assert proc.returncode == 128 + signal.SIGTERM, err
+            assert list((tmp_path / "tmp").glob("pairs-*")) == []
+            assert not alive(pid)
+        finally:
+            proc.kill()
+            if pid is not None and alive(pid):
+                os.kill(pid, signal.SIGKILL)

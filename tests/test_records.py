@@ -189,8 +189,9 @@ def test_analysis_records_pickle_and_every_record_deepcopies():
 def test_package_import_loads_neither_dataclasses_inspect_nor_csv():
     """A fresh isolated interpreter imports the package and its CLI without them.
 
-    Only modules the import adds count, so a ``site`` that preloads either
-    does not hide a regression or raise a false one.
+    Only modules the import adds count.  The child runs with ``-S``: a
+    module that ``site`` (or a ``.pth`` file it runs) has already loaded is
+    never added by the import, so under ``site`` it could hide a regression.
     """
     src = str(Path(aakit.__file__).resolve().parent.parent)
     child = (
@@ -201,7 +202,7 @@ def test_package_import_loads_neither_dataclasses_inspect_nor_csv():
         "assert aakit.__file__.startswith(sys.argv[1]), aakit.__file__\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    proc = subprocess.run([sys.executable, "-I", "-c", child, src],
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", child, src],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())

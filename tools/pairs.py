@@ -7,12 +7,14 @@ Run from anywhere, with the two checkouts to compare::
         --claim select-mix:wall_s -o BENCH_<n>.json
 
 Both trees are copied to a temporary directory, so runs write nothing into
-them.  For each workload and seed, ``perfbench/run.py`` runs once in each
-copy, one after the other; the parent runs first on odd seeds and the
-change first on even ones, so a slow phase of the machine falls on both
-sides alike.  From each run the last line of standard output (a JSON
-object) gives ``correct``, ``failed`` and the metrics, and the
-``first_round_sha256`` report line gives the output digest.
+them.  The copies go when the tool ends, also when SIGTERM stops it: that
+kills the run in flight, and the exit status is 143.  For each workload
+and seed, ``perfbench/run.py`` runs once in each copy, one after the
+other; the parent runs first on odd seeds and the change first on even
+ones, so a slow phase of the machine falls on both sides alike.  From
+each run the last line of standard output (a JSON object) gives
+``correct``, ``failed`` and the metrics, and the ``first_round_sha256``
+report line gives the output digest.
 
 The JSON written has fixed keys.  Per workload: the seeds, each pair's
 ``failed`` counts and digests, whether every run was correct and every
@@ -39,6 +41,7 @@ import json
 import math
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -163,6 +166,8 @@ def main(argv=None) -> int:
     bench = args.change / "BENCHMARK.json"
     spec = json.loads(bench.read_text(encoding="utf-8")) if bench.is_file() else {}
     better = {m["name"]: m["better"] for kind in ("end_to_end", "per_layer") for m in spec.get(kind, [])}
+    # As SystemExit, SIGTERM kills the run in flight and removes the copies on its way out.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         for side, tree in trees.items():
