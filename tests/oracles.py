@@ -1,27 +1,48 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately written against different machinery than
-the code under test: exact Fraction arithmetic instead of float
-elimination, Jacobi rotations instead of power iteration, plain nested
-loops instead of indexed sparse folds, set arithmetic instead of
-pass-through products, and the file formats rebuilt from their
-specification instead of through ``aakit.io``.
+Each reference rule is written here once, and no oracle calls an aakit
+semiring operation, the value order or a reader: the built-in semirings'
+operations are ``_OPERATIONS`` over the value order ``_order``, and the
+file formats are rebuilt from their specification.  The machinery differs
+too: exact Fraction arithmetic instead of float elimination, Jacobi
+rotations instead of power iteration, plain nested loops instead of
+indexed sparse folds, and set arithmetic instead of pass-through products.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from aakit import ARITH, AssociativeArray, Semiring
 
 
+def _order(v) -> tuple:
+    """The value order: every number sorts below every text; numbers by value, texts by code point."""
+    return (isinstance(v, str), v)
+
+
+# (plus, times) by semiring name: the five built-in semirings, and the
+# pass-through "second", whose plus keeps the first term and times the right
+# operand.  A semiring that a test builds has no oracle: its test states the values.
+_OPERATIONS = {
+    "arith": (operator.add, operator.mul),
+    "maxplus": (max, operator.add),
+    "minplus": (min, operator.add),
+    "maxmin": (max, min),
+    "lattice": (lambda x, y: max(x, y, key=_order), lambda x, y: min(x, y, key=_order)),
+    "second": (lambda x, y: x, lambda x, y: y),
+}
+
+
 def product_oracle(a: AssociativeArray, b: AssociativeArray, sr: Semiring = ARITH) -> dict:
     """Array product by three nested loops over the full key grids.
 
-    Each cell folds its terms with sr.plus in ascending middle-key order
+    Each cell folds its terms with sr's plus in ascending middle-key order
     and is left out when the fold is 0.0, "" or the semiring's zero.
     """
+    plus, times = _OPERATIONS[sr.name]
     out = {}
     shared = sorted(set(a.col_keys) & set(b.row_keys))
     for i in a.row_keys:
@@ -31,11 +52,10 @@ def product_oracle(a: AssociativeArray, b: AssociativeArray, sr: Semiring = ARIT
                 av = a.get(i, k)
                 bv = b.get(k, j)
                 if av is not None and bv is not None:
-                    term = sr.times(av, bv)
-                    total = term if total is None else sr.plus(total, term)
-            if total is None or total in (0.0, "") or total == sr.zero:
-                continue
-            out[(i, j)] = total
+                    term = times(av, bv)
+                    total = term if total is None else plus(total, term)
+            if total is not None and _kept(total, sr):
+                out[(i, j)] = total
     return out
 
 
@@ -45,10 +65,11 @@ def _kept(value, sr: Semiring) -> bool:
 
 def eladd_oracle(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> dict:
     """Entry-wise sum by set union of the two supports and per-cell lookups."""
+    plus = _OPERATIONS[sr.name][0]
     out = {}
     for cell in set(a.support()) | set(b.support()):
         av, bv = a.get(*cell), b.get(*cell)
-        v = bv if av is None else av if bv is None else sr.plus(av, bv)
+        v = bv if av is None else av if bv is None else plus(av, bv)
         if _kept(v, sr):
             out[cell] = v
     return out
@@ -56,9 +77,10 @@ def eladd_oracle(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> dict
 
 def elmult_oracle(a: AssociativeArray, b: AssociativeArray, sr: Semiring) -> dict:
     """Entry-wise product by set intersection of the two supports."""
+    times = _OPERATIONS[sr.name][1]
     out = {}
     for cell in set(a.support()) & set(b.support()):
-        v = sr.times(a.get(*cell), b.get(*cell))
+        v = times(a.get(*cell), b.get(*cell))
         if _kept(v, sr):
             out[cell] = v
     return out
@@ -155,31 +177,23 @@ def store_fold_oracle(batches: list[tuple[str, AssociativeArray]]) -> dict:
     return content
 
 
-def triples_fold_oracle(records: list[tuple[str, str, object]]) -> dict:
-    """A triple file's content from its records, in file order.
-
-    A repeated cell keeps the lattice max of its values, where every
-    number sorts below every text; cells whose max is 0.0 or "" are left out.
-    """
-    folded: dict = {}
-    for r, c, v in records:
-        old = folded.get((r, c))
-        if old is None or (isinstance(old, str), old) < (isinstance(v, str), v):
-            folded[(r, c)] = v
-    return {cell: v for cell, v in folded.items() if v != 0.0 and v != ""}
-
-
-def filter_keys_oracle(keys, predicate) -> set[str]:
-    """Brute-force key filtering (for key spec equivalences)."""
-    return {k for k in keys if predicate(k)}
-
-
 # -- file formats ---------------------------------------------------------------
 
 
 def _number_text(x: float) -> str:
     """Shortest round-trip decimal: ``repr``, with integral values below 1e16 as integers."""
     return str(int(x)) if x.is_integer() and abs(x) < 1e16 else repr(x)
+
+
+def _decimal(text: str) -> float | None:
+    """A finite decimal in ASCII digits, or None: ``float`` reads it once no other character is there."""
+    if not text or not set(text) <= set("0123456789+-.eE"):
+        return None
+    try:
+        x = float(text)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
 
 
 def triples_bytes_oracle(cells: dict, magic: str = "%aa-triples 1") -> bytes:
@@ -276,18 +290,6 @@ def _csv_key_fault(key: str) -> str | None:
     return None
 
 
-def _csv_value(cell: str):
-    """A finite decimal in ASCII digits is a number; anything else is text."""
-    if set(cell) <= set("0123456789+-.eE"):
-        try:
-            x = float(cell)
-        except ValueError:
-            return cell
-        if math.isfinite(x):
-            return x
-    return cell
-
-
 def csv_table_oracle(text: str) -> dict:
     """A dense CSV table's stored cells {(row, col): value}, by RFC 4180 and the table rules.
 
@@ -323,21 +325,10 @@ def csv_table_oracle(text: str) -> dict:
         for col, cell in zip(col_keys, fields[1:]):
             if "\r" in cell or "\n" in cell:
                 raise ValueError(f"row {row!r}: text value {cell!r} contains a line break")
-            value = _csv_value(cell)
+            value = cell if (x := _decimal(cell)) is None else x  # a number, else text
             if value != "" and value != 0.0:
                 cells[(row, col)] = value
     return cells
-
-
-def _decimal(text: str) -> float | None:
-    """A finite decimal in ASCII digits, or None: ``float`` reads it once no other character is there."""
-    if not text or not set(text) <= set("0123456789+-.eE"):
-        return None
-    try:
-        x = float(text)
-    except ValueError:
-        return None
-    return x if math.isfinite(x) else None
 
 
 def record_files_oracle(files, cols=None) -> dict:
@@ -388,6 +379,5 @@ def record_files_oracle(files, cols=None) -> dict:
                 folded[(row, col)] = value
             else:
                 old = folded.get((row, col))
-                if old is None or (isinstance(old, str), old) < (isinstance(value, str), value):
-                    folded[(row, col)] = value
+                folded[(row, col)] = value if old is None else _OPERATIONS["lattice"][0](old, value)
     return {cell: v for cell, v in folded.items() if v is not None and v != 0.0 and v != ""}

@@ -43,8 +43,8 @@ from aakit import (
     rank,
     to_dense,
 )
-from aakit.io import parse_record_lines, read_table, record_span
-from aakit.store import SEGMENT_MAGIC, open_store
+from aakit.io import read_table
+from aakit.store import open_store
 
 from conftest import DATA_DIR, GOLDEN_DIR, SONG_TRIPLES
 from helpers import (
@@ -55,7 +55,7 @@ from helpers import (
     random_mixed_array,
     random_numeric_array,
 )
-from oracles import correlate_oracle, fraction_rank, jacobi_eigenvalues
+from oracles import correlate_oracle, fraction_rank, jacobi_eigenvalues, record_files_oracle, store_fold_oracle
 
 @pytest.mark.criterion(1, "song table ingests with all 16 cells intact")
 def test_song_table_fidelity():
@@ -251,22 +251,18 @@ def test_store_equivalence_and_crash(tmp_path):
 
     for case in range(200):
         root = tmp_path / f"seq{case}"
-        fold = {}
+        ops = []
         with open_store(root) as st:
             for _ in range(rng.randint(1, 8)):
                 batch = random_batch()
-                if rng.random() < 0.3:
-                    st.delete(batch)
-                    for cell in batch.support():
-                        fold.pop(cell, None)
-                else:
-                    st.insert(batch)
-                    fold.update(batch.items())
-                assert dict(st.select().items()) == fold
+                kind = "delete" if rng.random() < 0.3 else "insert"
+                getattr(st, kind)(batch)
+                ops.append((kind, batch))
+                assert dict(st.select().items()) == store_fold_oracle(ops)
             st.compact()
-            assert dict(st.select().items()) == fold
+            assert dict(st.select().items()) == store_fold_oracle(ops)
         with open_store(root) as st:
-            assert dict(st.select().items()) == fold
+            assert dict(st.select().items()) == store_fold_oracle(ops)
 
     for case in range(25):
         root = tmp_path / f"crash{case}"
@@ -274,15 +270,10 @@ def test_store_equivalence_and_crash(tmp_path):
             for _ in range(rng.randint(2, 4)):
                 st.insert(random_batch())
             names = st.segments
-        sources = []
-        for name in names:
-            data = (root / name).read_bytes()
-            start, end, _ = record_span(data, SEGMENT_MAGIC)
-            if name == names[-1]:
-                end = data.rfind(b"\n", 0, end - 1) + 1  # the record the crash destroys
-            sources.append((name, data, [(start, end)]))
-        folded = dict(parse_record_lines(sources).items())
-        data = (root / names[-1]).read_bytes()
+        files = [(name, (root / name).read_bytes()) for name in names]
+        data = files[-1][1]
+        files[-1] = (names[-1], data[:data.rfind(b"\n", 0, -1) + 1])  # the record the crash destroys
+        folded = record_files_oracle(files)
         last_line_len = len(data.rsplit(b"\n", 2)[1]) + 1
         (root / names[-1]).write_bytes(data[:-rng.randint(1, last_line_len)])
         with warnings.catch_warnings():

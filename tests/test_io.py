@@ -32,7 +32,6 @@ from oracles import (
     dot_bytes_oracle,
     record_files_oracle,
     triples_bytes_oracle,
-    triples_fold_oracle,
 )
 
 
@@ -701,7 +700,7 @@ def test_parse_record_lines_first_faulty_line_wins(data, message):
 
 # Record files for the reader's oracle.  "a\x01" sorts after "a", though its line sorts before "a<TAB>...".
 RECORD_KEYS = ["a", "b", "c", "\u00e9", "a\x01"]
-RECORD_TAILS = ["n\t1", "n\t2.5", "n\t-3", "n\t0", "n\t-0", "n\t1e5", "n\t+.5", "n\t7.",
+RECORD_TAILS = ["n\t1", "n\t2.5", "n\t-3", "n\t0", "n\t-0", "n\t1e5", "n\t+.5", "n\t7.", "n\t10",
                 "t\tv", "t\t", "t\ta\tb", "t\t1"]
 # Each fault rewrites one line; a lone surrogate is written as the invalid UTF-8 byte it escapes.
 RECORD_FAULTS = [
@@ -866,16 +865,18 @@ def test_record_span_lenient_tail_may_be_undecodable():
 def test_read_triples_shuffled_duplicates_fold_like_from_triples():
     rng = random.Random(24)
     for _ in range(60):
+        # -2/-1, 9/10 and 200/1e3 sort one way as numbers and the other way as text
         records = [(rng.choice("abcd"), rng.choice("wxyz"),
-                    rng.choice([-1.0, 0.0, 2.5, 7.0, "", "lo", "hi"]))
+                    rng.choice([-2.0, -1.0, 0.0, 2.5, 7.0, 9.0, 10.0, 200.0, 1e3, "", "lo", "hi"]))
                    for _ in range(rng.randint(0, 30))]
         # a duplicate whose lattice max is empty: -1 then 0 folds to 0, then drops
         records += [("e", "e", -1.0), ("e", "e", 0.0)]
         rng.shuffle(records)
         lines = ["%aa-triples 1"] + [
             f"{r}\t{c}\t{'t' if isinstance(v, str) else 'n'}\t{v}" for r, c, v in records]
-        got = read_triples(buf("\n".join(lines) + "\n"))
-        want = triples_fold_oracle(records)
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        got = read_triples(io.BytesIO(data))
+        want = record_files_oracle([(None, data)])
         assert dict(got.items()) == want
         assert dict(from_triples(records, LATTICE).items()) == want
         assert ("e", "e") not in got

@@ -1171,17 +1171,17 @@ PROBE_KEYS = SELECT_KEYS + ["0", "a\x00", "aa", "ac", "c", "ê", "\U0001f600", "
 def test_every_edge_key_spec_matches_fold_oracle(tmp_path):
     root = tmp_path / "t"
     rng = random.Random(5)
-    fold = {}
+    ops = []
     with open_store(root) as st:
         for _ in range(3):
-            batch = {(r, c): float(rng.randint(1, 9)) for r in SELECT_KEYS for c in ("x", "y")
-                     if rng.random() < 0.7}
-            st.insert(aa(batch))
-            fold.update(batch)
-        gone = rng.sample(sorted(fold), 6)
-        st.delete(aa(dict.fromkeys(gone, 1.0)))
-        for cell in gone:
-            del fold[cell]
+            batch = aa({(r, c): float(rng.randint(1, 9)) for r in SELECT_KEYS for c in ("x", "y")
+                        if rng.random() < 0.7})
+            st.insert(batch)
+            ops.append(("insert", batch))
+        gone = aa(dict.fromkeys(rng.sample(sorted(store_fold_oracle(ops)), 6), 1.0))
+        st.delete(gone)
+        ops.append(("delete", gone))
+        fold = store_fold_oracle(ops)
         prefixes = {k[:n] for k in SELECT_KEYS for n in (1, 2)} | set(PROBE_KEYS)
         specs = [KeySet([k]) for k in PROBE_KEYS] + [KeyPrefix(p) for p in sorted(prefixes)]
         specs += [KeyRange(lo, hi) for lo in PROBE_KEYS for hi in PROBE_KEYS if lo <= hi]
@@ -1369,8 +1369,8 @@ _cells = st.tuples(st.sampled_from(SELECT_KEYS), st.sampled_from(["x", "y", "a\x
 _values = st.one_of(st.integers(1, 9).map(float), st.sampled_from(["t", "x y", "中"]))
 _ops = st.lists(
     st.one_of(
-        st.dictionaries(_cells, _values, min_size=1, max_size=12).map(lambda d: ("insert", d)),
-        st.sets(_cells, min_size=1, max_size=6).map(lambda c: ("delete", c)),
+        st.dictionaries(_cells, _values, min_size=1, max_size=12).map(lambda d: ("insert", aa(d))),
+        st.sets(_cells, min_size=1, max_size=6).map(lambda c: ("delete", aa(dict.fromkeys(c, 1.0)))),
         st.just(("compact",)),
     ),
     min_size=1,
@@ -1389,21 +1389,12 @@ def _fold_select(fold, rows, cols):
 def test_bisecting_select_matches_fold_oracle(ops, data):
     specs = _specs(SELECT_KEYS)
     queries = data.draw(st.lists(st.tuples(specs, specs), min_size=1, max_size=6))
-    fold = {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "t"
         with open_store(root) as live:
-            for op in ops:
-                if op[0] == "insert":
-                    live.insert(aa(op[1]))
-                    fold.update(op[1])
-                elif op[0] == "delete":
-                    live.delete(aa(dict.fromkeys(op[1], 1.0)))
-                    for cell in op[1]:
-                        fold.pop(cell, None)
-                else:
-                    live.compact()
-            fold = {cell: float(v) if isinstance(v, int) else v for cell, v in fold.items()}
+            for kind, *batch in ops:
+                getattr(live, kind)(*batch)
+            fold = store_fold_oracle([op for op in ops if op[0] != "compact"])
             with open_store(root, read_only=True) as reopened:
                 for rows, cols in queries:
                     want = _fold_select(fold, rows, cols)

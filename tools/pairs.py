@@ -9,9 +9,10 @@ Run from anywhere, with the two checkouts to compare::
 Both trees are copied to a temporary directory, so runs write nothing into
 them.  The copies go when the tool ends, also when SIGTERM stops it: that
 kills the run in flight, and the exit status is 143.  For each workload
-and seed, ``perfbench/run.py`` runs once in each copy, one after the
-other; the parent runs first on odd seeds and the change first on even
-ones, so a slow phase of the machine falls on both sides alike.  From
+and seed, ``perfbench/run.py`` runs once in each copy, untraced and at
+full size, one after the other; the parent runs first on odd seeds and
+the change first on even ones, so a slow phase of the machine falls on
+both sides alike.  From
 each run the last line of standard output (a JSON object) gives
 ``correct``, ``failed`` and the metrics, and the ``first_round_sha256``
 report line gives the output digest.
@@ -51,6 +52,7 @@ from pathlib import Path
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work",
                                 ".benchmarks", "*.egg-info", "build")
 MIN_PAIRS = 10  # the claim rule runs at least ten pairs: better in 1 of 1 shows nothing
+RUN_OPTIONS = ["--trace", "0", "--size", "full"]  # every run untraced, at full size
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -72,8 +74,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--workload", action="append", required=True, help="a perfbench workload; may repeat")
     p.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"), help="e.g. 1-10 or 11,12")
     p.add_argument("--seconds", type=float, default=25.0, help="run.py --seconds (default 25)")
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0, help="run.py --trace (default 0)")
-    p.add_argument("--size", choices=("full", "tiny"), default="full", help="run.py --size (default full)")
     p.add_argument("--claim", action="append", default=[], metavar="W:METRIC", help="claim to judge; may repeat")
     p.add_argument("-o", "--output", type=Path, required=True, help="where to write the JSON")
     return p.parse_args(argv)
@@ -82,7 +82,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 def run_once(tree: Path, workload: str, seed: int, args: argparse.Namespace) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its exit status, last JSON line and digest."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{args.seconds:g}", "--trace", str(args.trace), "--size", args.size]
+           "--seconds", f"{args.seconds:g}", *RUN_OPTIONS]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
             workloads[workload] = {"seeds": args.seeds, **summarize(runs, better)}
     out = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                   f"--trace {args.trace} --size {args.size}",
+                   + " ".join(RUN_OPTIONS),
         "protocol": "one pair per seed, the parent first on odd seeds; quartiles by "
                     "statistics.quantiles(n=4, method='inclusive'); percentages of the parent's median",
         "trees": {"parent": describe(args.parent), "change": describe(args.change)},
